@@ -327,7 +327,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
         if be == "gaussian":
             prop = propagate(h0, (0.0, cfg.t_final), n_steps)
             C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-            cs = [evolve_correlation(C0, u).matrix for u in prop.matrices]
+            cs = [evolve_correlation(C0, u) for u in prop.matrices]
             times = prop.times
         else:
             _fock_guard(catalog.size)
@@ -389,7 +389,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
         catalog, fock_series = results["fock"]
         prop = propagate(h0_matrix(catalog), (0.0, cfg.t_final), n_steps)
         C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-        cs = [evolve_correlation(C0, u).matrix for u in prop.matrices]
+        cs = [evolve_correlation(C0, u) for u in prop.matrices]
         gauss_series = field_series(catalog, prop.times, cs, cfg.points_per_axis, e=cfg.e)
         dev = max(
             float(np.abs(gauss_series.rho - fock_series.rho).max()),
@@ -453,13 +453,12 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
             record_every=record,
         )
         W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
-        cs_free = [evolve_correlation(W0, u).matrix for u in u_free.matrices]
-        cs_gauge = [evolve_correlation(W0, u).matrix for u in u_gauge.matrices]
+        cs_free = [evolve_correlation(W0, u) for u in u_free.matrices]
+        cs_gauge = [evolve_correlation(W0, u) for u in u_gauge.matrices]
         s_free = field_series(catalog, u_free.times, cs_free, cfg.points_per_axis, e=cfg.e)
         s_gauge = field_series(catalog, u_gauge.times, cs_gauge, cfg.points_per_axis, e=cfg.e)
 
-        caps = np.array([max(abs(c) for c in m.label.n) for m in catalog.modes])
-        sel = caps <= window
+        sel = catalog.tables.caps <= window
         rho_dev_t = np.abs(s_free.rho - s_gauge.rho).max(axis=1)
         j_dev_t = np.abs(s_free.current - s_gauge.current).max(axis=(1, 2))
         unit_t = []

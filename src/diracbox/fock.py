@@ -50,9 +50,6 @@ class FockBasis:
     def dim(self) -> int:
         return 1 << self.n_modes
 
-    def occupation(self, state_index: int, mode: int) -> int:
-        return (state_index >> mode) & 1
-
     def index_of_occupations(self, occupied) -> int:
         return sum(1 << i for i in occupied)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -43,12 +44,6 @@ ALPHA = np.zeros((3, 4, 4), dtype=complex)
 for _i in range(3):
     ALPHA[_i, :2, 2:] = _SIGMA[_i]
     ALPHA[_i, 2:, :2] = _SIGMA[_i]
-
-
-def dirac_matrix(p, m: float) -> np.ndarray:
-    """The 4x4 free Dirac matrix alpha.p + beta*m for momentum vector p."""
-    p = np.asarray(p, dtype=float)
-    return np.tensordot(p, ALPHA, axes=(0, 0)) + m * BETA
 
 
 def mode_energy(p, m: float) -> float:
@@ -200,6 +195,33 @@ def mode_overlap(a: SpinorMode, b: SpinorMode) -> complex:
 
 
 @dataclass(frozen=True)
+class SpinorTables:
+    """Spinor contractions of a catalog: the one place they are computed.
+
+    delta_n[i, j] = n_i - n_j is the wave vector coupling source j to target
+    i; caps[i] = max_a |n_i,a| is mode i's lattice distance from the origin.
+    """
+
+    spinors: np.ndarray  # (M, 4) u_i
+    scalar: np.ndarray  # (M, M) u_i^dag u_j
+    alpha: np.ndarray  # (3, M, M) u_i^dag alpha_a u_j
+    momenta: np.ndarray  # (M, 3)
+    delta_n: np.ndarray  # (M, M, 3) integer
+    caps: np.ndarray  # (M,) integer
+
+    def waves(self, points: np.ndarray) -> np.ndarray:
+        """(N, M) plane-wave factors e^{i p_i . x}."""
+        return np.exp(1j * points @ self.momenta.T)
+
+    def coupling(self, block: np.ndarray) -> np.ndarray:
+        """(M, M) matrix u_i^dag block u_j for a 4 x 4 spinor-space block."""
+        # One matrix-vector product per spinor rounds exactly like the pairwise
+        # np.vdot(u_i, block @ u_j); a single block @ spinors.T product does not.
+        images = (block @ self.spinors[:, :, None])[:, :, 0]
+        return self.spinors.conj() @ images.T
+
+
+@dataclass(frozen=True)
 class BasisCatalog:
     """Deterministically ordered mode list with label -> index lookup.
 
@@ -232,6 +254,20 @@ class BasisCatalog:
     @property
     def volume(self) -> float:
         return self.grid.volume
+
+    @cached_property
+    def tables(self) -> SpinorTables:
+        """Spinor contraction tables, built on first use and freed with the catalog."""
+        us = np.array([mode.u for mode in self.modes])
+        n = np.array([mode.label.n for mode in self.modes])
+        return SpinorTables(
+            spinors=us,
+            scalar=us.conj() @ us.T,
+            alpha=np.einsum("ia,kab,jb->kij", us.conj(), ALPHA, us),
+            momenta=np.array([mode.p for mode in self.modes]),
+            delta_n=n[:, None] - n[None, :],
+            caps=np.abs(n).max(axis=1),
+        )
 
     def index_of(self, lbl: ModeLabel) -> int:
         try:

@@ -88,46 +88,19 @@ def _as_correlation(state_or_c, ladders: LadderSet | None) -> np.ndarray:
     raise TypeError(f"expected CorrelationMatrix or FockState, got {type(state_or_c)}")
 
 
-class _ModeTables:
-    """Spinor contractions and plane-wave factors shared by the observables."""
-
-    def __init__(self, catalog: BasisCatalog):
-        us = np.array([mode.u for mode in catalog.modes])  # (M, 4)
-        self.scalar = us.conj() @ us.T  # u_i^dag u_j
-        self.alpha = np.einsum("ia,kab,jb->kij", us.conj(), ALPHA, us)  # (3, M, M)
-        self.momenta = np.array([mode.p for mode in catalog.modes])  # (M, 3)
-        self.volume = catalog.volume
-
-    def waves(self, points: np.ndarray) -> np.ndarray:
-        """(N, M) plane-wave factors e^{i p_i . x}."""
-        return np.exp(1j * points @ self.momenta.T)
-
-
-_TABLE_CACHE: dict[int, tuple[BasisCatalog, _ModeTables]] = {}
-
-
-def _tables(catalog: BasisCatalog) -> _ModeTables:
-    hit = _TABLE_CACHE.get(id(catalog))
-    if hit is not None and hit[0] is catalog:
-        return hit[1]
-    tables = _ModeTables(catalog)
-    _TABLE_CACHE[id(catalog)] = (catalog, tables)
-    return tables
-
-
 def density_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> OneBodyOperator:
     """One-body matrix of the charge density at a single point x."""
-    t = _tables(catalog)
+    t = catalog.tables
     w = t.waves(_as_points(x))[0]
-    return OneBodyOperator((e / t.volume) * t.scalar * np.outer(w.conj(), w))
+    return OneBodyOperator((e / catalog.volume) * t.scalar * np.outer(w.conj(), w))
 
 
 def current_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> list[OneBodyOperator]:
     """One-body matrices of the three current components at a point x."""
-    t = _tables(catalog)
+    t = catalog.tables
     w = t.waves(_as_points(x))[0]
     phase = np.outer(w.conj(), w)
-    return [OneBodyOperator((e / t.volume) * t.alpha[a] * phase) for a in range(3)]
+    return [OneBodyOperator((e / catalog.volume) * t.alpha[a] * phase) for a in range(3)]
 
 
 def charge_density(
@@ -135,10 +108,10 @@ def charge_density(
 ) -> np.ndarray:
     """rho = e <psi^dag psi> at the given points (sea background included)."""
     C = _as_correlation(state_or_c, ladders)
-    t = _tables(catalog)
+    t = catalog.tables
     w = t.waves(_as_points(x))
     weighted = t.scalar * C
-    vals = np.einsum("xi,ij,xj->x", w.conj(), weighted, w) * (e / t.volume)
+    vals = np.einsum("xi,ij,xj->x", w.conj(), weighted, w) * (e / catalog.volume)
     if np.abs(vals.imag).max() > 1e-9:
         raise FloatingPointError("charge density acquired an imaginary part")
     return vals.real
@@ -149,11 +122,11 @@ def current_density(
 ) -> np.ndarray:
     """J = e <psi^dag alpha psi> at the given points, shape (N, 3)."""
     C = _as_correlation(state_or_c, ladders)
-    t = _tables(catalog)
+    t = catalog.tables
     w = t.waves(_as_points(x))
     out = np.empty((w.shape[0], 3))
     for a in range(3):
-        vals = np.einsum("xi,ij,xj->x", w.conj(), t.alpha[a] * C, w) * (e / t.volume)
+        vals = np.einsum("xi,ij,xj->x", w.conj(), t.alpha[a] * C, w) * (e / catalog.volume)
         if np.abs(vals.imag).max() > 1e-9:
             raise FloatingPointError("current density acquired an imaginary part")
         out[:, a] = vals.real
@@ -232,7 +205,10 @@ def field_series(
     provenance: str = "",
     e: float = 1.0,
 ) -> FieldSeries:
-    """Evaluate rho, J, and free energy for a correlation-matrix trajectory."""
+    """Evaluate rho, J, and free energy for a correlation-matrix trajectory.
+
+    Raw-array frames (the Fock readout) are validated here, once each.
+    """
     sgrid = SpatialGrid.for_catalog(catalog, points_per_axis)
     pts = sgrid.points()
     h0 = h0_matrix(catalog)
@@ -241,8 +217,7 @@ def field_series(
     cur = np.empty((len(times), sgrid.n_points, 3))
     energy = np.empty(len(times))
     for k, C in enumerate(correlations):
-        cm = C.matrix if isinstance(C, CorrelationMatrix) else np.asarray(C)
-        wrapped = CorrelationMatrix(cm)
+        wrapped = _wrap(C)
         rho[k] = charge_density(wrapped, catalog, pts, e=e)
         cur[k] = current_density(wrapped, catalog, pts, e=e)
         energy[k] = bilinear_expectation(wrapped, h0).real
@@ -296,6 +271,14 @@ def total_charge(series: FieldSeries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fourier data and the energy identity
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, unfused like a scalar complex product (SIMD loops may fuse)."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def field_fourier(
     state_or_c, catalog: BasisCatalog, ladders: LadderSet | None = None, e: float = 1.0
 ) -> tuple[dict[IntVec, complex], dict[IntVec, complex]]:
@@ -305,22 +288,19 @@ def field_fourier(
     exact mode-sum bookkeeping, no sampling involved.
     """
     C = _as_correlation(state_or_c, ladders)
-    t = _tables(catalog)
-    rho_k: dict[IntVec, complex] = {}
-    divj_k: dict[IntVec, complex] = {}
-    modes = catalog.modes
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            if C[i, j] == 0.0:
-                continue
-            dn = tuple(mj.label.n[a] - mi.label.n[a] for a in range(3))
-            w = (e / t.volume) * C[i, j]
-            rho_k[dn] = rho_k.get(dn, 0.0) + t.scalar[i, j] * w
-            dp = mj.p - mi.p
-            divj_k[dn] = divj_k.get(dn, 0.0) + 1j * w * (
-                dp[0] * t.alpha[0, i, j] + dp[1] * t.alpha[1, i, j] + dp[2] * t.alpha[2, i, j]
-            )
-    return rho_k, divj_k
+    t = catalog.tables
+    i, j = np.nonzero(C != 0.0)  # row-major, so np.add.at sums in (i, j) order
+    keys, group = np.unique(t.delta_n[j, i], axis=0, return_inverse=True)  # n_j - n_i
+    w = (e / catalog.volume) * C[i, j]
+    dp = t.momenta[j] - t.momenta[i]
+    dp_alpha = (
+        dp[:, 0] * t.alpha[0, i, j] + dp[:, 1] * t.alpha[1, i, j] + dp[:, 2] * t.alpha[2, i, j]
+    )
+    rho, divj = np.zeros((2, len(keys)), dtype=complex)
+    np.add.at(rho, group, _cmul(t.scalar[i, j], w))
+    np.add.at(divj, group, _cmul(1j * w, dp_alpha))
+    dns = [tuple(k) for k in keys.tolist()]
+    return dict(zip(dns, rho)), dict(zip(dns, divj))
 
 
 def delta_xi(mode1: SpinorMode, mode2: SpinorMode) -> float:

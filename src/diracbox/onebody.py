@@ -118,6 +118,17 @@ def _check_reality(amps: Mapping[IntVec, complex], what: str, vector: bool):
             raise ValueError(f"{what}: amplitude at {k} must be a 3-vector")
 
 
+def _check_band(keys, grid: MomentumGrid):
+    """Hard band-limit check: |k_i| <= 2 n_max, on-axis for d = 1."""
+    for k in keys:
+        if grid.d == 1 and (k[0] != 0 or k[1] != 0):
+            raise ValueError(f"wave vector {k} off the 1-d grid axis")
+        if max(abs(c) for c in k) > 2 * grid.n_max:
+            raise ValueError(
+                f"wave vector {k} beyond band limit 2*n_max = {2 * grid.n_max}"
+            )
+
+
 def _norm_scalar_map(amps) -> dict[IntVec, complex]:
     return {as_int_vec(k): complex(v) for k, v in (amps or {}).items()}
 
@@ -175,15 +186,8 @@ class PotentialSpec:
         return max((t.band() for t in self.terms), default=0)
 
     def validate_against(self, grid: MomentumGrid):
-        """Hard band-limit check: |k_i| <= 2 n_max, on-axis for d = 1."""
         for term in self.terms:
-            for k in list(term.a0) + list(term.a):
-                if grid.d == 1 and (k[0] != 0 or k[1] != 0):
-                    raise ValueError(f"wave vector {k} off the 1-d grid axis")
-                if max(abs(c) for c in k) > 2 * grid.n_max:
-                    raise ValueError(
-                        f"wave vector {k} beyond band limit 2*n_max = {2 * grid.n_max}"
-                    )
+            _check_band(list(term.a0) + list(term.a), grid)
 
 
 @dataclass(frozen=True)
@@ -207,13 +211,7 @@ class GaugeFunction:
         return max((max(abs(c) for c in k) for k in self.chi), default=0)
 
     def validate_against(self, grid: MomentumGrid):
-        for k in self.chi:
-            if grid.d == 1 and (k[0] != 0 or k[1] != 0):
-                raise ValueError(f"wave vector {k} off the 1-d grid axis")
-            if max(abs(c) for c in k) > 2 * grid.n_max:
-                raise ValueError(
-                    f"wave vector {k} beyond band limit 2*n_max = {2 * grid.n_max}"
-                )
+        _check_band(self.chi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +257,15 @@ def _coupling_matrix(
     """
     M = catalog.size
     out = np.zeros((M, M), dtype=complex)
-    keys = set(scalar) | set(vector)
-    if not keys:
-        return out
-    by_momentum: dict[IntVec, list[int]] = {}
-    for i, mode in enumerate(catalog.modes):
-        by_momentum.setdefault(mode.label.n, []).append(i)
-    for k in keys:
+    tables = catalog.tables
+    for k in set(scalar) | set(vector):
         block = scalar.get(k, 0.0) * np.eye(4, dtype=complex)
         vec = vector.get(k)
         if vec is not None:
             block = block + np.tensordot(vec, ALPHA, axes=(0, 0))
-        for n_src, src_rows in by_momentum.items():
-            n_tgt = (n_src[0] + k[0], n_src[1] + k[1], n_src[2] + k[2])
-            tgt_rows = by_momentum.get(n_tgt)
-            if tgt_rows is None:
-                continue  # hard cutoff: coupling leaves the kept momenta
-            for i in tgt_rows:
-                ui = catalog.modes[i].u
-                for j in src_rows:
-                    out[i, j] += np.vdot(ui, block @ catalog.modes[j].u)
+        # pairs whose target would leave the kept momenta never match k
+        hit = (tables.delta_n == k).all(axis=-1)
+        out[hit] += tables.coupling(block)[hit]
     return out
 
 
@@ -499,7 +486,7 @@ def gauge_identity_residual(
     grad = grad_chi_matrix(catalog, chi, t).matrix
     residual = h0 @ phase - phase @ (-e * grad + h0)
     abs_res = np.abs(residual)
-    caps = np.array([max(abs(c) for c in mode.label.n) for mode in catalog.modes])
+    caps = catalog.tables.caps
     interior = caps <= catalog.n_max - chi.band()
     out = {
         "interior": float(abs_res[interior].max()) if interior.any() else 0.0,

@@ -5,6 +5,9 @@ Oracles: closed-form single-harmonic expressions for the free two-mode state
 integrals, and the exact Fock backend for route cross-checks.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,7 @@ from diracbox.observables import (
 )
 from diracbox.onebody import (
     CosineRamp,
+    unitary_step,
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
@@ -291,3 +295,49 @@ def test_fock_state_without_ladders_rejected():
         charge_density(vac, cat, (0.0, 0.0, 0.0))
     with pytest.raises(TypeError):
         charge_density(np.zeros(3), cat, (0.0, 0.0, 0.0))
+
+
+def oracle_field_fourier(C, catalog, e=1.0):
+    """Mode-pair loop over C_ij != 0, accumulating in row-major pair order."""
+    t = catalog.tables
+    rho_k, divj_k = {}, {}
+    modes = catalog.modes
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            if C[i, j] == 0.0:
+                continue
+            dn = tuple(mj.label.n[a] - mi.label.n[a] for a in range(3))
+            w = (e / catalog.volume) * C[i, j]
+            rho_k[dn] = rho_k.get(dn, 0.0) + t.scalar[i, j] * w
+            dp = mj.p - mi.p
+            divj_k[dn] = divj_k.get(dn, 0.0) + 1j * w * (
+                dp[0] * t.alpha[0, i, j] + dp[1] * t.alpha[1, i, j] + dp[2] * t.alpha[2, i, j]
+            )
+    return rho_k, divj_k
+
+
+@pytest.mark.parametrize(
+    "d, n_max, keep",
+    [(1, 2, None), (1, 4, None), (3, 1, None), (1, 1, [0, 1])],
+    ids=["d1-n2", "d1-n4", "d3-n1", "restricted-0-1"],
+)
+def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    if keep is not None:
+        cat = restrict_catalog(cat, keep)
+    sparse = omega0_correlation(cat, MODE1, MODE2)  # mostly exact zeros
+    rng = np.random.default_rng(d * 10 + n_max)
+    h = rng.normal(size=(cat.size, cat.size)) + 1j * rng.normal(size=(cat.size, cat.size))
+    dense = evolve_correlation(sparse, unitary_step(h + h.conj().T, 0.3))
+    for C in (sparse, dense):
+        got = field_fourier(C, cat, e=1.5)
+        assert got == oracle_field_fourier(C.matrix, cat, e=1.5)
+
+
+def test_catalog_is_freed_after_observable_use():
+    cat = catalog1d(n_max=1)
+    charge_density(vacuum_correlation(cat), cat, np.zeros(3))
+    ref = weakref.ref(cat)
+    del cat
+    gc.collect()
+    assert ref() is None

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbox.modes import MomentumGrid, build_catalog
+from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
 from diracbox.onebody import (
+    _coupling_matrix,
     Constant,
     CosineRamp,
     GaugeFunction,
@@ -155,6 +156,18 @@ def test_off_axis_and_band_limit_rejected():
     wide = PotentialSpec.single(a0={(0, 0, 3): 0.5, (0, 0, -3): 0.5})
     with pytest.raises(ValueError):
         interaction_matrix(cat, wide, 0.0)
+
+
+def test_gauge_function_off_axis_and_band_limit_rejected():
+    cat = catalog1d(n_max=1)
+    env = CosineRamp(t_final=1.0)
+    off = GaugeFunction({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, env)
+    wide = GaugeFunction({(0, 0, 3): 0.5, (0, 0, -3): 0.5}, env)
+    for chi in (off, wide):
+        with pytest.raises(ValueError):
+            chi_matrix(cat, chi, 0.5)
+        with pytest.raises(ValueError):
+            gauge_transform(PotentialSpec.zero(), chi, cat.grid)
 
 
 def test_gauge_envelope_initial_conditions_enforced():
@@ -340,3 +353,57 @@ def test_gauge_identity_residual_shrinks_with_cutoff():
         assert res["all"] >= res["interior"] >= res["window"]
     assert windowed[0] > windowed[1] > windowed[2]
     assert windowed[2] <= 1e-4
+
+
+def oracle_coupling_matrix(catalog, scalar, vector):
+    """Mode-pair loop: (target, source) = u_t^dag (s_k + alpha.v_k) u_s, n_t = n_s + k."""
+    M = catalog.size
+    out = np.zeros((M, M), dtype=complex)
+    keys = set(scalar) | set(vector)
+    if not keys:
+        return out
+    by_momentum = {}
+    for i, mode in enumerate(catalog.modes):
+        by_momentum.setdefault(mode.label.n, []).append(i)
+    for k in keys:
+        block = scalar.get(k, 0.0) * np.eye(4, dtype=complex)
+        vec = vector.get(k)
+        if vec is not None:
+            block = block + np.tensordot(vec, ALPHA, axes=(0, 0))
+        for n_src, src_rows in by_momentum.items():
+            n_tgt = (n_src[0] + k[0], n_src[1] + k[1], n_src[2] + k[2])
+            tgt_rows = by_momentum.get(n_tgt)
+            if tgt_rows is None:
+                continue
+            for i in tgt_rows:
+                ui = catalog.modes[i].u
+                for j in src_rows:
+                    out[i, j] += np.vdot(ui, block @ catalog.modes[j].u)
+    return out
+
+
+def random_fourier_maps(rng, ks):
+    scalar = {k: complex(rng.normal(), rng.normal()) for k in ks}
+    vector = {k: rng.normal(size=3) + 1j * rng.normal(size=3) for k in ks}
+    return scalar, vector
+
+
+@pytest.mark.parametrize(
+    "d, n_max, keep, ks",
+    [
+        (1, 2, None, [(0, 0, kz) for kz in range(-4, 5)]),
+        (1, 4, None, [(0, 0, kz) for kz in range(-8, 9)]),
+        (3, 1, None, [(0, 0, 0), (1, -1, 0), (-1, 1, 0), (0, 1, 1), (2, -1, 1), (-1, -2, 2)]),
+        (1, 1, [0, 1], [(0, 0, kz) for kz in range(-2, 3)]),
+    ],
+    ids=["d1-n2", "d1-n4", "d3-n1-off-axis", "restricted-0-1"],
+)
+def test_coupling_matrix_equals_mode_pair_loop(d, n_max, keep, ks):
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    if keep is not None:
+        cat = restrict_catalog(cat, keep)
+    rng = np.random.default_rng(d * 10 + n_max)
+    scalar, vector = random_fourier_maps(rng, ks)
+    for s_map, v_map in ((scalar, vector), (scalar, {}), ({}, vector), ({}, {})):
+        got = _coupling_matrix(cat, s_map, v_map)
+        assert np.array_equal(got, oracle_coupling_matrix(cat, s_map, v_map))
