@@ -34,7 +34,7 @@ from .fock import (
 )
 from .modes import build_catalog, label, restrict_catalog
 from .observables import div_current_oracle, drho_dt_oracle
-from .onebody import OneBodyOperator
+from .onebody import OneBodyOperator, StepGuardError
 
 
 class ConfigError(Exception):
@@ -334,6 +334,9 @@ def main(argv=None) -> int:
                 raise ConfigError(str(exc)) from exc
         if args.out_dir is not None:
             rc = replace(rc, out_dir=args.out_dir)
+        if args.command == "equivalence" and rc.scenario.d != 1:
+            # its random drives are wired for d = 1 scans
+            raise ConfigError(f"`{args.command}` runs at d = 1 only, got d = {rc.scenario.d}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -341,6 +344,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(rc)
         return cmd_run(args.command, rc)
+    except StepGuardError as exc:
+        print(f"numerical guard: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

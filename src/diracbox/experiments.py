@@ -58,6 +58,7 @@ from .observables import (
 )
 from .onebody import (
     CosineRamp,
+    DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
@@ -222,18 +223,7 @@ class Report:
 # shared machinery
 
 def _onebody_hamiltonian(catalog: BasisCatalog, pot: PotentialSpec, e: float):
-    h0 = h0_matrix(catalog).matrix
-    blocks = interaction_term_matrices(catalog, pot, e)
-
-    def ham(t: float) -> OneBodyOperator:
-        m = h0.copy()
-        for op, env in blocks:
-            g = env.value(t)
-            if g != 0.0:
-                m += g * op.matrix
-        return OneBodyOperator(m)
-
-    return ham
+    return DrivenHamiltonian(h0_matrix(catalog), interaction_term_matrices(catalog, pot, e))
 
 
 def _manybody_hamiltonian(catalog: BasisCatalog, ladders, pot: PotentialSpec, e: float):

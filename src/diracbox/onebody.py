@@ -18,7 +18,9 @@ Time evolution is the midpoint-exponential stepper
 
     u(t + dt) = exp(-i h(t + dt/2) dt) u(t),
 
-unitary by construction and second-order accurate.
+unitary by construction and second-order accurate (the second-order Magnus
+integrator).  The midpoint Hamiltonians never depend on the state, so they
+are diagonalized in batches ahead of the chain of products.
 """
 
 from __future__ import annotations
@@ -377,8 +379,73 @@ def bfield_coefficients(pot: PotentialSpec, grid: MomentumGrid, t: float) -> dic
 
 def unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for hermitian h via eigendecomposition (exactly unitary)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    return _exp_eigh(*np.linalg.eigh(h), dt)
+
+
+def _exp_eigh(w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) from eigh(h) = (w, v); a stack of them broadcasts."""
+    return (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+class StepGuardError(ValueError):
+    """A midpoint step whose ||h||*dt exceeds the accuracy bound."""
+
+    def __init__(self, step: int, time: float, value: float, bound: float):
+        super().__init__(
+            f"step too coarse: ||h||*dt = {value:.4g} > {bound} "
+            f"at step {step} (t_mid = {time:.6g})"
+        )
+        self.step = step
+        self.time = time
+        self.value = value
+        self.bound = bound
+
+
+def _check_hermitian(op) -> np.ndarray:
+    if not isinstance(op, OneBodyOperator) or not op.hermitian:
+        raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
+    return op.matrix
+
+
+@dataclass(frozen=True)
+class DrivenHamiltonian:
+    """h(t) = h0 + sum_b g_b(t) B_b with static hermitian blocks B_b.
+
+    The blocks are the (operator, envelope) pairs of
+    `interaction_term_matrices`; each is validated once, here.  A sum of
+    hermitian blocks with real weights is hermitian, so `stack` builds many
+    midpoint Hamiltonians without a per-step check.
+    """
+
+    h0: OneBodyOperator
+    blocks: tuple[tuple[OneBodyOperator, object], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        for op in (self.h0, *(op for op, _ in self.blocks)):
+            if _check_hermitian(op).shape != self.h0.matrix.shape:
+                raise ValueError("driven blocks must match the shape of h0")
+
+    def __call__(self, t: float) -> OneBodyOperator:
+        m = self.h0.matrix.copy()
+        for op, env in self.blocks:
+            g = env.value(t)
+            if g != 0.0:
+                m += g * op.matrix
+        return OneBodyOperator(m)
+
+    def stack(self, times) -> np.ndarray:
+        """h(t) for every t in `times`, as one (n, M, M) array.
+
+        Blocks are added in order, skipped where their envelope is zero, so
+        each entry equals `self(t).matrix` bit for bit.
+        """
+        out = np.repeat(self.h0.matrix[None], len(times), axis=0)
+        for op, env in self.blocks:
+            g = np.array([env.value(t) for t in times])
+            on = g != 0.0
+            out[on] += g[on, None, None] * op.matrix
+        return out
 
 
 @dataclass(frozen=True)
@@ -416,6 +483,46 @@ class OneBodyPropagator:
         return self.matrices[idx]
 
 
+# midpoint steps per batched eigh; longer chunks cost memory, not time
+_STEP_CHUNK = 16
+
+
+def _guarded_steps(h: np.ndarray, dt: float, t_mid: list[float], first: int, bound: float):
+    """exp(-i h_n dt) for a stack of hermitian h_n = h(t_mid[n]), one batched eigh.
+
+    The step guard reads ||h_n||_2 * dt = max|w_n| * dt off the eigenvalues
+    and raises at the first step (global index `first` + n) over `bound`.
+    """
+    w, v = np.linalg.eigh(h)
+    size = np.abs(w).max(axis=-1) * dt
+    over = np.flatnonzero(size > bound)
+    if over.size:
+        n = int(over[0])
+        raise StepGuardError(first + n, t_mid[n], float(size[n]), bound)
+    return _exp_eigh(w, v, dt)
+
+
+def _step_chunks(hamiltonian, t0: float, dt: float, n_steps: int, bound: float):
+    """Yield the step matrices exp(-i h(t_mid) dt) in step order, in chunks."""
+    if isinstance(hamiltonian, OneBodyOperator):
+        # one decomposition serves every step
+        h = _check_hermitian(hamiltonian)[None]
+        step = _guarded_steps(h, dt, [t0 + 0.5 * dt], 0, bound)
+        yield np.broadcast_to(step, (n_steps,) + step.shape[1:])
+        return
+    if isinstance(hamiltonian, DrivenHamiltonian):
+        stack = hamiltonian.stack
+    elif callable(hamiltonian):
+        def stack(times):
+            return np.stack([_check_hermitian(hamiltonian(t)) for t in times])
+    else:
+        raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
+    for start in range(0, n_steps, _STEP_CHUNK):
+        stop = min(start + _STEP_CHUNK, n_steps)
+        t_mid = [t0 + (step + 0.5) * dt for step in range(start, stop)]
+        yield _guarded_steps(stack(t_mid), dt, t_mid, start, bound)
+
+
 def propagate(
     hamiltonian: Callable[[float], OneBodyOperator] | OneBodyOperator,
     t_span: tuple[float, float],
@@ -426,39 +533,33 @@ def propagate(
     """Midpoint-exponential propagation of i du/dt = h(t) u, u(t0) = 1.
 
     Records u at every `record_every`-th grid time (the final time is always
-    recorded).  Raises if ||h|| * dt exceeds `max_step_norm` (accuracy guard;
-    relax explicitly for coarse scans).
+    recorded).  Raises `StepGuardError` if ||h|| * dt exceeds `max_step_norm`
+    (accuracy guard; relax explicitly for coarse scans).
+
+    A static `OneBodyOperator` is diagonalized once; a `DrivenHamiltonian`
+    builds each chunk of midpoint Hamiltonians in one array operation; any
+    other callable is called once per step.  All three take the same batched
+    eigendecomposition, so they give the same bytes for the same h(t).
     """
     t0, t1 = map(float, t_span)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if t1 <= t0:
         raise ValueError("t_span must advance forward")
-    h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
     dt = (t1 - t0) / n_steps
-    first = h_of_t(t0 + 0.5 * dt)
-    if not isinstance(first, OneBodyOperator) or not first.hermitian:
-        raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
-    M = first.size
-    u = np.eye(M, dtype=complex)
     times = [t0]
-    mats = [u]
-    h_mid = first
-    for step in range(n_steps):
-        t_mid = t0 + (step + 0.5) * dt
-        if step > 0:
-            h_mid = h_of_t(t_mid)
-            if not h_mid.hermitian:
-                raise ValueError("hamiltonian must stay hermitian")
-        norm = np.linalg.norm(h_mid.matrix, 2)
-        if norm * dt > max_step_norm:
-            raise ValueError(
-                f"step too coarse: ||h||*dt = {norm * dt:.3f} > {max_step_norm}"
-            )
-        u = unitary_step(h_mid.matrix, dt) @ u
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            times.append(t0 + (step + 1) * dt)
+    mats = []
+    step = 0
+    for chunk in _step_chunks(hamiltonian, t0, dt, n_steps, max_step_norm):
+        if not mats:
+            u = np.eye(chunk.shape[-1], dtype=complex)
             mats.append(u)
+        for s in chunk:
+            u = s @ u
+            step += 1
+            if step % record_every == 0 or step == n_steps:
+                times.append(t0 + step * dt)
+                mats.append(u)
     return OneBodyPropagator(np.array(times), np.array(mats))
 
 

@@ -176,6 +176,26 @@ def test_main_exit_codes(tmp_path):
     assert main(["equivalence", "--config", str(hot), "--out-dir", str(tmp_path / "hot")]) == 1
 
 
+def test_main_step_guard_exits_one_without_traceback(tmp_path, capsys):
+    coarse = write_cfg(tmp_path, "n_steps = 5\n")
+    out = tmp_path / "coarse"
+    assert main(["equivalence", "--config", str(coarse), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: step too coarse")
+    assert "Traceback" not in err and "config error" not in err
+    assert not out.exists()
+
+
+def test_main_rejects_equivalence_beyond_one_dimension(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "d = 3\nn_max = 1\n")
+    out = tmp_path / "d3"
+    assert main(["equivalence", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "d = 1" in err
+    assert not out.exists()
+
+
 def test_main_cutoffs_override(tmp_path):
     out = tmp_path / "cut"
     cfg = write_cfg(tmp_path, "n_steps = 2000\n")

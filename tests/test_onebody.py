@@ -17,10 +17,12 @@ from diracbox.onebody import (
     _coupling_matrix,
     Constant,
     CosineRamp,
+    DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
     PotentialTerm,
+    StepGuardError,
     TimeDerivative,
     bfield_coefficients,
     chi_matrix,
@@ -31,6 +33,7 @@ from diracbox.onebody import (
     grad_chi_matrix,
     h0_matrix,
     interaction_matrix,
+    interaction_term_matrices,
     propagate,
     unitary_step,
 )
@@ -407,3 +410,109 @@ def test_coupling_matrix_equals_mode_pair_loop(d, n_max, keep, ks):
     for s_map, v_map in ((scalar, vector), (scalar, {}), ({}, vector), ({}, {})):
         got = _coupling_matrix(cat, s_map, v_map)
         assert np.array_equal(got, oracle_coupling_matrix(cat, s_map, v_map))
+
+
+# ---------------------------------------------------------------------------
+# batched stepping against the one-step-at-a-time loop
+
+
+def reference_propagate(hamiltonian, t_span, n_steps, record_every=1, max_step_norm=0.1):
+    """Midpoint loop one step at a time: an eigh and an SVD norm guard per step."""
+    t0, t1 = map(float, t_span)
+    h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
+    dt = (t1 - t0) / n_steps
+    u = np.eye(h_of_t(t0 + 0.5 * dt).size, dtype=complex)
+    times, mats = [t0], [u]
+    for step in range(n_steps):
+        t_mid = t0 + (step + 0.5) * dt
+        h = h_of_t(t_mid).matrix
+        norm = np.linalg.norm(h, 2)
+        if norm * dt > max_step_norm:
+            raise StepGuardError(step, t_mid, norm * dt, max_step_norm)
+        w, v = np.linalg.eigh(h)
+        u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            times.append(t0 + (step + 1) * dt)
+            mats.append(u)
+    return np.array(times), np.array(mats)
+
+
+def pure_gauge_family(n_max=2):
+    cat = catalog1d(n_max=n_max)
+    chi = GaugeFunction({1: 0.04, -1: 0.04, 2: 0.01j, -2: -0.01j}, CosineRamp(t_final=1.0))
+    pure = gauge_transform(PotentialSpec.zero(), chi, cat.grid)
+    return DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure))
+
+
+def driven_potential_callable(n_max=2):
+    cat = catalog1d(n_max=n_max)
+    h0 = h0_matrix(cat)
+    pot = PotentialSpec.single(
+        a0={1: 0.3, -1: 0.3},
+        a={1: (0, 0, 0.2), -1: (0, 0, 0.2)},
+        envelope=CosineRamp(t_final=1.0),
+    )
+    return lambda t: OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+
+
+@pytest.mark.parametrize(
+    "route",
+    ["static", "driven-family", "lambda"],
+)
+def test_batched_propagate_equals_per_step_loop(route):
+    if route == "static":
+        ham = ref = h0_matrix(catalog1d(n_max=2))
+    elif route == "driven-family":
+        # the reference loop calls the family once per step
+        ham = ref = pure_gauge_family()
+    else:
+        ham = ref = driven_potential_callable()
+    # 203 steps is no multiple of the 16-step chunk; recording every step
+    # would also show a step taken past the end of the run
+    every = 1 if route == "lambda" else 7
+    prop = propagate(ham, (0.0, 1.0), n_steps=203, record_every=every)
+    times, mats = reference_propagate(ref, (0.0, 1.0), n_steps=203, record_every=every)
+    assert prop.times.shape == times.shape and (prop.times == times).all()
+    assert prop.matrices.shape == mats.shape and (prop.matrices == mats).all()
+
+
+def test_driven_family_stack_equals_per_t_call():
+    family = pure_gauge_family()
+    cat = catalog1d(n_max=2)
+    # a block whose envelope is zero throughout is skipped, as at g(0) = 0
+    silent = interaction_term_matrices(cat, PotentialSpec.single(a0={1: 0.1, -1: 0.1}))[0][0]
+    family = DrivenHamiltonian(family.h0, family.blocks + ((silent, Constant(0.0)),))
+    times = [0.0] + [(step + 0.5) / 203 for step in range(20)] + [1.0]
+    stack = family.stack(times)
+    assert stack.shape == (len(times), cat.size, cat.size)
+    for t, h in zip(times, stack):
+        assert (family(t).matrix == h).all()
+
+
+def test_driven_family_validates_blocks_once():
+    cat = catalog1d(n_max=1)
+    h0 = h0_matrix(cat)
+    skew = OneBodyOperator(1j * np.eye(cat.size), hermitian=False)
+    with pytest.raises(ValueError, match="hermitian"):
+        DrivenHamiltonian(h0, [(skew, Constant(1.0))])
+    with pytest.raises(ValueError, match="shape"):
+        DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
+
+
+@pytest.mark.parametrize("route", ["driven-family", "lambda"])
+def test_step_guard_trips_at_the_reference_step(route):
+    cat = catalog1d(n_max=1)  # ||h0|| = sqrt(2)
+    ramp = interaction_term_matrices(cat, PotentialSpec.single(a0={0: 5.0}, envelope=CosineRamp(1.0)))
+    family = DrivenHamiltonian(h0_matrix(cat), ramp)
+    ham = family if route == "driven-family" else (lambda t: family(t))
+    with pytest.raises(StepGuardError) as ref:
+        reference_propagate(family, (0.0, 1.0), n_steps=40)
+    with pytest.raises(StepGuardError, match=r"^step too coarse") as got:
+        propagate(ham, (0.0, 1.0), n_steps=40)
+    # the ramp's norm crosses 0.1 / dt in the second chunk of steps
+    assert 16 < ref.value.step < 39
+    assert got.value.step == ref.value.step
+    assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
+    assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
+    assert got.value.bound == 0.1
+    assert f"at step {ref.value.step}" in str(got.value)
