@@ -334,9 +334,6 @@ def main(argv=None) -> int:
                 raise ConfigError(str(exc)) from exc
         if args.out_dir is not None:
             rc = replace(rc, out_dir=args.out_dir)
-        if args.command == "equivalence" and rc.scenario.d != 1:
-            # its random drives are wired for d = 1 scans
-            raise ConfigError(f"`{args.command}` runs at d = 1 only, got d = {rc.scenario.d}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -347,7 +344,9 @@ def main(argv=None) -> int:
     except StepGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, NotImplementedError) as exc:
+        # NotImplementedError: a setting a scenario does not support, e.g.
+        # equivalence drives beyond d = 1
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -717,13 +717,18 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     matched step counts the two picture are the same discrete evolution, which
     the matched-deviation metric pins at roundoff level.
     """
+    env = cfg.envelope()
+    rng = np.random.default_rng(cfg.seed)
+    # drawn first, so a dimension random_drive does not support fails at once
+    drives = [PotentialSpec.zero()] + [
+        random_drive(rng, cfg.drive_band, cfg.drive_amplitude, env, cfg.d)
+        for _ in range(cfg.n_drives)
+    ]
     momenta = cfg.scan_subsets[0]
     catalog = _subset_catalog(cfg, momenta)
     _fock_guard(catalog.size)
     ladders = build_ladders(catalog)
     n_steps = cfg.n_steps or 200
-    env = cfg.envelope()
-    rng = np.random.default_rng(cfg.seed)
     panel = _observable_panel(catalog, cfg)
     omega_f = omega0_state(ladders, cfg.mode1, cfg.mode2)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
@@ -745,11 +750,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     rows: list[list] = []
     deviations, doubled, matched = [], [], []
     zero_control = None
-    for drive_idx in range(cfg.n_drives + 1):
-        if drive_idx == 0:
-            pot = PotentialSpec.zero()
-        else:
-            pot = random_drive(rng, cfg.drive_band, cfg.drive_amplitude, env, cfg.d)
+    for drive_idx, pot in enumerate(drives):
         ham_1b = _onebody_hamiltonian(catalog, pot, cfg.e)
         ham_mb = _manybody_hamiltonian(catalog, ladders, pot, cfg.e)
         u_ref = propagate(

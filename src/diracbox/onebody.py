@@ -427,12 +427,7 @@ class DrivenHamiltonian:
                 raise ValueError("driven blocks must match the shape of h0")
 
     def __call__(self, t: float) -> OneBodyOperator:
-        m = self.h0.matrix.copy()
-        for op, env in self.blocks:
-            g = env.value(t)
-            if g != 0.0:
-                m += g * op.matrix
-        return OneBodyOperator(m)
+        return OneBodyOperator(self.stack([t])[0])
 
     def stack(self, times) -> np.ndarray:
         """h(t) for every t in `times`, as one (n, M, M) array.

@@ -444,6 +444,20 @@ def pure_gauge_family(n_max=2):
     return DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure))
 
 
+def per_t_sum(family):
+    """The family summed one t at a time: h0, then g * B in block order, g == 0 skipped."""
+
+    def ham(t):
+        m = family.h0.matrix.copy()
+        for op, env in family.blocks:
+            g = env.value(t)
+            if g != 0.0:
+                m += g * op.matrix
+        return OneBodyOperator(m)
+
+    return ham
+
+
 def driven_potential_callable(n_max=2):
     cat = catalog1d(n_max=n_max)
     h0 = h0_matrix(cat)
@@ -463,8 +477,8 @@ def test_batched_propagate_equals_per_step_loop(route):
     if route == "static":
         ham = ref = h0_matrix(catalog1d(n_max=2))
     elif route == "driven-family":
-        # the reference loop calls the family once per step
-        ham = ref = pure_gauge_family()
+        ham = pure_gauge_family()
+        ref = per_t_sum(ham)
     else:
         ham = ref = driven_potential_callable()
     # 203 steps is no multiple of the 16-step chunk; recording every step
@@ -486,7 +500,8 @@ def test_driven_family_stack_equals_per_t_call():
     stack = family.stack(times)
     assert stack.shape == (len(times), cat.size, cat.size)
     for t, h in zip(times, stack):
-        assert (family(t).matrix == h).all()
+        want = per_t_sum(family)(t).matrix
+        assert (h == want).all() and (family(t).matrix == want).all()
 
 
 def test_driven_family_validates_blocks_once():
@@ -506,7 +521,7 @@ def test_step_guard_trips_at_the_reference_step(route):
     family = DrivenHamiltonian(h0_matrix(cat), ramp)
     ham = family if route == "driven-family" else (lambda t: family(t))
     with pytest.raises(StepGuardError) as ref:
-        reference_propagate(family, (0.0, 1.0), n_steps=40)
+        reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=40)
     with pytest.raises(StepGuardError, match=r"^step too coarse") as got:
         propagate(ham, (0.0, 1.0), n_steps=40)
     # the ramp's norm crosses 0.1 / dt in the second chunk of steps
