@@ -3,6 +3,10 @@
 # Usage: scripts/run_all.sh [OUT_DIR]   (default OUT_DIR = results)
 set -euo pipefail
 
+# run from the checkout's own sources, installed or not
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="${repo}/src${PYTHONPATH:+:${PYTHONPATH}}"
+
 out="${1:-results}"
 status=0
 

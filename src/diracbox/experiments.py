@@ -17,8 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import (
-    FOCK_MODE_CAP,
-    ManyBodyOperator,
     build_ladders,
     correlation_from_state,
     evolve_schrodinger,
@@ -227,21 +225,10 @@ def _onebody_hamiltonian(catalog: BasisCatalog, pot: PotentialSpec, e: float):
 
 
 def _manybody_hamiltonian(catalog: BasisCatalog, ladders, pot: PotentialSpec, e: float):
-    h0q = quantize(h0_matrix(catalog), ladders).matrix
-    blocks = [
-        (quantize(op, ladders).matrix, env)
-        for op, env in interaction_term_matrices(catalog, pot, e)
-    ]
-
-    def ham(t: float) -> ManyBodyOperator:
-        m = h0q
-        for bq, env in blocks:
-            g = env.value(t)
-            if g != 0.0:
-                m = m + g * bq
-        return ManyBodyOperator(m, hermitian=True)
-
-    return ham
+    return DrivenHamiltonian(
+        quantize(h0_matrix(catalog), ladders),
+        [(quantize(op, ladders), env) for op, env in interaction_term_matrices(catalog, pot, e)],
+    )
 
 
 def _modes_of(catalog: BasisCatalog, cfg: ScenarioConfig):
@@ -261,23 +248,23 @@ def _neg(k: IntVec) -> IntVec:
 
 def schrodinger_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
     """Fourier modes of D(x) = d(rho_cross)/dt at t_final (two harmonics)."""
-    m1, m2 = _modes_of(catalog, cfg)
+    i1, i2 = catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
+    m1, m2 = catalog.modes[i1], catalog.modes[i2]
     dn = _delta_n(cfg)
     de = m2.energy - m1.energy
-    ov = complex(np.vdot(m1.u, m2.u))
+    ov = complex(catalog.tables.scalar[i1, i2])
     coeff = (cfg.e / (2.0 * catalog.volume)) * (-1j * de) * ov * np.exp(-1j * de * cfg.t_final)
     return {dn: coeff, _neg(dn): np.conj(coeff)}
 
 
 def heisenberg_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
     """Fourier modes of D7(x) = div J_cross at t_final (two harmonics)."""
-    from .modes import ALPHA
-
-    m1, m2 = _modes_of(catalog, cfg)
+    i1, i2 = catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
+    m1, m2 = catalog.modes[i1], catalog.modes[i2]
     dn = _delta_n(cfg)
     de = m2.energy - m1.energy
     dp = m2.p - m1.p
-    alpha_ov = sum(dp[a] * complex(np.vdot(m1.u, ALPHA[a] @ m2.u)) for a in range(3))
+    alpha_ov = complex(dp @ catalog.tables.alpha[:, i1, i2])
     coeff = (cfg.e / (2.0 * catalog.volume)) * 1j * alpha_ov * np.exp(-1j * de * cfg.t_final)
     return {dn: coeff, _neg(dn): np.conj(coeff)}
 
@@ -289,14 +276,6 @@ def profile_square_integral(profile: dict[IntVec, complex], volume: float) -> fl
 
 def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
     return gauge_transform(PotentialSpec.zero(), chi, grid)
-
-
-def _fock_guard(size: int):
-    if size > FOCK_MODE_CAP:
-        raise ValueError(
-            f"Fock backend needs M <= {FOCK_MODE_CAP} modes, got {size}; "
-            "use the gaussian backend or a momentum subset"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +299,6 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             cs = [evolve_correlation(C0, u) for u in prop.matrices]
             times = prop.times
         else:
-            _fock_guard(catalog.size)
             ladders = build_ladders(catalog)
             h0q = quantize(h0, ladders)
             omega = omega0_state(ladders, cfg.mode1, cfg.mode2)
@@ -533,7 +511,6 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
     for momenta_z in cfg.scan_subsets:
         catalog = _subset_catalog(cfg, momenta_z)
-        _fock_guard(catalog.size)
         ladders = build_ladders(catalog)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
@@ -726,7 +703,6 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     ]
     momenta = cfg.scan_subsets[0]
     catalog = _subset_catalog(cfg, momenta)
-    _fock_guard(catalog.size)
     ladders = build_ladders(catalog)
     n_steps = cfg.n_steps or 200
     panel = _observable_panel(catalog, cfg)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .modes import BasisCatalog, ModeLabel
-from .onebody import OneBodyOperator
+from .onebody import DrivenHamiltonian, OneBodyOperator, time_grid
 
 FOCK_MODE_CAP = 14
 CAR_TOL = 1e-12
@@ -43,7 +43,7 @@ class FockBasis:
         if not 1 <= self.n_modes <= FOCK_MODE_CAP:
             raise ValueError(
                 f"mode count {self.n_modes} outside 1..{FOCK_MODE_CAP} "
-                "(Fock dimension 2^M)"
+                "(Fock dimension 2^M); use the gaussian backend or a momentum subset"
             )
 
     @property
@@ -271,7 +271,7 @@ def h0_spectrum_check(ladders: LadderSet) -> dict[str, float]:
 
 def evolve_schrodinger(
     state: FockState,
-    hamiltonian: Callable[[float], ManyBodyOperator] | ManyBodyOperator,
+    hamiltonian: DrivenHamiltonian | Callable[[float], ManyBodyOperator] | ManyBodyOperator,
     t_span: tuple[float, float],
     n_steps: int,
     record_every: int = 1,
@@ -280,27 +280,28 @@ def evolve_schrodinger(
 
     psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied with sparse
     matrix-exponential action.  Returns (recorded times, recorded states);
-    the FockState constructor enforces the 1e-10 norm-drift bound.
+    the FockState constructor enforces the 1e-10 norm-drift bound.  A static
+    operator is a `DrivenHamiltonian` with no blocks; a family was validated
+    when built, while any other callable's operator is checked every step.
     """
-    t0, t1 = map(float, t_span)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if t1 <= t0:
-        raise ValueError("t_span must advance forward")
-    h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
-    dt = (t1 - t0) / n_steps
+    dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
+    if isinstance(hamiltonian, ManyBodyOperator):
+        hamiltonian = DrivenHamiltonian(hamiltonian, ())
+    if isinstance(hamiltonian, DrivenHamiltonian):
+        h_at = hamiltonian.at
+    else:
+        def h_at(t):
+            op = hamiltonian(t)
+            if not op.hermitian:
+                raise ValueError("evolution generator must be hermitian")
+            return op.matrix
     psi = state.amplitudes.copy()
-    times = [t0]
     states = [state]
-    for step in range(n_steps):
-        op = h_of_t(t0 + (step + 0.5) * dt)
-        if not op.hermitian:
-            raise ValueError("evolution generator must be hermitian")
-        psi = expm_multiply((-1j * dt) * op.matrix, psi)
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            times.append(t0 + (step + 1) * dt)
+    for step, t in enumerate(t_mid, 1):
+        psi = expm_multiply((-1j * dt) * h_at(t), psi)
+        if step in kept:
             states.append(FockState(psi.copy(), state.basis))
-    return np.array(times), states
+    return times, states
 
 
 def correlation_from_state(state: FockState, ladders: LadderSet) -> np.ndarray:

@@ -289,17 +289,6 @@ def interaction_term_matrices(
     return out
 
 
-def interaction_matrix(
-    catalog: BasisCatalog, pot: PotentialSpec, t: float, e: float = 1.0
-) -> OneBodyOperator:
-    """v(t) = -e alpha.A(t) + e A_0(t) on the mode basis."""
-    M = catalog.size
-    total = np.zeros((M, M), dtype=complex)
-    for op, env in interaction_term_matrices(catalog, pot, e):
-        total += env.value(t) * op.matrix
-    return OneBodyOperator(total)
-
-
 def chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneBodyOperator:
     """Multiplication by chi(x, t) projected onto the mode basis."""
     chi.validate_against(catalog.grid)
@@ -401,9 +390,9 @@ class StepGuardError(ValueError):
         self.bound = bound
 
 
-def _check_hermitian(op) -> np.ndarray:
-    if not isinstance(op, OneBodyOperator) or not op.hermitian:
-        raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
+def _check_hermitian(op, kind=OneBodyOperator) -> np.ndarray:
+    if not isinstance(op, kind) or not op.hermitian:
+        raise ValueError(f"hamiltonian must yield hermitian {kind.__name__}")
     return op.matrix
 
 
@@ -411,30 +400,36 @@ def _check_hermitian(op) -> np.ndarray:
 class DrivenHamiltonian:
     """h(t) = h0 + sum_b g_b(t) B_b with static hermitian blocks B_b.
 
-    The blocks are the (operator, envelope) pairs of
-    `interaction_term_matrices`; each is validated once, here.  A sum of
-    hermitian blocks with real weights is hermitian, so `stack` builds many
-    midpoint Hamiltonians without a per-step check.
+    One family for both pictures: h0 and the blocks are `OneBodyOperator`s
+    (the blocks of `interaction_term_matrices`) or their quantized
+    `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
+    blocks with real weights is hermitian, so `at` and `stack` build h(t)
+    without a per-step check.
     """
 
-    h0: OneBodyOperator
-    blocks: tuple[tuple[OneBodyOperator, object], ...]
+    h0: object
+    blocks: tuple[tuple[object, object], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         for op in (self.h0, *(op for op, _ in self.blocks)):
-            if _check_hermitian(op).shape != self.h0.matrix.shape:
+            if _check_hermitian(op, type(self.h0)).shape != self.h0.matrix.shape:
                 raise ValueError("driven blocks must match the shape of h0")
 
-    def __call__(self, t: float) -> OneBodyOperator:
-        return OneBodyOperator(self.stack([t])[0])
+    def at(self, t: float):
+        """h(t) as a matrix of h0's kind (dense or CSR): blocks in order, none where g_b(t) = 0."""
+        h = self.h0.matrix
+        for op, env in self.blocks:
+            g = env.value(t)
+            if g != 0.0:
+                h = h + g * op.matrix
+        return h
+
+    def __call__(self, t: float):
+        return type(self.h0)(self.at(t))
 
     def stack(self, times) -> np.ndarray:
-        """h(t) for every t in `times`, as one (n, M, M) array.
-
-        Blocks are added in order, skipped where their envelope is zero, so
-        each entry equals `self(t).matrix` bit for bit.
-        """
+        """One-body h(t) at every t in `times`, one (n, M, M) array; equals `at(t)` bit for bit."""
         out = np.repeat(self.h0.matrix[None], len(times), axis=0)
         for op, env in self.blocks:
             g = np.array([env.value(t) for t in times])
@@ -497,25 +492,44 @@ def _guarded_steps(h: np.ndarray, dt: float, t_mid: list[float], first: int, bou
     return _exp_eigh(w, v, dt)
 
 
-def _step_chunks(hamiltonian, t0: float, dt: float, n_steps: int, bound: float):
+def _step_chunks(hamiltonian, t_mid: list[float], dt: float, bound: float):
     """Yield the step matrices exp(-i h(t_mid) dt) in step order, in chunks."""
     if isinstance(hamiltonian, OneBodyOperator):
         # one decomposition serves every step
         h = _check_hermitian(hamiltonian)[None]
-        step = _guarded_steps(h, dt, [t0 + 0.5 * dt], 0, bound)
-        yield np.broadcast_to(step, (n_steps,) + step.shape[1:])
+        step = _guarded_steps(h, dt, t_mid[:1], 0, bound)
+        yield np.broadcast_to(step, (len(t_mid),) + step.shape[1:])
         return
-    if isinstance(hamiltonian, DrivenHamiltonian):
+    if isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator):
         stack = hamiltonian.stack
     elif callable(hamiltonian):
         def stack(times):
             return np.stack([_check_hermitian(hamiltonian(t)) for t in times])
     else:
         raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
-    for start in range(0, n_steps, _STEP_CHUNK):
-        stop = min(start + _STEP_CHUNK, n_steps)
-        t_mid = [t0 + (step + 0.5) * dt for step in range(start, stop)]
-        yield _guarded_steps(stack(t_mid), dt, t_mid, start, bound)
+    for start in range(0, len(t_mid), _STEP_CHUNK):
+        chunk = t_mid[start : start + _STEP_CHUNK]
+        yield _guarded_steps(stack(chunk), dt, chunk, start, bound)
+
+
+def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
+    """The midpoint grid both pictures step on: (dt, t_mid, times, kept).
+
+    Step s runs at t_mid[s] = t0 + (s + 0.5) dt.  The state after s steps is
+    recorded when s is in `kept` (each `record_every`-th and the last);
+    `times` are the recorded grid times, t0 first.
+    """
+    t0, t1 = map(float, t_span)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if t1 <= t0:
+        raise ValueError("t_span must advance forward")
+    dt = (t1 - t0) / n_steps
+    t_mid = [t0 + (step + 0.5) * dt for step in range(n_steps)]
+    kept = [s for s in range(1, n_steps + 1) if s % record_every == 0 or s == n_steps]
+    return dt, t_mid, np.array([t0] + [t0 + s * dt for s in kept]), set(kept)
 
 
 def propagate(
@@ -536,26 +550,19 @@ def propagate(
     other callable is called once per step.  All three take the same batched
     eigendecomposition, so they give the same bytes for the same h(t).
     """
-    t0, t1 = map(float, t_span)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if t1 <= t0:
-        raise ValueError("t_span must advance forward")
-    dt = (t1 - t0) / n_steps
-    times = [t0]
+    dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []
     step = 0
-    for chunk in _step_chunks(hamiltonian, t0, dt, n_steps, max_step_norm):
+    for chunk in _step_chunks(hamiltonian, t_mid, dt, max_step_norm):
         if not mats:
             u = np.eye(chunk.shape[-1], dtype=complex)
             mats.append(u)
         for s in chunk:
             u = s @ u
             step += 1
-            if step % record_every == 0 or step == n_steps:
-                times.append(t0 + step * dt)
+            if step in kept:
                 mats.append(u)
-    return OneBodyPropagator(np.array(times), np.array(mats))
+    return OneBodyPropagator(times, np.array(mats))
 
 
 def gauge_identity_residual(

@@ -196,6 +196,17 @@ def test_main_rejects_equivalence_beyond_one_dimension(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scan_subsets = -2 -1 0 1 2\n")  # M = 20
+    out = tmp_path / "m20"
+    assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "mode count 20 outside 1..14" in err
+    assert "use the gaussian backend or a momentum subset" in err
+    assert not out.exists()
+
+
 def test_main_cutoffs_override(tmp_path):
     out = tmp_path / "cut"
     cfg = write_cfg(tmp_path, "n_steps = 2000\n")

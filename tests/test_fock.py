@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
+from diracbox.experiments import _manybody_hamiltonian
 from diracbox.fock import (
     FockBasis,
     LadderSet,
+    ManyBodyOperator,
     build_ladders,
     car_residual,
     commutator_identity_check,
@@ -25,7 +28,16 @@ from diracbox.fock import (
     vacuum_state,
 )
 from diracbox.modes import MomentumGrid, build_catalog, label, restrict_catalog
-from diracbox.onebody import Constant, OneBodyOperator, PotentialSpec, h0_matrix, interaction_matrix
+from diracbox.onebody import (
+    Constant,
+    CosineRamp,
+    GaugeFunction,
+    OneBodyOperator,
+    PotentialSpec,
+    gauge_transform,
+    h0_matrix,
+    interaction_term_matrices,
+)
 
 SMINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 ZED = np.diag([1.0, -1.0])
@@ -186,7 +198,8 @@ def test_vacuum_stationary_under_driven_evolution_norm_preserved():
         a0={(0, 0, 1): 0.1 + 0.05j, (0, 0, -1): 0.1 - 0.05j}, envelope=Constant(1.0)
     )
     h0q = quantize(h0_matrix(cat), ladders)
-    vq = quantize(interaction_matrix(cat, pot, 0.0), ladders)
+    [(v, _)] = interaction_term_matrices(cat, pot)
+    vq = quantize(v, ladders)
 
     def ham(t):
         return type(vq)(h0q.matrix + np.cos(t) * vq.matrix, hermitian=True)
@@ -230,3 +243,83 @@ def test_evolution_rejects_non_hermitian_generator():
     vac = vacuum_state(ladders)
     with pytest.raises(ValueError):
         evolve_schrodinger(vac, bad, (0.0, 1.0), n_steps=2)
+    # a per-step callable is checked on every step
+    with pytest.raises(ValueError, match="hermitian"):
+        evolve_schrodinger(vac, lambda t: bad, (0.0, 1.0), n_steps=2)
+
+
+# ---------------------------------------------------------------------------
+# the quantized Hamiltonian family against the per-step closure
+
+
+def per_step_closure(catalog, ladders, pot, e=1.0):
+    """h0 + sum_b g_b(t) B_b quantized, one checked ManyBodyOperator per t (the oracle)."""
+    h0q = quantize(h0_matrix(catalog), ladders).matrix
+    blocks = [
+        (quantize(op, ladders).matrix, env)
+        for op, env in interaction_term_matrices(catalog, pot, e)
+    ]
+
+    def ham(t):
+        m = h0q
+        for bq, env in blocks:
+            g = env.value(t)
+            if g != 0.0:
+                m = m + g * bq
+        return ManyBodyOperator(m, hermitian=True)
+
+    return ham
+
+
+def reference_evolve(state, ham, t_span, n_steps, record_every):
+    """One expm_multiply per midpoint step, recorded at every record_every-th and the last."""
+    t0, t1 = t_span
+    dt = (t1 - t0) / n_steps
+    psi = state.amplitudes.copy()
+    times, amps = [t0], [psi.copy()]
+    for step in range(n_steps):
+        psi = expm_multiply((-1j * dt) * ham(t0 + (step + 0.5) * dt).matrix, psi)
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            times.append(t0 + (step + 1) * dt)
+            amps.append(psi.copy())
+    return np.array(times), np.array(amps)
+
+
+def pure_gauge_m8():
+    cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
+    chi = GaugeFunction({1: 0.05, -1: 0.05}, CosineRamp(t_final=1.0))
+    return cat, build_ladders(cat), gauge_transform(PotentialSpec.zero(), chi, cat.grid)
+
+
+@pytest.mark.parametrize("route", ["static", "driven-family", "lambda"])
+def test_evolve_schrodinger_equals_per_step_loop(route):
+    cat, ladders, pure = pure_gauge_m8()
+    if route == "static":
+        ham = quantize(h0_matrix(cat), ladders)
+        ref = lambda t: ham  # noqa: E731
+    else:
+        family = _manybody_hamiltonian(cat, ladders, pure, 1.0)
+        ham = family if route == "driven-family" else (lambda t: family(t))
+        ref = per_step_closure(cat, ladders, pure)
+    omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=23, record_every=5)
+    want_t, want_amps = reference_evolve(omega, ref, (0.0, 1.0), 23, 5)
+    assert times.shape == want_t.shape and (times == want_t).all()
+    amps = np.array([s.amplitudes for s in states])
+    assert amps.shape == want_amps.shape and (amps == want_amps).all()
+
+
+def test_family_steps_without_building_operators(monkeypatch):
+    cat, ladders, pure = pure_gauge_m8()
+    family = _manybody_hamiltonian(cat, ladders, pure, 1.0)
+    omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    built = []
+    original = ManyBodyOperator.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ManyBodyOperator, "__post_init__", counted)
+    evolve_schrodinger(omega, family, (0.0, 1.0), n_steps=20)
+    assert built == []

@@ -26,10 +26,11 @@ from diracbox.gaussian import (
 from diracbox.modes import MomentumGrid, build_catalog, label, restrict_catalog
 from diracbox.onebody import (
     CosineRamp,
+    DrivenHamiltonian,
     OneBodyOperator,
     PotentialSpec,
     h0_matrix,
-    interaction_matrix,
+    interaction_term_matrices,
     propagate,
 )
 
@@ -98,22 +99,13 @@ def test_evolution_convention_frozen_against_fock():
     """
     cat = catalog_m8()
     ladders = build_ladders(cat)
-    pot = drive_potential()
     h0 = h0_matrix(cat)
-
-    def one_body(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
-
-    h0_q = quantize(h0, ladders)
-    env = pot.terms[0].envelope
-    base = quantize(interaction_matrix(cat, pot, 0.0, e=1.0), ladders)  # zero at t=0
-    v_unit = quantize(
-        OneBodyOperator(interaction_matrix(cat, pot, 0.5).matrix / env.value(0.5)),
-        ladders,
+    blocks = interaction_term_matrices(cat, drive_potential())
+    # one family, in both pictures
+    one_body = DrivenHamiltonian(h0, blocks)
+    many_body = DrivenHamiltonian(
+        quantize(h0, ladders), [(quantize(op, ladders), env) for op, env in blocks]
     )
-
-    def many_body(t):
-        return type(h0_q)(h0_q.matrix + env.value(t) * v_unit.matrix, hermitian=True)
 
     n_steps = 60
     omega = omega0_state(ladders, MODE1, MODE2)
@@ -124,16 +116,12 @@ def test_evolution_convention_frozen_against_fock():
         C_fock = correlation_from_state(state, ladders)
         C_gauss = evolve_correlation(C0, u).matrix
         assert np.abs(C_fock - C_gauss).max() <= 1e-11, f"mismatch at t={t}"
-    assert float(np.abs(base.matrix).max()) <= 1e-14  # drive really starts at zero
+    assert all(env.value(0.0) == 0.0 for _, env in blocks)  # drive really starts at zero
 
 
 def test_evolution_preserves_occupation_spectrum():
     cat = catalog_m8()
-    pot = drive_potential()
-    h0 = h0_matrix(cat)
-
-    def one_body(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    one_body = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, drive_potential()))
 
     u = propagate(one_body, (0.0, 1.0), 80).final
     C0 = omega0_correlation(cat, MODE1, MODE2)

@@ -39,11 +39,11 @@ from diracbox.observables import (
 from diracbox.onebody import (
     CosineRamp,
     unitary_step,
+    DrivenHamiltonian,
     GaugeFunction,
-    OneBodyOperator,
     PotentialSpec,
     h0_matrix,
-    interaction_matrix,
+    interaction_term_matrices,
     propagate,
 )
 
@@ -202,10 +202,7 @@ def test_energy_identity_pairing_matches_quadrature():
         a={1: (0, 0, 0.1), -1: (0, 0, 0.1)},
         envelope=CosineRamp(t_final=1.0),
     )
-    h0 = h0_matrix(cat)
-
-    def ham(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    ham = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pot))
 
     u = propagate(ham, (0.0, 0.8), 160).final
     C = evolve_correlation(omega0_correlation(cat, MODE1, MODE2), u)
@@ -258,10 +255,7 @@ def test_total_charge_conserved_under_drive():
         a={1: (0, 0, 0.2), -1: (0, 0, 0.2)},
         envelope=CosineRamp(t_final=1.0),
     )
-    h0 = h0_matrix(cat)
-
-    def ham(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    ham = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pot))
 
     prop = propagate(ham, (0.0, 1.0), 1000, record_every=100)
     C0 = omega0_correlation(cat, MODE1, MODE2)

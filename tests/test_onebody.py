@@ -12,6 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracbox.fock import (
+    ManyBodyOperator,
+    build_ladders,
+    evolve_schrodinger,
+    quantize,
+    vacuum_state,
+)
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
 from diracbox.onebody import (
     _coupling_matrix,
@@ -32,7 +39,6 @@ from diracbox.onebody import (
     gauge_transform,
     grad_chi_matrix,
     h0_matrix,
-    interaction_matrix,
     interaction_term_matrices,
     propagate,
     unitary_step,
@@ -49,6 +55,12 @@ ALPHAS = [ALPHA_X, ALPHA_Y, ALPHA_Z]
 
 def catalog1d(n_max=1, m=1.0, L=2 * np.pi):
     return build_catalog(MomentumGrid(d=1, length=L, n_max=n_max), m)
+
+
+def interaction_at(catalog, pot, t, e=1.0):
+    """v(t) = -e alpha.A(t) + e A_0(t): the potential's blocks as a family on a zero h0."""
+    zero = OneBodyOperator(np.zeros((catalog.size, catalog.size)))
+    return DrivenHamiltonian(zero, interaction_term_matrices(catalog, pot, e)).at(t)
 
 
 def quadrature_interaction(catalog, pot, t, e=1.0, n_quad=128):
@@ -87,15 +99,15 @@ def test_h0_is_diagonal_with_signed_energies():
 
 def test_interaction_zero_potential_is_zero():
     cat = catalog1d()
-    v = interaction_matrix(cat, PotentialSpec.zero(), 0.3)
-    assert np.abs(v.matrix).max() == 0.0
+    assert interaction_term_matrices(cat, PotentialSpec.zero()) == []
+    assert np.abs(interaction_at(cat, PotentialSpec.zero(), 0.3)).max() == 0.0
 
 
 def test_interaction_constant_a0_is_scaled_identity():
     cat = catalog1d()
     pot = PotentialSpec.single(a0={0: 0.7}, envelope=Constant(1.0))
-    v = interaction_matrix(cat, pot, 0.0, e=2.0)
-    assert np.abs(v.matrix - 2.0 * 0.7 * np.eye(cat.size)).max() <= 1e-14
+    v = interaction_at(cat, pot, 0.0, e=2.0)
+    assert np.abs(v - 2.0 * 0.7 * np.eye(cat.size)).max() <= 1e-14
 
 
 def test_interaction_matches_quadrature_oracle():
@@ -108,7 +120,7 @@ def test_interaction_matches_quadrature_oracle():
         envelope=CosineRamp(t_final=1.0),
     )
     t = 0.37
-    got = interaction_matrix(cat, pot, t, e=1.0).matrix
+    got = interaction_at(cat, pot, t, e=1.0)
     want = quadrature_interaction(cat, pot, t, e=1.0)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -118,10 +130,9 @@ def test_interaction_two_term_envelopes_sum():
     t1 = PotentialTerm(a0={(0, 0, 1): 0.2, (0, 0, -1): 0.2}, a={}, envelope=Constant(1.0))
     t2 = PotentialTerm(a0={(0, 0, 1): 0.1j, (0, 0, -1): -0.1j}, a={}, envelope=Constant(3.0))
     pot = PotentialSpec((t1, t2))
-    got = interaction_matrix(cat, pot, 0.0).matrix
-    want = (
-        interaction_matrix(cat, PotentialSpec((t1,)), 0.0).matrix
-        + interaction_matrix(cat, PotentialSpec((t2,)), 0.0).matrix
+    got = interaction_at(cat, pot, 0.0)
+    want = interaction_at(cat, PotentialSpec((t1,)), 0.0) + interaction_at(
+        cat, PotentialSpec((t2,)), 0.0
     )
     assert np.abs(got - want).max() <= 1e-14
 
@@ -138,8 +149,9 @@ def test_interaction_hermitian_for_random_band_limited_potentials(seed):
         vec = rng.normal(size=3) + 1j * rng.normal(size=3)
         a[(0, 0, kz)], a[(0, 0, -kz)] = vec, np.conj(vec)
     pot = PotentialSpec.single(a0=a0, a=a, envelope=Constant(1.0))
-    v = interaction_matrix(cat, pot, 0.0)  # constructor enforces hermiticity
-    assert np.abs(v.matrix - v.matrix.conj().T).max() <= 1e-12
+    v = interaction_at(cat, pot, 0.0)
+    OneBodyOperator(v)  # the constructor enforces hermiticity
+    assert np.abs(v - v.conj().T).max() <= 1e-12
 
 
 def test_reality_violation_rejected():
@@ -155,10 +167,10 @@ def test_off_axis_and_band_limit_rejected():
     cat = catalog1d(n_max=1)
     off = PotentialSpec.single(a0={(1, 0, 0): 0.5, (-1, 0, 0): 0.5})
     with pytest.raises(ValueError):
-        interaction_matrix(cat, off, 0.0)
+        interaction_term_matrices(cat, off)
     wide = PotentialSpec.single(a0={(0, 0, 3): 0.5, (0, 0, -3): 0.5})
     with pytest.raises(ValueError):
-        interaction_matrix(cat, wide, 0.0)
+        interaction_term_matrices(cat, wide)
 
 
 def test_gauge_function_off_axis_and_band_limit_rejected():
@@ -281,8 +293,7 @@ def test_propagate_composition_and_unitarity():
         a0={1: 0.2, -1: 0.2}, envelope=CosineRamp(t_final=1.0)
     )
 
-    def ham(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    ham = DrivenHamiltonian(h0, interaction_term_matrices(cat, pot))
 
     prop = propagate(ham, (0.0, 1.0), n_steps=200, record_every=50)
     for u in prop.matrices:
@@ -302,8 +313,7 @@ def test_propagate_second_order_convergence():
         envelope=CosineRamp(t_final=1.0),
     )
 
-    def ham(t):
-        return OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    ham = DrivenHamiltonian(h0, interaction_term_matrices(cat, pot))
 
     ref = propagate(ham, (0.0, 1.0), n_steps=4096).final
     err = [
@@ -325,7 +335,7 @@ def test_static_potential_conserves_energy():
     pot = PotentialSpec.single(
         a0={1: 0.3, -1: 0.3}, a={1: (0, 0, 0.1), -1: (0, 0, 0.1)}, envelope=Constant(1.0)
     )
-    h = OneBodyOperator(h0_matrix(cat).matrix + interaction_matrix(cat, pot, 0.0).matrix)
+    h = OneBodyOperator(h0_matrix(cat).matrix + interaction_at(cat, pot, 0.0))
     prop = propagate(h, (0.0, 2.0), n_steps=1000, record_every=100)
     rng = np.random.default_rng(5)
     psi0 = rng.normal(size=cat.size) + 1j * rng.normal(size=cat.size)
@@ -466,7 +476,7 @@ def driven_potential_callable(n_max=2):
         a={1: (0, 0, 0.2), -1: (0, 0, 0.2)},
         envelope=CosineRamp(t_final=1.0),
     )
-    return lambda t: OneBodyOperator(h0.matrix + interaction_matrix(cat, pot, t).matrix)
+    return lambda t: OneBodyOperator(h0.matrix + interaction_at(cat, pot, t))
 
 
 @pytest.mark.parametrize(
@@ -501,7 +511,8 @@ def test_driven_family_stack_equals_per_t_call():
     assert stack.shape == (len(times), cat.size, cat.size)
     for t, h in zip(times, stack):
         want = per_t_sum(family)(t).matrix
-        assert (h == want).all() and (family(t).matrix == want).all()
+        assert (h == want).all() and (family.at(t) == want).all()
+        assert (family(t).matrix == want).all()
 
 
 def test_driven_family_validates_blocks_once():
@@ -512,6 +523,21 @@ def test_driven_family_validates_blocks_once():
         DrivenHamiltonian(h0, [(skew, Constant(1.0))])
     with pytest.raises(ValueError, match="shape"):
         DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
+    # the quantized family of the Fock backend: same checks, same place
+    small = restrict_catalog(cat, [0])
+    ladders = build_ladders(small)
+    h0q = quantize(h0_matrix(small), ladders)
+    skew_q = ManyBodyOperator(1j * h0q.matrix, hermitian=False)
+    with pytest.raises(ValueError, match="hermitian"):
+        DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
+    pair = restrict_catalog(cat, [0, 1])
+    wide_q = quantize(h0_matrix(pair), build_ladders(pair))
+    with pytest.raises(ValueError, match="shape"):
+        DrivenHamiltonian(h0q, [(wide_q, Constant(1.0))])
+    with pytest.raises(ValueError, match="hermitian"):
+        DrivenHamiltonian(h0q, [(h0_matrix(small), Constant(1.0))])  # a one-body block
+    with pytest.raises(ValueError, match="OneBodyOperator"):
+        propagate(DrivenHamiltonian(h0q, []), (0.0, 1.0), n_steps=20)  # the other picture
 
 
 @pytest.mark.parametrize("route", ["driven-family", "lambda"])
@@ -531,3 +557,29 @@ def test_step_guard_trips_at_the_reference_step(route):
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
     assert got.value.bound == 0.1
     assert f"at step {ref.value.step}" in str(got.value)
+
+
+@pytest.mark.parametrize("stepper", ["propagate", "evolve_schrodinger"])
+def test_steppers_share_one_time_grid(stepper):
+    cat = catalog1d(n_max=0)  # ||h0|| = 1
+    if stepper == "propagate":
+        def run(t_span, n_steps, record_every):
+            return propagate(h0_matrix(cat), t_span, n_steps, record_every).times
+    else:
+        ladders = build_ladders(cat)
+        h0q = quantize(h0_matrix(cat), ladders)
+
+        def run(t_span, n_steps, record_every):
+            return evolve_schrodinger(vacuum_state(ladders), h0q, t_span, n_steps, record_every)[0]
+
+    for t_span, n_steps, record_every, what in (
+        ((0.0, 1.0), 0, 1, "n_steps"),
+        ((1.0, 1.0), 20, 1, "t_span"),
+        ((0.0, 1.0), 20, 0, "record_every"),
+        ((0.0, 1.0), 20, -3, "record_every"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            run(t_span, n_steps, record_every)
+    # every third step and the last one
+    want = [0.0] + [step * (1.0 / 20) for step in (3, 6, 9, 12, 15, 18, 20)]
+    assert run((0.0, 1.0), 20, 3).tolist() == want
