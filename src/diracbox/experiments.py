@@ -231,11 +231,13 @@ def _manybody_hamiltonian(catalog: BasisCatalog, ladders, pot: PotentialSpec, e:
     )
 
 
+def _mode_indices(catalog: BasisCatalog, cfg: ScenarioConfig) -> tuple[int, int]:
+    return catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
+
+
 def _modes_of(catalog: BasisCatalog, cfg: ScenarioConfig):
-    return (
-        catalog.modes[catalog.index_of(cfg.mode1)],
-        catalog.modes[catalog.index_of(cfg.mode2)],
-    )
+    i1, i2 = _mode_indices(catalog, cfg)
+    return catalog.modes[i1], catalog.modes[i2]
 
 
 def _delta_n(cfg: ScenarioConfig) -> IntVec:
@@ -248,8 +250,8 @@ def _neg(k: IntVec) -> IntVec:
 
 def schrodinger_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
     """Fourier modes of D(x) = d(rho_cross)/dt at t_final (two harmonics)."""
-    i1, i2 = catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
-    m1, m2 = catalog.modes[i1], catalog.modes[i2]
+    i1, i2 = _mode_indices(catalog, cfg)
+    m1, m2 = _modes_of(catalog, cfg)
     dn = _delta_n(cfg)
     de = m2.energy - m1.energy
     ov = complex(catalog.tables.scalar[i1, i2])
@@ -259,8 +261,8 @@ def schrodinger_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict
 
 def heisenberg_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
     """Fourier modes of D7(x) = div J_cross at t_final (two harmonics)."""
-    i1, i2 = catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
-    m1, m2 = catalog.modes[i1], catalog.modes[i2]
+    i1, i2 = _mode_indices(catalog, cfg)
+    m1, m2 = _modes_of(catalog, cfg)
     dn = _delta_n(cfg)
     de = m2.energy - m1.energy
     dp = m2.p - m1.p

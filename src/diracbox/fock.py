@@ -288,6 +288,8 @@ def evolve_schrodinger(
     if isinstance(hamiltonian, ManyBodyOperator):
         hamiltonian = DrivenHamiltonian(hamiltonian, ())
     if isinstance(hamiltonian, DrivenHamiltonian):
+        if not isinstance(hamiltonian.h0, ManyBodyOperator):
+            raise ValueError("hamiltonian must yield hermitian ManyBodyOperator")
         h_at = hamiltonian.at
     else:
         def h_at(t):

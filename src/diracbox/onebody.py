@@ -429,13 +429,8 @@ class DrivenHamiltonian:
         return type(self.h0)(self.at(t))
 
     def stack(self, times) -> np.ndarray:
-        """One-body h(t) at every t in `times`, one (n, M, M) array; equals `at(t)` bit for bit."""
-        out = np.repeat(self.h0.matrix[None], len(times), axis=0)
-        for op, env in self.blocks:
-            g = np.array([env.value(t) for t in times])
-            on = g != 0.0
-            out[on] += g[on, None, None] * op.matrix
-        return out
+        """One-body h(t) at every t in `times`, one (n, M, M) array."""
+        return np.stack([self.at(t) for t in times])
 
 
 @dataclass(frozen=True)

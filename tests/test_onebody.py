@@ -538,6 +538,8 @@ def test_driven_family_validates_blocks_once():
         DrivenHamiltonian(h0q, [(h0_matrix(small), Constant(1.0))])  # a one-body block
     with pytest.raises(ValueError, match="OneBodyOperator"):
         propagate(DrivenHamiltonian(h0q, []), (0.0, 1.0), n_steps=20)  # the other picture
+    with pytest.raises(ValueError, match="ManyBodyOperator"):
+        evolve_schrodinger(vacuum_state(ladders), DrivenHamiltonian(h0_matrix(small), []), (0.0, 1.0), n_steps=20)
 
 
 @pytest.mark.parametrize("route", ["driven-family", "lambda"])
