@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import (
+    FockBasis,
     build_ladders,
     correlation_from_state,
     evolve_schrodinger,
@@ -51,7 +52,6 @@ from .observables import (
     field_fourier,
     field_series,
     free_energy_heisenberg,
-    free_energy_schrodinger,
     spectral_divergence,
 )
 from .onebody import (
@@ -224,9 +224,10 @@ def _onebody_hamiltonian(catalog: BasisCatalog, pot: PotentialSpec, e: float):
     return DrivenHamiltonian(h0_matrix(catalog), interaction_term_matrices(catalog, pot, e))
 
 
-def _manybody_hamiltonian(catalog: BasisCatalog, ladders, pot: PotentialSpec, e: float):
+def _manybody_hamiltonian(catalog: BasisCatalog, ladders, h0q, pot: PotentialSpec, e: float):
+    """The quantized family around the caller's quantized h0 `h0q`."""
     return DrivenHamiltonian(
-        quantize(h0_matrix(catalog), ladders),
+        h0q,
         [(quantize(op, ladders), env) for op, env in interaction_term_matrices(catalog, pot, e)],
     )
 
@@ -306,9 +307,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             omega = omega0_state(ladders, cfg.mode1, cfg.mode2)
             times, states = evolve_schrodinger(omega, h0q, (0.0, cfg.t_final), n_steps)
             cs = [correlation_from_state(s, ladders) for s in states]
-        series = field_series(
-            catalog, times, cs, cfg.points_per_axis, provenance=f"free/{be}", e=cfg.e
-        )
+        series = field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
         results[be] = (catalog, series)
 
         m1, m2 = _modes_of(catalog, cfg)
@@ -511,9 +510,12 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     checks: list[Check] = []
     f_stars: list[float] = []
     small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
-    for momenta_z in cfg.scan_subsets:
-        catalog = _subset_catalog(cfg, momenta_z)
+    catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
+    for catalog in catalogs:
+        FockBasis(catalog.size)  # every subset within the mode cap before any evolution
+    for catalog in catalogs:
         ladders = build_ladders(catalog)
+        h0q = quantize(h0_matrix(catalog), ladders)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
         profile = schrodinger_scan_profile(catalog, cfg)
@@ -524,15 +526,19 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         f_star = None
         for f in cfg.f_list:
             if f == 0.0:
-                ham = quantize(h0_matrix(catalog), ladders)
+                ham = h0q
             else:
                 chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
                 pure = _pure_gauge(chi, catalog.grid)
-                ham = _manybody_hamiltonian(catalog, ladders, pure, cfg.e)
+                ham = _manybody_hamiltonian(catalog, ladders, h0q, pure, cfg.e)
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
-            measured = free_energy_schrodinger(states[-1], catalog, ladders) - sea
+            # <H_0> read directly in the 2^M space, the independent route
+            energy = expectation(states[-1], h0q)
+            if abs(energy.imag) > 1e-9:
+                raise FloatingPointError("free energy acquired an imaginary part")
+            measured = float(energy.real) - sea
             predicted = dxi - f * d_sq
             rel = abs(measured - predicted) / abs(predicted)
             bound_margin = measured  # vacuum is the floor of the free energy
@@ -730,7 +736,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     zero_control = None
     for drive_idx, pot in enumerate(drives):
         ham_1b = _onebody_hamiltonian(catalog, pot, cfg.e)
-        ham_mb = _manybody_hamiltonian(catalog, ladders, pot, cfg.e)
+        ham_mb = _manybody_hamiltonian(catalog, ladders, panel_q[0], pot, cfg.e)
         u_ref = propagate(
             ham_1b,
             (0.0, cfg.t_final),

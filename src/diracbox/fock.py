@@ -26,8 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
-from .onebody import DrivenHamiltonian, OneBodyOperator, time_grid
+from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, time_grid
 
 FOCK_MODE_CAP = 14
 CAR_TOL = 1e-12
@@ -166,16 +167,14 @@ class FockState:
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Sparse operator on the Fock space with a hermiticity tag."""
+    """Hermitian sparse operator on the Fock space, checked when built."""
 
     matrix: sp.csr_matrix
-    hermitian: bool = True
 
     def __post_init__(self):
-        if self.hermitian:
-            dev = self.matrix - self.matrix.conj().T
-            if dev.nnz and np.abs(dev.data).max() > 1e-12:
-                raise ValueError("hermiticity violated")
+        dev = self.matrix - self.matrix.conj().T
+        if dev.nnz and np.abs(dev.data).max() > 1e-12:
+            raise ValueError("hermiticity violated")
 
 
 def vacuum_state(ladders: LadderSet) -> FockState:
@@ -204,7 +203,7 @@ def quantize(h: OneBodyOperator, ladders: LadderSet) -> ManyBodyOperator:
         for j in range(M):
             if row[j] != 0.0:
                 total = total + row[j] * (cds[i] @ cs[j])
-    return ManyBodyOperator(total.tocsr(), hermitian=h.hermitian)
+    return ManyBodyOperator(total.tocsr())
 
 
 def expectation(state: FockState, op: ManyBodyOperator) -> complex:
@@ -293,10 +292,7 @@ def evolve_schrodinger(
         h_at = hamiltonian.at
     else:
         def h_at(t):
-            op = hamiltonian(t)
-            if not op.hermitian:
-                raise ValueError("evolution generator must be hermitian")
-            return op.matrix
+            return _check_hermitian(hamiltonian(t), ManyBodyOperator)
     psi = state.amplitudes.copy()
     states = [state]
     for step, t in enumerate(t_mid, 1):
@@ -306,10 +302,13 @@ def evolve_schrodinger(
     return times, states
 
 
-def correlation_from_state(state: FockState, ladders: LadderSet) -> np.ndarray:
-    """One-body correlation C_ij = <c_i^dag c_j> extracted from a Fock state."""
+def correlation_from_state(state: FockState, ladders: LadderSet) -> CorrelationMatrix:
+    """One-body correlation C_ij = <c_i^dag c_j> of a Fock state, validated once.
+
+    The one bridge from the Fock backend to the observable layer.
+    """
     M = ladders.n_modes
     W = np.empty((M, state.basis.dim), dtype=complex)
     for i in range(M):
         W[i] = ladders.c(i) @ state.amplitudes
-    return W.conj() @ W.T
+    return CorrelationMatrix(W.conj() @ W.T)

@@ -39,7 +39,6 @@ _SIGMA = np.array(
     dtype=complex,
 )
 
-BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 ALPHA = np.zeros((3, 4, 4), dtype=complex)
 for _i in range(3):
     ALPHA[_i, :2, 2:] = _SIGMA[_i]

@@ -7,9 +7,10 @@ of one-body matrices against a correlation matrix C_ij = <c_i^dag c_j>:
     J_a(x) = e/V sum_ij (u_i^dag alpha_a u_j) e^{i(p_j - p_i).x} C_ij.
 
 No normal ordering: the filled sea contributes its uniform background.  The
-same contraction serves both pictures; a Heisenberg run conjugates the
-correlation matrix with the one-body propagator, a Schrodinger/Fock run
-extracts C from the evolved state (exact for bilinears).
+same contraction serves both pictures, and every entry point reads one type,
+a validated `CorrelationMatrix`: a Heisenberg run conjugates it with the
+one-body propagator, a Schrodinger/Fock run extracts it from the evolved
+state with `fock.correlation_from_state` (exact for bilinears).
 
 The free two-electron state has one oscillating density harmonic; its
 closed-form time derivative and current divergence are the oracles the
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockState, LadderSet, correlation_from_state, expectation, quantize
 from .gaussian import CorrelationMatrix, bilinear_expectation
 from .modes import ALPHA, BasisCatalog, IntVec, SpinorMode
 from .onebody import GaugeFunction, OneBodyOperator, h0_matrix
@@ -78,14 +78,10 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _as_correlation(state_or_c, ladders: LadderSet | None) -> np.ndarray:
-    if isinstance(state_or_c, CorrelationMatrix):
-        return state_or_c.matrix
-    if isinstance(state_or_c, FockState):
-        if ladders is None:
-            raise ValueError("Fock states need the ladder set to extract correlations")
-        return correlation_from_state(state_or_c, ladders)
-    raise TypeError(f"expected CorrelationMatrix or FockState, got {type(state_or_c)}")
+def _matrix_of(c: CorrelationMatrix) -> np.ndarray:
+    if not isinstance(c, CorrelationMatrix):
+        raise TypeError(f"expected CorrelationMatrix, got {type(c).__name__}")
+    return c.matrix
 
 
 def density_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> OneBodyOperator:
@@ -103,11 +99,9 @@ def current_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> list[OneBodyOper
     return [OneBodyOperator((e / catalog.volume) * t.alpha[a] * phase) for a in range(3)]
 
 
-def charge_density(
-    state_or_c, catalog: BasisCatalog, x, ladders: LadderSet | None = None, e: float = 1.0
-) -> np.ndarray:
+def charge_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """rho = e <psi^dag psi> at the given points (sea background included)."""
-    C = _as_correlation(state_or_c, ladders)
+    C = _matrix_of(c)
     t = catalog.tables
     w = t.waves(_as_points(x))
     weighted = t.scalar * C
@@ -117,11 +111,9 @@ def charge_density(
     return vals.real
 
 
-def current_density(
-    state_or_c, catalog: BasisCatalog, x, ladders: LadderSet | None = None, e: float = 1.0
-) -> np.ndarray:
+def current_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """J = e <psi^dag alpha psi> at the given points, shape (N, 3)."""
-    C = _as_correlation(state_or_c, ladders)
+    C = _matrix_of(c)
     t = catalog.tables
     w = t.waves(_as_points(x))
     out = np.empty((w.shape[0], 3))
@@ -179,14 +171,13 @@ def div_current_oracle(
 
 @dataclass(frozen=True)
 class FieldSeries:
-    """rho/J/energy samples on (times x spatial grid) with provenance tag."""
+    """rho/J/energy samples on (times x spatial grid)."""
 
     times: np.ndarray
     spatial: SpatialGrid
     rho: np.ndarray  # (T, N)
     current: np.ndarray  # (T, N, 3)
     energy: np.ndarray  # (T,) free-Hamiltonian expectation
-    provenance: str = ""
     points: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -202,13 +193,9 @@ def field_series(
     times,
     correlations,
     points_per_axis: int | None = None,
-    provenance: str = "",
     e: float = 1.0,
 ) -> FieldSeries:
-    """Evaluate rho, J, and free energy for a correlation-matrix trajectory.
-
-    Raw-array frames (the Fock readout) are validated here, once each.
-    """
+    """Evaluate rho, J, and free energy for a `CorrelationMatrix` trajectory."""
     sgrid = SpatialGrid.for_catalog(catalog, points_per_axis)
     pts = sgrid.points()
     h0 = h0_matrix(catalog)
@@ -216,12 +203,11 @@ def field_series(
     rho = np.empty((len(times), sgrid.n_points))
     cur = np.empty((len(times), sgrid.n_points, 3))
     energy = np.empty(len(times))
-    for k, C in enumerate(correlations):
-        wrapped = _wrap(C)
-        rho[k] = charge_density(wrapped, catalog, pts, e=e)
-        cur[k] = current_density(wrapped, catalog, pts, e=e)
-        energy[k] = bilinear_expectation(wrapped, h0).real
-    return FieldSeries(times, sgrid, rho, cur, energy, provenance)
+    for k, c in enumerate(correlations):
+        rho[k] = charge_density(c, catalog, pts, e=e)
+        cur[k] = current_density(c, catalog, pts, e=e)
+        energy[k] = bilinear_expectation(c, h0).real
+    return FieldSeries(times, sgrid, rho, cur, energy)
 
 
 def spectral_divergence(series: FieldSeries) -> np.ndarray:
@@ -280,14 +266,14 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def field_fourier(
-    state_or_c, catalog: BasisCatalog, ladders: LadderSet | None = None, e: float = 1.0
+    c: CorrelationMatrix, catalog: BasisCatalog, e: float = 1.0
 ) -> tuple[dict[IntVec, complex], dict[IntVec, complex]]:
     """Fourier coefficients {k: rho_k} and {k: (div J)_k} of the bilinear fields.
 
     rho(x) = sum_k rho_k e^{ik.x} with k on the integer lattice (grid units);
     exact mode-sum bookkeeping, no sampling involved.
     """
-    C = _as_correlation(state_or_c, ladders)
+    C = _matrix_of(c)
     t = catalog.tables
     i, j = np.nonzero(C != 0.0)  # row-major, so np.add.at sums in (i, j) order
     keys, group = np.unique(t.delta_n[j, i], axis=0, return_inverse=True)  # n_j - n_i
@@ -333,47 +319,20 @@ def energy_identity_rhs(
 # ---------------------------------------------------------------------------
 # free-Hamiltonian energies
 
-def free_energy_schrodinger(
-    state_or_c, catalog: BasisCatalog, ladders: LadderSet | None = None
-) -> float:
-    """<H_0> of an evolved state against the fixed free Hamiltonian.
+def free_energy_schrodinger(c: CorrelationMatrix, catalog: BasisCatalog) -> float:
+    """<H_0> of an evolved correlation matrix against the fixed free Hamiltonian."""
+    return _real_energy(c, h0_matrix(catalog))
 
-    Fock states are contracted directly through the quantized operator (the
-    independent 2^M route); correlation matrices through the bilinear sum.
-    """
+
+def free_energy_heisenberg(c0: CorrelationMatrix, u: np.ndarray, catalog: BasisCatalog) -> float:
+    """<u^dag h0 u> quantized, in the fixed initial correlation matrix."""
     h0 = h0_matrix(catalog)
-    if isinstance(state_or_c, FockState):
-        if ladders is None:
-            raise ValueError("Fock route needs the ladder set")
-        val = expectation(state_or_c, quantize(h0, ladders))
-    else:
-        val = bilinear_expectation(_wrap(state_or_c), h0)
+    return _real_energy(c0, OneBodyOperator(u.conj().T @ h0.matrix @ u))
+
+
+def _real_energy(c: CorrelationMatrix, h: OneBodyOperator) -> float:
+    _matrix_of(c)  # the type check
+    val = bilinear_expectation(c, h)
     if abs(val.imag) > 1e-9:
         raise FloatingPointError("free energy acquired an imaginary part")
     return float(val.real)
-
-
-def free_energy_heisenberg(
-    initial_state_or_c,
-    u: np.ndarray,
-    catalog: BasisCatalog,
-    ladders: LadderSet | None = None,
-) -> float:
-    """<u^dag h0 u> quantized, in the fixed initial state."""
-    h0 = h0_matrix(catalog)
-    conj = OneBodyOperator(u.conj().T @ h0.matrix @ u)
-    if isinstance(initial_state_or_c, FockState):
-        if ladders is None:
-            raise ValueError("Fock route needs the ladder set")
-        val = expectation(initial_state_or_c, quantize(conj, ladders))
-    else:
-        val = bilinear_expectation(_wrap(initial_state_or_c), conj)
-    if abs(val.imag) > 1e-9:
-        raise FloatingPointError("free energy acquired an imaginary part")
-    return float(val.real)
-
-
-def _wrap(state_or_c) -> CorrelationMatrix:
-    if isinstance(state_or_c, CorrelationMatrix):
-        return state_or_c
-    return CorrelationMatrix(np.asarray(state_or_c))

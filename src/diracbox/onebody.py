@@ -221,19 +221,17 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class OneBodyOperator:
-    """M x M matrix on catalog mode coefficients."""
+    """Hermitian M x M matrix on catalog mode coefficients, checked when built."""
 
     matrix: np.ndarray
-    hermitian: bool = True
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        if self.hermitian:
-            dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"hermiticity violated: max deviation {dev:.3e}")
+        dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
+        if dev > HERMITICITY_TOL:
+            raise ValueError(f"hermiticity violated: max deviation {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -310,8 +308,6 @@ def grad_chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneB
 
 def gauge_phase(x_op: OneBodyOperator, e: float = 1.0) -> np.ndarray:
     """Unitary exp(-i e X) through the hermitian eigendecomposition of X."""
-    if not x_op.hermitian:
-        raise ValueError("gauge phase needs a hermitian generator")
     w, v = np.linalg.eigh(x_op.matrix)
     return (v * np.exp(-1j * e * w)) @ v.conj().T
 
@@ -391,7 +387,8 @@ class StepGuardError(ValueError):
 
 
 def _check_hermitian(op, kind=OneBodyOperator) -> np.ndarray:
-    if not isinstance(op, kind) or not op.hermitian:
+    """The matrix of `op`; an instance of `kind` was checked hermitian when built."""
+    if not isinstance(op, kind):
         raise ValueError(f"hamiltonian must yield hermitian {kind.__name__}")
     return op.matrix
 

@@ -6,6 +6,7 @@ import json
 import pytest
 import scipy.sparse as sp
 
+from diracbox import experiments
 from diracbox.cli import (
     ConfigError,
     RunConfig,
@@ -196,15 +197,26 @@ def test_main_rejects_equivalence_beyond_one_dimension(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "scan_subsets = -2 -1 0 1 2\n")  # M = 20
-    out = tmp_path / "m20"
-    assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert "mode count 20 outside 1..14" in err
-    assert "use the gaussian backend or a momentum subset" in err
-    assert not out.exists()
+def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    evolutions = []
+    original = experiments.evolve_schrodinger
+
+    def counted(*args, **kwargs):
+        evolutions.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_schrodinger", counted)
+    # M = 20 alone, and after an M = 8 subset that is within the cap
+    for k, subsets in enumerate(("-2 -1 0 1 2", "0 1, -2 -1 0 1 2")):
+        cfg = write_cfg(tmp_path, f"scan_subsets = {subsets}\n")
+        out = tmp_path / f"m20-{k}"
+        assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "mode count 20 outside 1..14" in err
+        assert "use the gaussian backend or a momentum subset" in err
+        assert not out.exists()
+        assert evolutions == []  # every subset is checked before any evolution
 
 
 def test_main_cutoffs_override(tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from diracbox import experiments
 from diracbox.experiments import (
     SCENARIOS,
     Check,
@@ -210,6 +211,23 @@ def test_energy_scan_slope_and_intercept():
     assert by_name["intercept_rel_err"].value <= 0.01
     header = rep.series_csv().split("\n", 1)[0]
     assert header == "f,measured_minus_vac,predicted_minus_vac,rel_dev"
+
+
+def test_schrodinger_scan_quantizes_h0_once_per_subset(monkeypatch):
+    """h0 is lifted once per subset: the f = 0 run, every family and the energy reading share it."""
+    calls = []
+    original = experiments.quantize
+
+    def counted(h, ladders):
+        calls.append(ladders.n_modes)
+        return original(h, ladders)
+
+    monkeypatch.setattr(experiments, "quantize", counted)
+    cfg = ScenarioConfig(n_steps=20)  # the default scan; the count does not depend on n_steps
+    run_schrodinger_gauge_scan(cfg)
+    n_nonzero_f = sum(f != 0.0 for f in cfg.f_list)
+    # per subset: h0 once, and two pure-gauge blocks per nonzero f
+    assert len(calls) == len(cfg.scan_subsets) * (1 + 2 * n_nonzero_f) == 30
 
 
 def test_schrodinger_scan_single_subset():

@@ -27,6 +27,7 @@ from diracbox.fock import (
     quantize,
     vacuum_state,
 )
+from diracbox.gaussian import CorrelationMatrix
 from diracbox.modes import MomentumGrid, build_catalog, label, restrict_catalog
 from diracbox.onebody import (
     Constant,
@@ -202,7 +203,7 @@ def test_vacuum_stationary_under_driven_evolution_norm_preserved():
     vq = quantize(v, ladders)
 
     def ham(t):
-        return type(vq)(h0q.matrix + np.cos(t) * vq.matrix, hermitian=True)
+        return type(vq)(h0q.matrix + np.cos(t) * vq.matrix)
 
     omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
     times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=1000, record_every=100)
@@ -231,21 +232,21 @@ def test_correlation_from_state_vacuum_projector():
     cat = catalog1d(n_max=1)
     ladders = build_ladders(cat)
     C = correlation_from_state(vacuum_state(ladders), ladders)
+    assert isinstance(C, CorrelationMatrix)  # the validated type the observables read
     want = np.diag([1.0 if m.label.lam == -1 else 0.0 for m in cat.modes])
-    assert np.abs(C - want).max() <= 1e-14
+    assert np.abs(C.matrix - want).max() <= 1e-14
 
 
 def test_evolution_rejects_non_hermitian_generator():
     cat = catalog1d(n_max=0)
     ladders = build_ladders(cat)
-    bad = quantize(h0_matrix(cat), ladders)
-    object.__setattr__(bad, "hermitian", False)
+    skew = 1j * quantize(h0_matrix(cat), ladders).matrix
+    with pytest.raises(ValueError, match="hermiticity"):
+        ManyBodyOperator(skew)  # no operator skips the check
     vac = vacuum_state(ladders)
-    with pytest.raises(ValueError):
-        evolve_schrodinger(vac, bad, (0.0, 1.0), n_steps=2)
-    # a per-step callable is checked on every step
-    with pytest.raises(ValueError, match="hermitian"):
-        evolve_schrodinger(vac, lambda t: bad, (0.0, 1.0), n_steps=2)
+    # a per-step callable must yield a (checked) ManyBodyOperator on every step
+    with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
+        evolve_schrodinger(vac, lambda t: skew, (0.0, 1.0), n_steps=2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def per_step_closure(catalog, ladders, pot, e=1.0):
             g = env.value(t)
             if g != 0.0:
                 m = m + g * bq
-        return ManyBodyOperator(m, hermitian=True)
+        return ManyBodyOperator(m)
 
     return ham
 
@@ -298,7 +299,7 @@ def test_evolve_schrodinger_equals_per_step_loop(route):
         ham = quantize(h0_matrix(cat), ladders)
         ref = lambda t: ham  # noqa: E731
     else:
-        family = _manybody_hamiltonian(cat, ladders, pure, 1.0)
+        family = _manybody_hamiltonian(cat, ladders, quantize(h0_matrix(cat), ladders), pure, 1.0)
         ham = family if route == "driven-family" else (lambda t: family(t))
         ref = per_step_closure(cat, ladders, pure)
     omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
@@ -311,7 +312,7 @@ def test_evolve_schrodinger_equals_per_step_loop(route):
 
 def test_family_steps_without_building_operators(monkeypatch):
     cat, ladders, pure = pure_gauge_m8()
-    family = _manybody_hamiltonian(cat, ladders, pure, 1.0)
+    family = _manybody_hamiltonian(cat, ladders, quantize(h0_matrix(cat), ladders), pure, 1.0)
     omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
     built = []
     original = ManyBodyOperator.__post_init__

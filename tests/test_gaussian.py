@@ -68,7 +68,7 @@ def test_omega0_correlation_matches_fock_entrywise():
     cat = catalog_m8()
     C = omega0_correlation(cat, MODE1, MODE2).matrix
     ladders = build_ladders(cat)
-    C_fock = correlation_from_state(omega0_state(ladders, MODE1, MODE2), ladders)
+    C_fock = correlation_from_state(omega0_state(ladders, MODE1, MODE2), ladders).matrix
     assert np.abs(C - C_fock).max() <= 1e-12
     # rank-one block on top of the sea: eigenvalues stay in {0, 1}
     w = np.linalg.eigvalsh(C)
@@ -113,7 +113,7 @@ def test_evolution_convention_frozen_against_fock():
     prop = propagate(one_body, (0.0, 1.0), n_steps, record_every=20)
     C0 = omega0_correlation(cat, MODE1, MODE2)
     for t, state, u in zip(times, states, prop.matrices):
-        C_fock = correlation_from_state(state, ladders)
+        C_fock = correlation_from_state(state, ladders).matrix
         C_gauss = evolve_correlation(C0, u).matrix
         assert np.abs(C_fock - C_gauss).max() <= 1e-11, f"mismatch at t={t}"
     assert all(env.value(0.0) == 0.0 for _, env in blocks)  # drive really starts at zero

@@ -5,13 +5,23 @@ Oracles: closed-form single-harmonic expressions for the free two-mode state
 integrals, and the exact Fock backend for route cross-checks.
 """
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracbox.fock import build_ladders, omega0_state, vacuum_state
+import diracbox.observables as observables
+from diracbox.fock import (
+    build_ladders,
+    correlation_from_state,
+    expectation,
+    omega0_state,
+    quantize,
+    vacuum_state,
+)
 from diracbox.gaussian import (
     bilinear_expectation,
     evolve_correlation,
@@ -24,6 +34,7 @@ from diracbox.observables import (
     charge_density,
     continuity_residual,
     current_density,
+    current_matrix,
     delta_xi,
     density_matrix,
     div_current_oracle,
@@ -41,6 +52,7 @@ from diracbox.onebody import (
     unitary_step,
     DrivenHamiltonian,
     GaugeFunction,
+    OneBodyOperator,
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
@@ -59,10 +71,8 @@ def free_series(n_max=2, n_steps=1000, record_every=1, points_per_axis=None):
     cat = catalog1d(n_max=n_max)
     prop = propagate(h0_matrix(cat), (0.0, 1.0), n_steps, record_every=record_every)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    cs = [evolve_correlation(C0, u).matrix for u in prop.matrices]
-    series = field_series(
-        cat, prop.times, cs, points_per_axis=points_per_axis, provenance="heisenberg/gaussian"
-    )
+    cs = [evolve_correlation(C0, u) for u in prop.matrices]
+    series = field_series(cat, prop.times, cs, points_per_axis=points_per_axis)
     return cat, series
 
 
@@ -179,7 +189,7 @@ def test_field_fourier_matches_sampled_density():
     assert np.abs(rho_built.imag).max() <= 1e-12
     assert np.abs(rho_built.real - rho_direct).max() <= 1e-12
     # divergence coefficients against the spectral divergence of a series
-    series = field_series(cat, [0.0, 0.5, 1.0], [C.matrix] * 3)
+    series = field_series(cat, [0.0, 0.5, 1.0], [C] * 3)
     div_grid = spectral_divergence(series)[0]
     div_built = np.zeros_like(z, dtype=complex)
     for k, amp in divj_k.items():
@@ -219,7 +229,7 @@ def test_energy_identity_pairing_matches_quadrature():
     for k, amp in chi.chi.items():
         chi_x += amp * env.value(t_eval) * np.exp(1j * k[2] * z)
     div_x = spectral_divergence(
-        field_series(cat, [0.0, 0.4, 0.8], [C.matrix] * 3)
+        field_series(cat, [0.0, 0.4, 0.8], [C] * 3)
     )[0]
     quad = (chi_x.real * div_x).mean() * cat.volume
     assert rhs == pytest.approx(dxi + quad, abs=1e-10)
@@ -238,13 +248,20 @@ def test_free_energies_agree_between_pictures_at_all_times():
         assert heis == pytest.approx(schro, abs=1e-11)
         # free evolution: energy pinned at sea + (E1 + E2)/2
         assert heis == pytest.approx(e_sea + 1.2071067811865475, abs=1e-10)
-    # Fock route at t = 0 agrees with the contraction route
+    # the Fock state read through the bridge agrees with the 2^M expectations
     omega = omega0_state(ladders, MODE1, MODE2)
-    assert free_energy_schrodinger(omega, cat, ladders) == pytest.approx(
-        free_energy_schrodinger(C0, cat), abs=1e-11
+    C_fock = correlation_from_state(omega, ladders)
+    h0 = h0_matrix(cat)
+    u = prop.final
+    h0_u = OneBodyOperator(u.conj().T @ h0.matrix @ u)
+    assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
+        expectation(omega, quantize(h0, ladders)).real, abs=1e-11
     )
-    assert free_energy_heisenberg(omega, prop.final, cat, ladders) == pytest.approx(
-        free_energy_heisenberg(C0, prop.final, cat), abs=1e-11
+    assert free_energy_heisenberg(C_fock, u, cat) == pytest.approx(
+        expectation(omega, quantize(h0_u, ladders)).real, abs=1e-11
+    )
+    assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
+        free_energy_schrodinger(C0, cat), abs=1e-11
     )
 
 
@@ -259,7 +276,7 @@ def test_total_charge_conserved_under_drive():
 
     prop = propagate(ham, (0.0, 1.0), 1000, record_every=100)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    cs = [evolve_correlation(C0, u).matrix for u in prop.matrices]
+    cs = [evolve_correlation(C0, u) for u in prop.matrices]
     series = field_series(cat, prop.times, cs)
     q = total_charge(series)
     assert q.max() - q.min() <= 1e-9
@@ -271,24 +288,54 @@ def test_fock_and_gaussian_routes_agree_on_observables():
     ladders = build_ladders(cat)
     omega = omega0_state(ladders, MODE1, MODE2)
     C = omega0_correlation(cat, MODE1, MODE2)
+    C_fock = correlation_from_state(omega, ladders)
     sg = SpatialGrid.for_catalog(cat)
     pts = sg.points()
-    assert np.abs(
-        charge_density(omega, cat, pts, ladders) - charge_density(C, cat, pts)
-    ).max() <= 1e-12
-    assert np.abs(
-        current_density(omega, cat, pts, ladders) - current_density(C, cat, pts)
-    ).max() <= 1e-12
+    rho_fock = charge_density(C_fock, cat, pts)
+    cur_fock = current_density(C_fock, cat, pts)
+    assert np.abs(rho_fock - charge_density(C, cat, pts)).max() <= 1e-12
+    assert np.abs(cur_fock - current_density(C, cat, pts)).max() <= 1e-12
+    # oracle: the quantized point operators contracted in the 2^M space
+    for x, pt in enumerate(pts):
+        rho_q = expectation(omega, quantize(density_matrix(cat, pt), ladders))
+        assert abs(rho_fock[x] - rho_q) <= 1e-12
+        for a, op in enumerate(current_matrix(cat, pt)):
+            assert abs(cur_fock[x, a] - expectation(omega, quantize(op, ladders))) <= 1e-12
 
 
 def test_fock_state_without_ladders_rejected():
+    """Observables read only a CorrelationMatrix; a Fock state crosses by the bridge."""
     cat = catalog1d(n_max=1)
     ladders = build_ladders(cat)
     vac = vacuum_state(ladders)
-    with pytest.raises(ValueError):
-        charge_density(vac, cat, (0.0, 0.0, 0.0))
-    with pytest.raises(TypeError):
-        charge_density(np.zeros(3), cat, (0.0, 0.0, 0.0))
+    x = (0.0, 0.0, 0.0)
+    u = np.eye(cat.size)
+    entry_points = [
+        lambda c: charge_density(c, cat, x),
+        lambda c: current_density(c, cat, x),
+        lambda c: field_fourier(c, cat),
+        lambda c: free_energy_schrodinger(c, cat),
+        lambda c: free_energy_heisenberg(c, u, cat),
+        lambda c: field_series(cat, [0.0], [c]),
+    ]
+    for read in entry_points:
+        for wrong in (vac, correlation_from_state(vac, ladders).matrix):
+            with pytest.raises(TypeError, match="expected CorrelationMatrix"):
+                read(wrong)
+    rho = charge_density(correlation_from_state(vac, ladders), cat, x)
+    assert rho == pytest.approx(charge_density(vacuum_correlation(cat), cat, x), abs=1e-14)
+
+
+def test_observables_import_nothing_from_fock():
+    """The observable layer depends on gaussian, never on the Fock backend."""
+    tree = ast.parse(Path(observables.__file__).read_text())
+    imported = []  # dotted names; `from . import fock` gives ".fock"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "fock" in name.split(".")], imported
 
 
 def oracle_field_fourier(C, catalog, e=1.0):

@@ -518,18 +518,26 @@ def test_driven_family_stack_equals_per_t_call():
 def test_driven_family_validates_blocks_once():
     cat = catalog1d(n_max=1)
     h0 = h0_matrix(cat)
-    skew = OneBodyOperator(1j * np.eye(cat.size), hermitian=False)
-    with pytest.raises(ValueError, match="hermitian"):
-        DrivenHamiltonian(h0, [(skew, Constant(1.0))])
+    skew = 1j * np.eye(cat.size)
+    with pytest.raises(ValueError, match="hermiticity"):
+        OneBodyOperator(skew)  # no operator skips the check
+    with pytest.raises(ValueError, match="hermitian OneBodyOperator"):
+        DrivenHamiltonian(h0, [(skew, Constant(1.0))])  # a raw matrix is not a checked block
+    with pytest.raises(ValueError, match="hermitian OneBodyOperator"):
+        propagate(lambda t: skew, (0.0, 1.0), n_steps=20)
     with pytest.raises(ValueError, match="shape"):
         DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
     # the quantized family of the Fock backend: same checks, same place
     small = restrict_catalog(cat, [0])
     ladders = build_ladders(small)
     h0q = quantize(h0_matrix(small), ladders)
-    skew_q = ManyBodyOperator(1j * h0q.matrix, hermitian=False)
-    with pytest.raises(ValueError, match="hermitian"):
+    skew_q = 1j * h0q.matrix
+    with pytest.raises(ValueError, match="hermiticity"):
+        ManyBodyOperator(skew_q)
+    with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
+    with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
+        evolve_schrodinger(vacuum_state(ladders), lambda t: skew_q, (0.0, 1.0), n_steps=20)
     pair = restrict_catalog(cat, [0, 1])
     wide_q = quantize(h0_matrix(pair), build_ladders(pair))
     with pytest.raises(ValueError, match="shape"):
