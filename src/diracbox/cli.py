@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .experiments import (
+    BACKENDS,
     SCENARIOS,
     Check,
     Report,
@@ -32,7 +36,7 @@ from .fock import (
     commutator_identity_check,
     h0_spectrum_check,
 )
-from .modes import build_catalog, label, restrict_catalog
+from .modes import IntVec, ModeLabel, build_catalog, label, restrict_catalog
 from .observables import div_current_oracle, drho_dt_oracle
 from .onebody import OneBodyOperator, StepGuardError
 
@@ -51,82 +55,103 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# flat key = value parsing
-
-_INT_KEYS = {"d", "seed", "n_drives", "heis_refine", "drive_band"}
-_OPT_INT_KEYS = {"n_max", "n_steps", "points_per_axis"}
-_FLOAT_KEYS = {"length", "m", "e", "t_final", "chi_amplitude", "drive_amplitude"}
-_OPT_FLOAT_KEYS = {"omega"}
-_STR_KEYS = {"backend"}
-_RUN_KEYS = {"out_dir", "verbosity"}
-_SPECIAL_KEYS = {"f_list", "cutoffs", "chi", "mode1", "mode2", "scan_subsets"}
-KNOWN_KEYS = (
-    _INT_KEYS | _OPT_INT_KEYS | _FLOAT_KEYS | _OPT_FLOAT_KEYS | _STR_KEYS
-    | _RUN_KEYS | _SPECIAL_KEYS
-)
+# flat key = value parsing, derived from the dataclass fields
 
 
-def _parse_mode(text: str, key: str):
-    try:
-        n_part, s_part = text.split(":")
-        spin = {"+": 0.5, "-": -0.5, "+0.5": 0.5, "-0.5": -0.5}[s_part.strip()]
-        return label(+1, spin, int(n_part))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid value for `{key}`: {text!r} (want n:+ or n:-)") from exc
+@dataclass(frozen=True)
+class _Codec:
+    """Text form of one field type: parse, format, and the form a bad value wants."""
+
+    parse: Callable[[str], object]
+    format: Callable[[object], str] = str
+    want: str = ""
 
 
-def _parse_chi(text: str):
-    modes = []
-    for entry in text.split(","):
-        try:
-            k, re_part, im_part = entry.strip().split(":")
-            modes.append(((0, 0, int(k)), complex(float(re_part), float(im_part))))
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for `chi`: {entry.strip()!r} (want k:re:im)") from exc
-    return tuple(modes)
+def _float_text(x: float) -> str:
+    return format(x, ".17g")
 
 
-def _parse_subsets(text: str):
-    subsets = []
-    for entry in text.split(","):
-        try:
-            subsets.append(tuple(int(tok) for tok in entry.split()))
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for `scan_subsets`: {entry.strip()!r}") from exc
-        if not subsets[-1]:
-            raise ConfigError("empty momentum subset in `scan_subsets`")
-    return tuple(subsets)
+def _parse_mode(text: str) -> ModeLabel:
+    n_part, s_part = text.split(":")
+    spin = {"+": 0.5, "-": -0.5, "+0.5": 0.5, "-0.5": -0.5}[s_part.strip()]
+    return label(+1, spin, int(n_part))
+
+
+def _parse_chi_entry(text: str) -> tuple[IntVec, complex]:
+    k, re_part, im_part = text.split(":")
+    return (0, 0, int(k)), complex(float(re_part), float(im_part))
+
+
+def _entries(item: _Codec, sep: str = ",", want: str = "") -> _Codec:
+    """Comma-separated tuple of `item`, written back joined by `sep`."""
+    return _Codec(
+        lambda text: tuple(item.parse(entry.strip()) for entry in text.split(",")),
+        lambda values: sep.join(item.format(v) for v in values),
+        want,
+    )
+
+
+_INT = _Codec(int)
+_FLOAT = _Codec(float, _float_text)
+_CODECS = {
+    int: _INT,
+    float: _FLOAT,
+    str: _Codec(str),
+    ModeLabel: _Codec(
+        _parse_mode, lambda v: f"{v.n[2]}:{'+' if v.s > 0 else '-'}", " (want n:+ or n:-)"
+    ),
+    tuple[float, ...]: _entries(_FLOAT),
+    tuple[int, ...]: _entries(_INT),
+    tuple[tuple[IntVec, complex], ...]: _entries(
+        _Codec(
+            _parse_chi_entry,
+            lambda kc: f"{kc[0][2]}:{_float_text(kc[1].real)}:{_float_text(kc[1].imag)}",
+        ),
+        ", ",
+        " (want k:re:im, ...)",
+    ),
+    tuple[tuple[int, ...], ...]: _entries(
+        _Codec(lambda text: tuple(map(int, text.split())), lambda sub: " ".join(map(str, sub))), ", "
+    ),
+}
+
+
+_ALIASES = {"chi_modes": "chi"}  # field name -> config key, where they differ
+_RUN_FIELDS = [f.name for f in fields(RunConfig)[1:]]  # [0] is the scenario
+_HINTS = get_type_hints(ScenarioConfig) | get_type_hints(RunConfig)
+# config key -> dataclass field, in file order: ScenarioConfig, then RunConfig
+_FIELD_OF = {
+    _ALIASES.get(name, name): name for name in [f.name for f in fields(ScenarioConfig)] + _RUN_FIELDS
+}
+KNOWN_KEYS = frozenset(_FIELD_OF)
+
+
+def _codec(key: str) -> tuple[_Codec, bool]:
+    """The codec of a key's field type, and whether the key takes `none` (`X | None`)."""
+    hint = _HINTS[_FIELD_OF[key]]
+    if isinstance(hint, UnionType):
+        (base,) = set(get_args(hint)) - {type(None)}
+        return _CODECS[base], True
+    return _CODECS[hint], False
 
 
 def _convert(key: str, value: str):
+    codec, optional = _codec(key)
     if value.lower() == "none":
-        if key in _OPT_INT_KEYS | _OPT_FLOAT_KEYS or key == "chi":
+        if optional:
             return None
         raise ConfigError(f"`{key}` does not accept none")
     try:
-        if key in _INT_KEYS or key in _OPT_INT_KEYS or key == "verbosity":
-            return int(value)
-        if key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS:
-            return float(value)
-        if key == "f_list":
-            return tuple(float(tok) for tok in value.split(","))
-        if key == "cutoffs":
-            return tuple(int(tok) for tok in value.split(","))
+        return codec.parse(value)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"invalid value for `{key}`: {value!r}{codec.want}") from exc
+
+
+def _scenario(base: ScenarioConfig, values: dict) -> ScenarioConfig:
+    try:
+        return replace(base, **values)
     except ValueError as exc:
-        raise ConfigError(f"invalid value for `{key}`: {value!r}") from exc
-    if key == "backend":
-        if value not in ("fock", "gaussian", "both"):
-            raise ConfigError(f"invalid value for `backend`: {value!r}")
-        return value
-    if key == "out_dir":
-        return value
-    if key in ("mode1", "mode2"):
-        return _parse_mode(value, key)
-    if key == "chi":
-        return _parse_chi(value)
-    if key == "scan_subsets":
-        return _parse_subsets(value)
-    raise AssertionError(f"unhandled key {key}")
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path) -> RunConfig:
@@ -134,8 +159,7 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    scenario_kwargs = {}
-    run_kwargs = {}
+    values = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,53 +170,17 @@ def parse_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
-        converted = _convert(key, value)
-        if key in _RUN_KEYS:
-            run_kwargs[key] = converted
-        elif key == "chi":
-            scenario_kwargs["chi_modes"] = converted
-        else:
-            scenario_kwargs[key] = converted
-    try:
-        scenario = ScenarioConfig(**scenario_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(scenario=scenario, **run_kwargs)
+        values[_FIELD_OF[key]] = _convert(key, value)
+    run_values = {name: values.pop(name) for name in _RUN_FIELDS if name in values}
+    return RunConfig(_scenario(ScenarioConfig(), values), **run_values)
 
 
 def serialize_config(rc: RunConfig) -> str:
     """Write every knob back out; parse(serialize(parse(x))) == parse(x)."""
-    sc = rc.scenario
     lines = []
-
-    def fmt(value):
-        if value is None:
-            return "none"
-        if isinstance(value, float):
-            return format(value, ".17g")
-        return str(value)
-
-    for f in fields(ScenarioConfig):
-        v = getattr(sc, f.name)
-        if f.name in ("mode1", "mode2"):
-            lines.append(f"{f.name} = {v.n[2]}:{'+' if v.s > 0 else '-'}")
-        elif f.name == "chi_modes":
-            if v is None:
-                lines.append("chi = none")
-            else:
-                entries = ", ".join(
-                    f"{k[2]}:{fmt(c.real)}:{fmt(c.imag)}" for k, c in v
-                )
-                lines.append(f"chi = {entries}")
-        elif f.name == "scan_subsets":
-            entries = ", ".join(" ".join(str(z) for z in sub) for sub in v)
-            lines.append(f"scan_subsets = {entries}")
-        elif f.name in ("f_list", "cutoffs"):
-            lines.append(f"{f.name} = {','.join(fmt(x) for x in v)}")
-        else:
-            lines.append(f"{f.name} = {fmt(v)}")
-    lines.append(f"out_dir = {rc.out_dir}")
-    lines.append(f"verbosity = {rc.verbosity}")
+    for key, name in _FIELD_OF.items():
+        value = getattr(rc if name in _RUN_FIELDS else rc.scenario, name)
+        lines.append(f"{key} = {'none' if value is None else _codec(key)[0].format(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -310,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
         p.add_argument("--out-dir", metavar="PATH", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--backend", choices=("fock", "gaussian", "both"), help="backend override")
+        p.add_argument("--seed", metavar="N", help="seed override")
+        p.add_argument("--backend", choices=BACKENDS, help="backend override")
         p.add_argument("--cutoffs", metavar="LIST", help="comma-separated cutoff scan override")
     return parser
 
@@ -320,18 +308,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         rc = parse_config(args.config) if args.config else RunConfig(ScenarioConfig())
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.cutoffs is not None:
-            overrides["cutoffs"] = _convert("cutoffs", args.cutoffs)
-        if overrides:
-            try:
-                rc = replace(rc, scenario=replace(rc.scenario, **overrides))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        overrides = {
+            key: _convert(key, getattr(args, key))
+            for key in ("seed", "backend", "cutoffs")
+            if getattr(args, key) is not None
+        }
+        rc = replace(rc, scenario=_scenario(rc.scenario, overrides))
         if args.out_dir is not None:
             rc = replace(rc, out_dir=args.out_dir)
     except ConfigError as exc:
@@ -341,7 +323,8 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(rc)
         return cmd_run(args.command, rc)
-    except StepGuardError as exc:
+    except (StepGuardError, FloatingPointError) as exc:
+        # FloatingPointError: an imaginary-part guard on a real observable
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 1
     except (ValueError, NotImplementedError) as exc:

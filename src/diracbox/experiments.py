@@ -72,6 +72,7 @@ from .onebody import (
 DEFAULT_MODE1 = label(+1, 0.5, 0)
 DEFAULT_MODE2 = label(+1, 0.5, 1)
 DEFAULT_F_LIST = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+BACKENDS = ("fock", "gaussian", "both")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class ScenarioConfig:
     m: float = 1.0
     e: float = 1.0
     n_max: int | None = None  # None: backend-appropriate default (2 gauss / 1 fock)
-    backend: str = "gaussian"  # fock | gaussian | both
+    backend: str = "gaussian"  # one of BACKENDS
     mode1: ModeLabel = DEFAULT_MODE1
     mode2: ModeLabel = DEFAULT_MODE2
     t_final: float = 1.0
@@ -102,10 +103,22 @@ class ScenarioConfig:
     scan_subsets: tuple[tuple[int, ...], ...] = ((0, 1), (-1, 0, 1))
 
     def __post_init__(self):
-        if self.backend not in ("fock", "gaussian", "both"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"`backend` must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
         if self.n_max is not None and self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+            raise ValueError(f"`n_max` must be >= 0, got {self.n_max}")
+        for key in ("n_steps", "points_per_axis", "n_drives", "heis_refine"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"`{key}` must be >= 1, got {value}")
+        if self.e == 0:
+            raise ValueError("`e` must be nonzero")
+        if not all(self.scan_subsets):
+            raise ValueError("`scan_subsets` holds an empty momentum subset")
+
+    def steps(self, default: int) -> int:
+        """n_steps, or the scenario's `default` when it is unset."""
+        return default if self.n_steps is None else self.n_steps
 
     def resolved_n_max(self, scenario_backend: str | None = None) -> int:
         if self.n_max is not None:
@@ -233,7 +246,12 @@ def _manybody_hamiltonian(catalog: BasisCatalog, ladders, h0q, pot: PotentialSpe
 
 
 def _mode_indices(catalog: BasisCatalog, cfg: ScenarioConfig) -> tuple[int, int]:
-    return catalog.index_of(cfg.mode1), catalog.index_of(cfg.mode2)
+    """Catalog indices of the wavepacket modes; ValueError naming a missing one."""
+    for key in ("mode1", "mode2"):
+        mode = getattr(cfg, key)
+        if mode not in catalog.index:
+            raise ValueError(f"`{key}` momentum {mode.n} is outside the {catalog.size}-mode catalog")
+    return catalog.index[cfg.mode1], catalog.index[cfg.mode2]
 
 
 def _modes_of(catalog: BasisCatalog, cfg: ScenarioConfig):
@@ -287,7 +305,7 @@ def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
 def run_free_baseline(cfg: ScenarioConfig) -> Report:
     """Free evolution of the two-mode state; oracle and continuity checks."""
     backends = ("gaussian", "fock") if cfg.backend == "both" else (cfg.backend,)
-    n_steps = cfg.n_steps or 1000
+    n_steps = cfg.steps(1000)
     results = {}
     header = ["backend", "time", "x", "y", "z", "rho", "jx", "jy", "jz"]
     rows: list[list] = []
@@ -295,6 +313,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     checks: list[Check] = []
     for be in backends:
         catalog = cfg.catalog(cfg.resolved_n_max(be))
+        m1, m2 = _modes_of(catalog, cfg)
         h0 = h0_matrix(catalog)
         if be == "gaussian":
             prop = propagate(h0, (0.0, cfg.t_final), n_steps)
@@ -310,7 +329,6 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
         series = field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
         results[be] = (catalog, series)
 
-        m1, m2 = _modes_of(catalog, cfg)
         pts = series.points
         dt = times[1] - times[0]
         drho_sim = (series.rho[2:] - series.rho[:-2]) / (2.0 * dt)
@@ -400,7 +418,7 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
     u_g = e^{-ieX} u_0 only by truncation plus stepping error, reported on a
     fixed momentum window as `unitary_dist`.
     """
-    n_steps = cfg.n_steps or 8000
+    n_steps = cfg.steps(8000)
     chi_map = _default_chi(cfg)
     env = cfg.envelope()
     chi = GaugeFunction(chi_map, env)
@@ -410,8 +428,10 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
     header = ["n_max", "time", "rho_dev", "j_dev", "unitary_dist"]
     rows: list[list] = []
     per_cutoff: dict[int, dict[str, float]] = {}
-    for n_max in cfg.cutoffs:
-        catalog = cfg.catalog(n_max)
+    catalogs = [cfg.catalog(n_max) for n_max in cfg.cutoffs]
+    for catalog in catalogs:
+        _mode_indices(catalog, cfg)  # every cutoff holds the wavepacket before any evolution
+    for n_max, catalog in zip(cfg.cutoffs, catalogs):
         pure = _pure_gauge(chi, catalog.grid)
         record = max(1, n_steps // 20)
         u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), n_steps, record_every=record)
@@ -502,7 +522,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     free-energy shift tracks the linear prediction Delta_xi - f*integral(D^2)
     at small f and must respect the finite-model bound (>= vacuum) at all f.
     """
-    n_steps = cfg.n_steps or 400
+    n_steps = cfg.steps(400)
     env = cfg.envelope()
     header = ["subset_size", "f", "measured_minus_vac", "predicted_minus_vac", "rel_dev", "bound_margin"]
     rows: list[list] = []
@@ -510,9 +530,13 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     checks: list[Check] = []
     f_stars: list[float] = []
     small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
+    if 0.0 not in cfg.f_list or not small_f:
+        raise ValueError("`f_list` needs 0 and at least one positive f for the linear fit")
     catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
     for catalog in catalogs:
-        FockBasis(catalog.size)  # every subset within the mode cap before any evolution
+        # every subset within the mode cap and holding the wavepacket before any evolution
+        FockBasis(catalog.size)
+        _mode_indices(catalog, cfg)
     for catalog in catalogs:
         ladders = build_ladders(catalog)
         h0q = quantize(h0_matrix(catalog), ladders)
@@ -593,7 +617,10 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     the pure-gauge sea energy is exactly invariant.  The raw static-subtracted
     values are kept in the metrics for comparison.
     """
-    n_steps = cfg.n_steps or 4000
+    n_steps = cfg.steps(4000)
+    small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
+    if len(small_f) < 2:
+        raise ValueError("`f_list` needs at least two positive f for the linear fit")
     env = cfg.envelope()
     catalog = cfg.catalog(cfg.resolved_n_max("gaussian"))
     m1, m2 = _modes_of(catalog, cfg)
@@ -639,7 +666,6 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
         metrics[f"f{f}_measured_static_sub"] = (
             free_energy_heisenberg(C0, u_final, catalog) - sea
         )
-    small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
     fit_vals = [next(r[1] for r in rows if r[0] == f) for f in small_f]
     slope, intercept = np.polyfit(small_f, fit_vals, 1)
     metrics["fit_slope"] = float(slope)
@@ -711,8 +737,9 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     ]
     momenta = cfg.scan_subsets[0]
     catalog = _subset_catalog(cfg, momenta)
+    _mode_indices(catalog, cfg)
     ladders = build_ladders(catalog)
-    n_steps = cfg.n_steps or 200
+    n_steps = cfg.steps(200)
     panel = _observable_panel(catalog, cfg)
     omega_f = omega0_state(ladders, cfg.mode1, cfg.mode2)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)

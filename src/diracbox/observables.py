@@ -49,7 +49,7 @@ class SpatialGrid:
 
     @classmethod
     def for_catalog(cls, catalog: BasisCatalog, points_per_axis: int | None = None):
-        n = points_per_axis or 4 * catalog.n_max + 1
+        n = 4 * catalog.n_max + 1 if points_per_axis is None else points_per_axis
         return cls(catalog.d, catalog.grid.length, n)
 
     @property

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 import scipy.sparse as sp
 
 from diracbox import experiments
 from diracbox.cli import (
+    KNOWN_KEYS,
     ConfigError,
     RunConfig,
     main,
@@ -19,6 +22,9 @@ from diracbox.cli import (
 from diracbox.experiments import ScenarioConfig, run_free_baseline
 from diracbox.fock import LadderSet, build_ladders
 from diracbox.modes import label
+from diracbox.onebody import GaugeFunction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +99,54 @@ def test_shipped_default_config_matches_builtin_defaults():
 def test_serialize_parse_round_trip(tmp_path):
     rc = RunConfig(
         scenario=ScenarioConfig(
+            d=3,
+            length=5.5,
+            m=0.75,
+            e=-0.5,
             n_max=3,
             backend="fock",
-            chi_modes=(((0, 0, 1), 0.002 + 0.001j),),
-            f_list=(0.0, 0.1),
-            cutoffs=(2, 3),
+            mode1=label(+1, -0.5, -1),
+            mode2=label(+1, 0.5, 2),
+            t_final=1.25,
             omega=0.75,
             n_steps=500,
+            f_list=(0.0, 0.1),
+            cutoffs=(2, 3),
+            chi_modes=(((0, 0, 1), 0.002 + 0.001j), ((0, 0, -1), 0.002 - 0.001j)),
+            chi_amplitude=0.004,
+            seed=3,
+            n_drives=2,
+            drive_amplitude=0.002,
+            drive_band=2,
+            heis_refine=8,
+            points_per_axis=7,
+            scan_subsets=((0, 1, 2), (-2, -1, 0, 1, 2)),
         ),
         out_dir="outs",
         verbosity=2,
     )
+    default = RunConfig(scenario=ScenarioConfig())
+    for f in dataclasses.fields(ScenarioConfig):
+        assert getattr(rc.scenario, f.name) != getattr(default.scenario, f.name), f.name
+    assert (rc.out_dir, rc.verbosity) != (default.out_dir, default.verbosity)
     text = serialize_config(rc)
     back = parse_config(write_cfg(tmp_path, text))
     assert back == rc
     assert serialize_config(back) == text  # idempotent
+
+
+def test_known_keys_are_the_dataclass_fields():
+    names = {f.name for f in dataclasses.fields(ScenarioConfig)} | {"out_dir", "verbosity"}
+    # chi_modes is written `chi` in a config file, its one alias
+    assert KNOWN_KEYS == (names - {"chi_modes"}) | {"chi"}
+
+
+def test_documented_chi_example_builds_its_gauge_function(tmp_path):
+    (example,) = re.findall(r"`(chi = [^`]+)`", (ROOT / "README.md").read_text())
+    assert example in (ROOT / "configs" / "default.cfg").read_text()
+    cfg = parse_config(write_cfg(tmp_path, example + "\n")).scenario
+    chi = GaugeFunction(dict(cfg.chi_modes), cfg.envelope())
+    assert chi.band() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +256,76 @@ def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
         assert "use the gaussian backend or a momentum subset" in err
         assert not out.exists()
         assert evolutions == []  # every subset is checked before any evolution
+
+
+def _count_evolutions(monkeypatch) -> list:
+    """Record every propagate / evolve_schrodinger call the drivers make."""
+    calls = []
+    for name in ("propagate", "evolve_schrodinger"):
+        original = getattr(experiments, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+# (scenario, config text, the key the one stderr line names)
+BAD_CONFIGS = [
+    ("baseline", "n_steps = 0", "`n_steps`"),
+    ("baseline", "points_per_axis = 0", "`points_per_axis`"),
+    ("equivalence", "n_drives = 0", "`n_drives`"),
+    ("equivalence", "heis_refine = 0", "`heis_refine`"),
+    ("baseline", "e = 0", "`e`"),
+    ("gauge-schrodinger", "f_list = 0.1", "`f_list`"),
+    ("energy-heisenberg", "f_list = 0.1", "`f_list`"),
+    ("baseline", "n_max = 0", "`mode2`"),
+    ("gauge-schrodinger", "scan_subsets = 1 2", "`mode1`"),
+    ("equivalence", "scan_subsets = 1 2", "`mode1`"),
+    ("gauge-heisenberg", "chi = 1:0.0015:0, -1:0.0015:0\nmode2 = 3:+", "`mode2`"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, text, key", BAD_CONFIGS, ids=[f"{s}:{t.splitlines()[-1]}" for s, t, _ in BAD_CONFIGS]
+)
+def test_main_bad_config_exits_two_before_any_evolution(
+    tmp_path, capsys, monkeypatch, scenario, text, key
+):
+    evolutions = _count_evolutions(monkeypatch)
+    cfg = write_cfg(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+    assert evolutions == []
+
+
+def test_main_flag_overrides_parse_like_config_values(tmp_path, capsys):
+    out = tmp_path / "out"
+    for flags, want in (
+        (["--seed", "x"], "config error: invalid value for `seed`: 'x'\n"),
+        (["--seed", "none"], "config error: `seed` does not accept none\n"),
+        (["--cutoffs", "2,x"], "config error: invalid value for `cutoffs`: '2,x'\n"),
+    ):
+        assert main(["baseline", *flags, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkeypatch):
+    # a free energy with an imaginary part trips the scan's FloatingPointError guard
+    monkeypatch.setattr(experiments, "expectation", lambda state, op: 1.0 + 1.0j)
+    cfg = write_cfg(tmp_path, "scan_subsets = 0 1\nn_steps = 2\n")
+    out = tmp_path / "out"
+    assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "numerical guard: free energy acquired an imaginary part\n"
+    assert not out.exists()
 
 
 def test_main_cutoffs_override(tmp_path):
