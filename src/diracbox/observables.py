@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import CorrelationMatrix, bilinear_expectation
-from .modes import ALPHA, BasisCatalog, IntVec, SpinorMode
+from .modes import ALPHA, BasisCatalog, IntVec, SpinorMode, SpinorTables
 from .onebody import GaugeFunction, OneBodyOperator, h0_matrix
 
 
@@ -99,30 +99,35 @@ def current_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> list[OneBodyOper
     return [OneBodyOperator((e / catalog.volume) * t.alpha[a] * phase) for a in range(3)]
 
 
+def _densities(
+    C: np.ndarray, tables: SpinorTables, w: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rho (N,), J (N, 3)) at the N points whose plane waves `tables.waves` gave w."""
+    wc = w.conj()
+    rho = np.einsum("xi,ij,xj->x", wc, tables.scalar * C, w) * scale
+    if np.abs(rho.imag).max() > 1e-9:
+        raise FloatingPointError("charge density acquired an imaginary part")
+    cur = np.empty((w.shape[0], 3))
+    for a in range(3):
+        vals = np.einsum("xi,ij,xj->x", wc, tables.alpha[a] * C, w) * scale
+        if np.abs(vals.imag).max() > 1e-9:
+            raise FloatingPointError("current density acquired an imaginary part")
+        cur[:, a] = vals.real
+    return rho.real, cur
+
+
 def charge_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """rho = e <psi^dag psi> at the given points (sea background included)."""
     C = _matrix_of(c)
     t = catalog.tables
-    w = t.waves(_as_points(x))
-    weighted = t.scalar * C
-    vals = np.einsum("xi,ij,xj->x", w.conj(), weighted, w) * (e / catalog.volume)
-    if np.abs(vals.imag).max() > 1e-9:
-        raise FloatingPointError("charge density acquired an imaginary part")
-    return vals.real
+    return _densities(C, t, t.waves(_as_points(x)), e / catalog.volume)[0]
 
 
 def current_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """J = e <psi^dag alpha psi> at the given points, shape (N, 3)."""
     C = _matrix_of(c)
     t = catalog.tables
-    w = t.waves(_as_points(x))
-    out = np.empty((w.shape[0], 3))
-    for a in range(3):
-        vals = np.einsum("xi,ij,xj->x", w.conj(), t.alpha[a] * C, w) * (e / catalog.volume)
-        if np.abs(vals.imag).max() > 1e-9:
-            raise FloatingPointError("current density acquired an imaginary part")
-        out[:, a] = vals.real
-    return out
+    return _densities(C, t, t.waves(_as_points(x)), e / catalog.volume)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +202,16 @@ def field_series(
 ) -> FieldSeries:
     """Evaluate rho, J, and free energy for a `CorrelationMatrix` trajectory."""
     sgrid = SpatialGrid.for_catalog(catalog, points_per_axis)
-    pts = sgrid.points()
+    t = catalog.tables
+    w = t.waves(sgrid.points())  # once per series, shared by every frame
+    scale = e / catalog.volume
     h0 = h0_matrix(catalog)
     times = np.asarray(times, dtype=float)
     rho = np.empty((len(times), sgrid.n_points))
     cur = np.empty((len(times), sgrid.n_points, 3))
     energy = np.empty(len(times))
     for k, c in enumerate(correlations):
-        rho[k] = charge_density(c, catalog, pts, e=e)
-        cur[k] = current_density(c, catalog, pts, e=e)
+        rho[k], cur[k] = _densities(_matrix_of(c), t, w, scale)
         energy[k] = bilinear_expectation(c, h0).real
     return FieldSeries(times, sgrid, rho, cur, energy)
 
