@@ -23,6 +23,7 @@ from diracbox.fock import (
     vacuum_state,
 )
 from diracbox.gaussian import (
+    CorrelationMatrix,
     bilinear_expectation,
     evolve_correlation,
     omega0_correlation,
@@ -373,6 +374,50 @@ def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
     for C in (sparse, dense):
         got = field_fourier(C, cat, e=1.5)
         assert got == oracle_field_fourier(C.matrix, cat, e=1.5)
+
+
+def oracle_densities(C, catalog, pts, e=1.0):
+    """rho and J by one three-operand einsum per field: sum_ij w_i^* (T*C)_ij w_j."""
+    t = catalog.tables
+    w = t.waves(pts)
+    scale = e / catalog.volume
+    fields = [t.scalar, *t.alpha]
+    vals = [np.einsum("xi,ij,xj->x", w.conj(), T * C, w) * scale for T in fields]
+    return vals[0].real, np.stack(vals[1:], axis=1).real
+
+
+def random_correlation(size, rng):
+    """Dense hermitian C with occupations drawn uniformly in [0, 1]."""
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, _ = np.linalg.qr(z)
+    return CorrelationMatrix((q * rng.uniform(0.0, 1.0, size)) @ q.conj().T)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 2), (3, 1)], ids=["d1-n2", "d3-n1"])
+def test_densities_match_per_field_einsum(d, n_max):
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    pts = SpatialGrid.for_catalog(cat).points()
+    assert len(pts) == (9 if d == 1 else 125)
+    rng = np.random.default_rng(40 + d)
+    for c in (random_correlation(cat.size, rng), omega0_correlation(cat, MODE1, MODE2)):
+        rho_want, cur_want = oracle_densities(c.matrix, cat, pts, e=1.5)
+        rho = charge_density(c, cat, pts, e=1.5)
+        cur = current_density(c, cat, pts, e=1.5)
+        assert rho.shape == rho_want.shape and cur.shape == cur_want.shape
+        assert np.abs(rho - rho_want).max() <= 1e-12 * np.abs(rho_want).max()
+        assert np.abs(cur - cur_want).max() <= 1e-12 * np.abs(cur_want).max()
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 2), (3, 1)], ids=["d1-n2", "d3-n1"])
+def test_field_series_frames_equal_pointwise_densities(d, n_max):
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    times = [0.0, 0.1, 0.2, 0.3]
+    c0 = random_correlation(cat.size, np.random.default_rng(50 + d))
+    cs = [evolve_correlation(c0, unitary_step(h0_matrix(cat).matrix, t)) for t in times]
+    series = field_series(cat, times, cs, e=1.5)
+    for k, c in enumerate(cs):
+        assert np.array_equal(series.rho[k], charge_density(c, cat, series.points, e=1.5))
+        assert np.array_equal(series.current[k], current_density(c, cat, series.points, e=1.5))
 
 
 def test_catalog_is_freed_after_observable_use():
