@@ -105,6 +105,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"`backend` must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
+        if self.d not in (1, 3):
+            raise ValueError(f"`d` must be 1 or 3, got {self.d}")
+        for key in ("length", "m", "t_final"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise ValueError(f"`{key}` must be > 0, got {value}")
         if self.n_max is not None and self.n_max < 0:
             raise ValueError(f"`n_max` must be >= 0, got {self.n_max}")
         for key in ("n_steps", "points_per_axis", "n_drives", "heis_refine"):
@@ -115,6 +121,8 @@ class ScenarioConfig:
             raise ValueError("`e` must be nonzero")
         if not all(self.scan_subsets):
             raise ValueError("`scan_subsets` holds an empty momentum subset")
+        if self.mode1 == self.mode2:
+            raise ValueError("`mode2` must differ from `mode1`")
 
     def steps(self, default: int) -> int:
         """n_steps, or the scenario's `default` when it is unset."""

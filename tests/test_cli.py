@@ -285,6 +285,11 @@ BAD_CONFIGS = [
     ("gauge-schrodinger", "scan_subsets = 1 2", "`mode1`"),
     ("equivalence", "scan_subsets = 1 2", "`mode1`"),
     ("gauge-heisenberg", "chi = 1:0.0015:0, -1:0.0015:0\nmode2 = 3:+", "`mode2`"),
+    ("gauge-heisenberg", "mode2 = 0:+", "`mode2`"),
+    ("energy-heisenberg", "t_final = 0", "`t_final`"),
+    ("baseline", "d = 2", "`d`"),
+    ("gauge-schrodinger", "length = -1", "`length`"),
+    ("equivalence", "m = 0", "`m`"),
 ]
 
 

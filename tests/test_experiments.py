@@ -188,6 +188,12 @@ def test_baseline_both_backends_agree():
     assert rep.metrics["backend_disagreement"] <= 1e-8
 
 
+def test_baseline_d3_passes():
+    rep = run_free_baseline(ScenarioConfig(d=3, n_max=1, n_steps=200))
+    assert rep.passed and len(rep.checks) == 5
+    assert rep.metrics["gaussian_drho_dt_rel_err"] <= 1e-6  # 7.1e-7: the dt^2 error at 200 steps
+
+
 def test_equivalence_passes_quickly():
     rep = run_picture_equivalence(ScenarioConfig(n_drives=2, n_steps=150))
     assert rep.passed
