@@ -18,7 +18,6 @@ import numpy as np
 
 from .fock import (
     FockBasis,
-    build_ladders,
     correlation_from_state,
     evolve_schrodinger,
     expectation,
@@ -245,11 +244,11 @@ def _onebody_hamiltonian(catalog: BasisCatalog, pot: PotentialSpec, e: float):
     return DrivenHamiltonian(h0_matrix(catalog), interaction_term_matrices(catalog, pot, e))
 
 
-def _manybody_hamiltonian(catalog: BasisCatalog, ladders, h0q, pot: PotentialSpec, e: float):
-    """The quantized family around the caller's quantized h0 `h0q`."""
+def _manybody_hamiltonian(catalog: BasisCatalog, basis: FockBasis, h0q, pot: PotentialSpec, e: float):
+    """The quantized family on `basis` around the caller's quantized h0 `h0q`."""
     return DrivenHamiltonian(
         h0q,
-        [(quantize(op, ladders), env) for op, env in interaction_term_matrices(catalog, pot, e)],
+        [(quantize(op, basis), env) for op, env in interaction_term_matrices(catalog, pot, e)],
     )
 
 
@@ -329,11 +328,10 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             cs = [evolve_correlation(C0, u) for u in prop.matrices]
             times = prop.times
         else:
-            ladders = build_ladders(catalog)
-            h0q = quantize(h0, ladders)
-            omega = omega0_state(ladders, cfg.mode1, cfg.mode2)
+            omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
+            h0q = quantize(h0, omega.basis)
             times, states = evolve_schrodinger(omega, h0q, (0.0, cfg.t_final), n_steps)
-            cs = [correlation_from_state(s, ladders) for s in states]
+            cs = [correlation_from_state(s) for s in states]
         series = field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
         results[be] = (catalog, series)
 
@@ -546,14 +544,13 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         FockBasis(catalog.size)
         _mode_indices(catalog, cfg)
     for catalog in catalogs:
-        ladders = build_ladders(catalog)
-        h0q = quantize(h0_matrix(catalog), ladders)
+        omega = omega0_state(catalog, cfg.mode1, cfg.mode2)  # steps in its particle-number sector
+        h0q = quantize(h0_matrix(catalog), omega.basis)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
         profile = schrodinger_scan_profile(catalog, cfg)
         d_sq = profile_square_integral(profile, catalog.volume)
         sea = catalog.sea_energy()
-        omega = omega0_state(ladders, cfg.mode1, cfg.mode2)
         tag = f"M{catalog.size}"
         f_star = None
         for f in cfg.f_list:
@@ -562,11 +559,11 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
             else:
                 chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
                 pure = _pure_gauge(chi, catalog.grid)
-                ham = _manybody_hamiltonian(catalog, ladders, h0q, pure, cfg.e)
+                ham = _manybody_hamiltonian(catalog, omega.basis, h0q, pure, cfg.e)
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
-            # <H_0> read directly in the 2^M space, the independent route
+            # <H_0> read directly on the Fock state, the independent route
             energy = expectation(states[-1], h0q)
             if abs(energy.imag) > 1e-9:
                 raise FloatingPointError("free energy acquired an imaginary part")
@@ -746,12 +743,11 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     momenta = cfg.scan_subsets[0]
     catalog = _subset_catalog(cfg, momenta)
     _mode_indices(catalog, cfg)
-    ladders = build_ladders(catalog)
     n_steps = cfg.steps(200)
     panel = _observable_panel(catalog, cfg)
-    omega_f = omega0_state(ladders, cfg.mode1, cfg.mode2)
+    omega_f = omega0_state(catalog, cfg.mode1, cfg.mode2)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-    panel_q = [quantize(op, ladders) for op in panel]
+    panel_q = [quantize(op, omega_f.basis) for op in panel]
 
     def heis_values(u):
         return np.array(
@@ -771,7 +767,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     zero_control = None
     for drive_idx, pot in enumerate(drives):
         ham_1b = _onebody_hamiltonian(catalog, pot, cfg.e)
-        ham_mb = _manybody_hamiltonian(catalog, ladders, panel_q[0], pot, cfg.e)
+        ham_mb = _manybody_hamiltonian(catalog, omega_f.basis, panel_q[0], pot, cfg.e)
         u_ref = propagate(
             ham_1b,
             (0.0, cfg.t_final),

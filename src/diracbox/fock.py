@@ -11,6 +11,14 @@ negative-energy mode occupied.  Electron operators b destroy positive-energy
 modes; positron operators d create negative-energy ones, so both annihilate
 the vacuum.
 
+Every Hamiltonian here is a number-conserving bilinear, so a state of N
+particles stays in the sector of bitstrings with N set bits.  A `FockBasis`
+is that sector, or the whole space when it has no particle number.  Its
+`BilinearTable` holds every c_i^dag c_j on one sparse pattern, built once by
+bit arithmetic: `quantize`, the driven family and `correlation_from_state`
+all read it.  The ladder operators of the whole space stay for the
+anticommutator and spectrum checks, and as the tests' oracle.
+
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept).  Time evolution uses the same
 midpoint-exponential rule as the one-body layer, applied with sparse
@@ -20,6 +28,7 @@ matrix-exponential action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,14 +40,24 @@ from .modes import BasisCatalog, ModeLabel
 from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, time_grid
 
 FOCK_MODE_CAP = 14
-CAR_TOL = 1e-12
+
+
+def _popcount(v: np.ndarray) -> np.ndarray:
+    """Number of set bits of each entry."""
+    v = v.copy()
+    count = np.zeros_like(v)
+    while v.any():
+        count += v & 1
+        v >>= 1
+    return count
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis bookkeeping for M modes."""
+    """Occupation-number basis of M modes: the sector of `particles`, or all 2^M states."""
 
     n_modes: int
+    particles: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_modes <= FOCK_MODE_CAP:
@@ -46,31 +65,94 @@ class FockBasis:
                 f"mode count {self.n_modes} outside 1..{FOCK_MODE_CAP} "
                 "(Fock dimension 2^M); use the gaussian backend or a momentum subset"
             )
+        if self.particles is not None and not 0 <= self.particles <= self.n_modes:
+            raise ValueError(f"particle number {self.particles} outside 0..{self.n_modes}")
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The basis bitstrings in increasing order; position = basis index."""
+        every = np.arange(1 << self.n_modes, dtype=np.int64)
+        if self.particles is None:
+            return every
+        return every[_popcount(every) == self.particles]
 
     @property
     def dim(self) -> int:
-        return 1 << self.n_modes
+        return len(self.states)
+
+    @cached_property
+    def table(self) -> "BilinearTable":
+        return BilinearTable.build(self)
 
     def index_of_occupations(self, occupied) -> int:
-        return sum(1 << i for i in occupied)
+        """Basis index of the state with exactly the `occupied` modes filled."""
+        modes = [int(i) for i in occupied]
+        if len(set(modes)) != len(modes) or not all(0 <= i < self.n_modes for i in modes):
+            raise ValueError(f"occupied modes {modes} must be distinct and within 0..{self.n_modes - 1}")
+        bits = sum(1 << i for i in modes)
+        idx = int(np.searchsorted(self.states, bits))
+        if idx == self.dim or self.states[idx] != bits:
+            raise ValueError(f"{len(modes)} occupied modes are outside the {self.particles}-particle sector")
+        return idx
+
+
+@dataclass(frozen=True)
+class BilinearTable:
+    """Every c_i^dag c_j of one basis as the entries of one CSR pattern.
+
+    Slot k is the entry (rows[k], indices[k]); rows run in order and columns
+    are sorted within a row.  Off the diagonal, moving one particle from mode
+    j to mode i fixes the ordered pair: gather[k] = i*M + j and the entry of
+    c_i^dag c_j is sign[k], (-1)^(occupied modes strictly between i and j).
+    On the diagonal gather[k] = M*M + row and sign[k] = 1: the entry of
+    sum_i h_ii c_i^dag c_i is `occupation` (dim x M) times diag(h).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    gather: np.ndarray
+    sign: np.ndarray
+    occupation: np.ndarray
+
+    @classmethod
+    def build(cls, basis: FockBasis) -> "BilinearTable":
+        M, states = basis.n_modes, basis.states
+        dim = len(states)
+        occ = ((states[:, None] >> np.arange(M)) & 1).astype(np.int8)
+        i, j = np.nonzero(~np.eye(M, dtype=bool))
+        # c_i^dag c_j needs mode j occupied and mode i empty
+        pair, col = np.nonzero((occ[:, j] & (1 - occ[:, i])).T)
+        i, j, src = i[pair], j[pair], states[col]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        sign = 1.0 - 2.0 * (_popcount(src & ((1 << hi) - (2 << lo))) & 1)
+        row = np.searchsorted(states, src ^ (1 << i) ^ (1 << j))
+        diag = np.arange(dim)
+        rows = np.concatenate([row, diag])
+        cols = np.concatenate([col, diag])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+        arrays = dict(
+            indptr=indptr.astype(np.int32),
+            indices=cols[order].astype(np.int32),
+            rows=rows[order],
+            gather=np.concatenate([i * M + j, M * M + diag])[order],
+            sign=np.concatenate([sign, np.ones(dim)])[order],
+            occupation=occ.astype(float),
+        )
+        # every quantized operator of the basis shares indptr and indices
+        for a in arrays.values():
+            a.setflags(write=False)
+        return cls(**arrays)
 
 
 def _annihilator(M: int, i: int) -> sp.csr_matrix:
-    """Sparse c_i with the Jordan-Wigner sign string over modes < i."""
+    """Sparse c_i on all 2^M states with the Jordan-Wigner sign string over modes < i."""
     dim = 1 << M
     cols = np.arange(dim, dtype=np.int64)
-    hit = (cols >> i) & 1 == 1
-    cols = cols[hit]
+    cols = cols[(cols >> i) & 1 == 1]
     rows = cols - (1 << i)
-    below = cols & ((1 << i) - 1)
-    # popcount of the lower bits; vectorized over the column indices
-    signs = np.ones(len(cols))
-    v = below.copy()
-    parity = np.zeros(len(cols), dtype=np.int64)
-    while v.any():
-        parity ^= v & 1
-        v >>= 1
-    signs[parity == 1] = -1.0
+    signs = 1.0 - 2.0 * (_popcount(cols & ((1 << i) - 1)) & 1)
     return sp.csr_matrix((signs, (rows, cols)), shape=(dim, dim), dtype=complex)
 
 
@@ -167,52 +249,72 @@ class FockState:
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Hermitian sparse operator on the Fock space, checked when built."""
+    """Hermitian square sparse operator on a Fock basis, checked when built (stored as CSR)."""
 
     matrix: sp.csr_matrix
 
     def __post_init__(self):
-        dev = self.matrix - self.matrix.conj().T
+        m = self.matrix
+        if not sp.issparse(m) or m.shape[0] != m.shape[1]:
+            raise ValueError(
+                f"ManyBodyOperator needs a square scipy sparse matrix, got "
+                f"{type(m).__name__} of shape {np.shape(m)}"
+            )
+        m = m.tocsr()
+        dev = m - m.conj().T
         if dev.nnz and np.abs(dev.data).max() > 1e-12:
             raise ValueError("hermiticity violated")
+        object.__setattr__(self, "matrix", m)
 
 
-def vacuum_state(ladders: LadderSet) -> FockState:
-    """Filled sea: all negative-energy modes occupied, positive empty."""
-    if ladders.catalog is None:
-        raise ValueError("vacuum needs the physical catalog (energy signs)")
-    occupied = [
-        i for i, mode in enumerate(ladders.catalog.modes) if mode.label.lam == -1
-    ]
-    amp = np.zeros(ladders.basis.dim, dtype=complex)
-    amp[ladders.basis.index_of_occupations(occupied)] = 1.0
-    return FockState(amp, ladders.basis)
+def _on_basis(matrix, state: FockState):
+    """`matrix`, once its dimension is that of the state's basis."""
+    if matrix.shape[0] != state.basis.dim:
+        raise ValueError(
+            f"operator dimension {matrix.shape[0]} != state dimension {state.basis.dim}"
+        )
+    return matrix
 
 
-def quantize(h: OneBodyOperator, ladders: LadderSet) -> ManyBodyOperator:
-    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j."""
-    M = ladders.n_modes
+def _sea(catalog: BasisCatalog) -> list[int]:
+    """Catalog indices of the negative-energy modes, all occupied in the vacuum."""
+    return [i for i, mode in enumerate(catalog.modes) if mode.label.lam == -1]
+
+
+def vacuum_state(catalog: BasisCatalog) -> FockState:
+    """Filled sea: all negative-energy modes occupied, positive empty, in the sea's sector."""
+    sea = _sea(catalog)
+    basis = FockBasis(catalog.size, len(sea))
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[basis.index_of_occupations(sea)] = 1.0
+    return FockState(amp, basis)
+
+
+def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
+    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j, gathered onto the basis' table."""
+    M = basis.n_modes
     if h.size != M:
         raise ValueError(f"matrix size {h.size} != mode count {M}")
-    dim = ladders.basis.dim
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    cds = [ladders.cdag(i) for i in range(M)]
-    cs = [ladders.c(j) for j in range(M)]
-    for i in range(M):
-        row = h.matrix[i]
-        for j in range(M):
-            if row[j] != 0.0:
-                total = total + row[j] * (cds[i] @ cs[j])
-    return ManyBodyOperator(total.tocsr())
+    table = basis.table
+    values = np.concatenate([h.matrix.ravel(), table.occupation @ np.diag(h.matrix)])
+    data = table.sign * values[table.gather]
+    return ManyBodyOperator(
+        sp.csr_matrix((data, table.indices, table.indptr), shape=(basis.dim, basis.dim))
+    )
 
 
 def expectation(state: FockState, op: ManyBodyOperator) -> complex:
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    psi = state.amplitudes
+    return complex(np.vdot(psi, _on_basis(op.matrix, state) @ psi))
 
 
 def commutator_identity_check(h: OneBodyOperator, ladders: LadderSet) -> float:
-    """Max residual of [quantize(h), c_i] = -sum_j h_ij c_j over modes i."""
-    H = quantize(h, ladders).matrix
+    """Max residual of [quantize(h), c_i] = -sum_j h_ij c_j over modes i.
+
+    `quantize` reads the bilinear table, so this checks the table against
+    the ladder operators.
+    """
+    H = quantize(h, ladders.basis).matrix
     worst = 0.0
     for i in range(ladders.n_modes):
         ci = ladders.c(i)
@@ -224,17 +326,24 @@ def commutator_identity_check(h: OneBodyOperator, ladders: LadderSet) -> float:
     return worst
 
 
-def omega0_state(ladders: LadderSet, mode1: ModeLabel, mode2: ModeLabel) -> FockState:
-    """Equal-amplitude two-mode electron state (b1^dag + b2^dag)|vac>/sqrt(2)."""
+def omega0_state(catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel) -> FockState:
+    """Equal-amplitude two-mode electron state (b1^dag + b2^dag)|vac>/sqrt(2).
+
+    It lives in the sector of its particle number, the sea's plus one.
+    """
     if mode1.lam != +1 or mode2.lam != +1:
         raise ValueError("omega0 modes must be positive-energy (lam = +1)")
     if mode1 == mode2:
         raise ValueError("omega0 modes must differ")
-    vac = vacuum_state(ladders).amplitudes
-    b1d = ladders.electron_annihilator(mode1).conj().T
-    b2d = ladders.electron_annihilator(mode2).conj().T
-    amp = (b1d @ vac + b2d @ vac) / np.sqrt(2.0)
-    return FockState(amp, ladders.basis)
+    sea = _sea(catalog)
+    basis = FockBasis(catalog.size, len(sea) + 1)
+    amp = np.zeros(basis.dim, dtype=complex)
+    for mode in (mode1, mode2):
+        i = catalog.index_of(mode)
+        # b^dag = c_i^dag passes the Jordan-Wigner string of the sea modes below i
+        sign = -1.0 if sum(k < i for k in sea) % 2 else 1.0
+        amp[basis.index_of_occupations(sea + [i])] = sign / np.sqrt(2.0)
+    return FockState(amp, basis)
 
 
 def h0_spectrum_check(ladders: LadderSet) -> dict[str, float]:
@@ -244,20 +353,20 @@ def h0_spectrum_check(ladders: LadderSet) -> dict[str, float]:
     -sum E_p, the occupation-basis off-diagonal weight, whether the minimum
     sits exactly on the vacuum bitstring, and the gap to the next level
     (which equals the lightest single-mode energy: one extra electron or one
-    hole).
+    hole).  Read on all 2^M states.
     """
     from .onebody import h0_matrix
 
     if ladders.catalog is None:
         raise ValueError("spectrum check needs the physical catalog")
     catalog = ladders.catalog
-    H = quantize(h0_matrix(catalog), ladders).matrix.toarray()
+    H = quantize(h0_matrix(catalog), ladders.basis).matrix.toarray()
     diag = np.real(np.diag(H).copy())
     off_diag = float(np.abs(H - np.diag(np.diag(H))).max())
     order = np.argsort(diag)
     e_min = float(diag[order[0]])
     gap = float(diag[order[1]] - diag[order[0]])
-    vac_index = int(np.argmax(np.abs(vacuum_state(ladders).amplitudes)))
+    vac_index = ladders.basis.index_of_occupations(_sea(catalog))
     return {
         "min_eigenvalue": e_min,
         "sea_energy_deviation": abs(e_min - catalog.sea_energy()),
@@ -275,7 +384,7 @@ def evolve_schrodinger(
     n_steps: int,
     record_every: int = 1,
 ) -> tuple[np.ndarray, list[FockState]]:
-    """Midpoint-exponential evolution of a Fock state.
+    """Midpoint-exponential evolution of a Fock state in its basis.
 
     psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied with sparse
     matrix-exponential action.  Returns (recorded times, recorded states);
@@ -289,10 +398,11 @@ def evolve_schrodinger(
     if isinstance(hamiltonian, DrivenHamiltonian):
         if not isinstance(hamiltonian.h0, ManyBodyOperator):
             raise ValueError("hamiltonian must yield hermitian ManyBodyOperator")
+        _on_basis(hamiltonian.h0.matrix, state)
         h_at = hamiltonian.at
     else:
         def h_at(t):
-            return _check_hermitian(hamiltonian(t), ManyBodyOperator)
+            return _on_basis(_check_hermitian(hamiltonian(t), ManyBodyOperator), state)
     psi = state.amplitudes.copy()
     states = [state]
     for step, t in enumerate(t_mid, 1):
@@ -302,13 +412,16 @@ def evolve_schrodinger(
     return times, states
 
 
-def correlation_from_state(state: FockState, ladders: LadderSet) -> CorrelationMatrix:
+def correlation_from_state(state: FockState) -> CorrelationMatrix:
     """One-body correlation C_ij = <c_i^dag c_j> of a Fock state, validated once.
 
-    The one bridge from the Fock backend to the observable layer.
+    The one bridge from the Fock backend to the observable layer; it reads
+    the table of the state's basis.
     """
-    M = ladders.n_modes
-    W = np.empty((M, state.basis.dim), dtype=complex)
-    for i in range(M):
-        W[i] = ladders.c(i) @ state.amplitudes
-    return CorrelationMatrix(W.conj() @ W.T)
+    basis, psi = state.basis, state.amplitudes
+    table, M = basis.table, basis.n_modes
+    w = psi[table.rows].conj() * table.sign * psi[table.indices]
+    n = M * M + basis.dim
+    flat = np.bincount(table.gather, w.real, n) + 1j * np.bincount(table.gather, w.imag, n)
+    occupied = table.occupation.T @ flat[M * M:].real
+    return CorrelationMatrix(flat[: M * M].reshape(M, M) + np.diag(occupied))

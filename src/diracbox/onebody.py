@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .modes import ALPHA, BasisCatalog, IntVec, MomentumGrid, as_int_vec
 
@@ -401,26 +402,38 @@ class DrivenHamiltonian:
     (the blocks of `interaction_term_matrices`) or their quantized
     `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
     blocks with real weights is hermitian, so `at` and `stack` build h(t)
-    without a per-step check.
+    without a per-step check.  Quantized blocks share the sparsity pattern of
+    h0 (`quantize` on one basis gives one pattern), so h(t) is one axpy on
+    the stored values.
     """
 
     h0: object
     blocks: tuple[tuple[object, object], ...]
+    _sparse: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        h0 = self.h0.matrix
+        object.__setattr__(self, "_sparse", sp.issparse(h0))
         for op in (self.h0, *(op for op, _ in self.blocks)):
-            if _check_hermitian(op, type(self.h0)).shape != self.h0.matrix.shape:
+            m = _check_hermitian(op, type(self.h0))
+            if m.shape != h0.shape:
                 raise ValueError("driven blocks must match the shape of h0")
+            if self._sparse and not (
+                np.array_equal(m.indptr, h0.indptr) and np.array_equal(m.indices, h0.indices)
+            ):
+                raise ValueError("driven blocks must share the sparsity pattern of h0")
 
     def at(self, t: float):
         """h(t) as a matrix of h0's kind (dense or CSR): blocks in order, none where g_b(t) = 0."""
-        h = self.h0.matrix
+        h0 = self.h0.matrix
+        sparse = self._sparse
+        h = h0.data if sparse else h0
         for op, env in self.blocks:
             g = env.value(t)
             if g != 0.0:
-                h = h + g * op.matrix
-        return h
+                h = h + g * (op.matrix.data if sparse else op.matrix)
+        return sp.csr_matrix((h, h0.indices, h0.indptr), shape=h0.shape) if sparse else h
 
     def __call__(self, t: float):
         return type(self.h0)(self.at(t))

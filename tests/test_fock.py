@@ -2,18 +2,29 @@
 
 Ladder oracle: dense Jordan-Wigner matrices assembled from explicit
 Kronecker products (sign string of Z factors below the lowered mode),
-independent of the package's bit arithmetic.
+independent of the package's bit arithmetic.  The ladders in turn are the
+oracle of the bilinear table: `ladder_quantize` (the sum of M^2 ladder
+products) and `ladder_readout` (one c_i psi per mode) are the slow paths
+that `quantize` and `correlation_from_state` replaced.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
-from diracbox.experiments import _manybody_hamiltonian
+from diracbox.experiments import (
+    ScenarioConfig,
+    _manybody_hamiltonian,
+    _pure_gauge,
+    _subset_catalog,
+    schrodinger_scan_profile,
+)
 from diracbox.fock import (
     FockBasis,
+    FockState,
     LadderSet,
     ManyBodyOperator,
     build_ladders,
@@ -32,6 +43,7 @@ from diracbox.modes import MomentumGrid, build_catalog, label, restrict_catalog
 from diracbox.onebody import (
     Constant,
     CosineRamp,
+    DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
@@ -56,6 +68,14 @@ def oracle_annihilator(M, i):
 
 def catalog1d(n_max=1, m=1.0):
     return build_catalog(MomentumGrid(d=1, length=2 * np.pi, n_max=n_max), m)
+
+
+def on_all_states(state):
+    """The state on all 2^M occupation bitstrings."""
+    full = FockBasis(state.basis.n_modes)
+    amp = np.zeros(full.dim, dtype=complex)
+    amp[state.basis.states] = state.amplitudes
+    return FockState(amp, full)
 
 
 def random_hermitian(M, seed):
@@ -92,7 +112,7 @@ def test_fock_mode_cap():
 def test_vacuum_annihilated_by_electron_and_positron_operators():
     cat = catalog1d(n_max=1)
     ladders = build_ladders(cat)
-    vac = vacuum_state(ladders).amplitudes
+    vac = on_all_states(vacuum_state(cat)).amplitudes
     for mode in cat.modes:
         lbl = mode.label
         op = (
@@ -106,33 +126,33 @@ def test_vacuum_annihilated_by_electron_and_positron_operators():
 def test_vacuum_free_energy_is_minus_sea_sum():
     # n_max = 0, m = 1: two sea modes, <0|H0|0> = -2
     cat = catalog1d(n_max=0)
-    ladders = build_ladders(cat)
-    h0q = quantize(h0_matrix(cat), ladders)
-    val = expectation(vacuum_state(ladders), h0q)
+    vac = vacuum_state(cat)
+    val = expectation(vac, quantize(h0_matrix(cat), vac.basis))
     assert val.real == pytest.approx(-2.0, abs=1e-12)
     assert abs(val.imag) <= 1e-14
 
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
-    val = expectation(vacuum_state(ladders), quantize(h0_matrix(cat), ladders))
-    assert val.real == pytest.approx(cat.sea_energy(), abs=1e-12)
+    for vac in (vacuum_state(cat), on_all_states(vacuum_state(cat))):
+        val = expectation(vac, quantize(h0_matrix(cat), vac.basis))
+        assert val.real == pytest.approx(cat.sea_energy(), abs=1e-12)
 
 
 def test_quantized_identity_counts_sea_particles():
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
-    number = quantize(OneBodyOperator(np.eye(cat.size, dtype=complex)), ladders)
-    val = expectation(vacuum_state(ladders), number)
+    vac = vacuum_state(cat)
+    assert vac.basis == FockBasis(cat.size, cat.size // 2)
+    number = quantize(OneBodyOperator(np.eye(cat.size, dtype=complex)), vac.basis)
+    val = expectation(vac, number)
     assert val.real == pytest.approx(cat.size / 2, abs=1e-12)
 
 
 def test_quantize_is_linear():
-    ladders = build_ladders(4)
+    basis = FockBasis(4)
     h1 = random_hermitian(4, seed=7)
     h2 = random_hermitian(4, seed=8)
     combo = OneBodyOperator(0.5 * h1.matrix + 2.0 * h2.matrix)
-    lhs = quantize(combo, ladders).matrix
-    rhs = 0.5 * quantize(h1, ladders).matrix + 2.0 * quantize(h2, ladders).matrix
+    lhs = quantize(combo, basis).matrix
+    rhs = 0.5 * quantize(h1, basis).matrix + 2.0 * quantize(h2, basis).matrix
     assert np.abs((lhs - rhs).toarray()).max() <= 1e-13
 
 
@@ -151,37 +171,36 @@ def test_commutator_identity_random_hermitian(seed):
 
 def test_omega0_norm_orthogonality_and_energy_gap():
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
     m1, m2 = label(+1, 0.5, 0), label(+1, 0.5, 1)
-    omega = omega0_state(ladders, m1, m2)
-    vac = vacuum_state(ladders)
+    omega = on_all_states(omega0_state(cat, m1, m2))
+    vac = on_all_states(vacuum_state(cat))
     assert np.linalg.norm(omega.amplitudes) == pytest.approx(1.0, abs=1e-12)
     assert abs(omega.overlap(vac)) <= 1e-14
-    h0q = quantize(h0_matrix(cat), ladders)
+    h0q = quantize(h0_matrix(cat), omega.basis)
     gap = expectation(omega, h0q).real - expectation(vac, h0q).real
     # (E1 + E2)/2 = (1 + sqrt(2))/2 at m = 1, p2 = 1
     assert gap == pytest.approx(1.2071067811865475, abs=1e-12)
 
 
 def test_omega0_rejects_bad_modes():
-    ladders = build_ladders(catalog1d(n_max=1))
+    cat = catalog1d(n_max=1)
     with pytest.raises(ValueError):
-        omega0_state(ladders, label(-1, 0.5, 0), label(+1, 0.5, 1))
+        omega0_state(cat, label(-1, 0.5, 0), label(+1, 0.5, 1))
     with pytest.raises(ValueError):
-        omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 0))
+        omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 0))
 
 
 def test_free_evolution_matches_closed_form_phases():
     cat = catalog1d(n_max=1)
     ladders = build_ladders(cat)
     m1, m2 = label(+1, 0.5, 0), label(+1, 0.5, 1)
-    omega = omega0_state(ladders, m1, m2)
-    h0q = quantize(h0_matrix(cat), ladders)
+    omega = on_all_states(omega0_state(cat, m1, m2))
+    h0q = quantize(h0_matrix(cat), ladders.basis)
     t_final = 1.3
     times, states = evolve_schrodinger(omega, h0q, (0.0, t_final), n_steps=13)
     e_sea = cat.sea_energy()
     e1, e2 = 1.0, np.sqrt(2.0)
-    vac = vacuum_state(ladders).amplitudes
+    vac = on_all_states(vacuum_state(cat)).amplitudes
     b1d = ladders.electron_annihilator(m1).conj().T
     b2d = ladders.electron_annihilator(m2).conj().T
     for t, st_t in zip(times, states):
@@ -194,18 +213,17 @@ def test_free_evolution_matches_closed_form_phases():
 
 def test_vacuum_stationary_under_driven_evolution_norm_preserved():
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
+    omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
     pot = PotentialSpec.single(
         a0={(0, 0, 1): 0.1 + 0.05j, (0, 0, -1): 0.1 - 0.05j}, envelope=Constant(1.0)
     )
-    h0q = quantize(h0_matrix(cat), ladders)
+    h0q = quantize(h0_matrix(cat), omega.basis)
     [(v, _)] = interaction_term_matrices(cat, pot)
-    vq = quantize(v, ladders)
+    vq = quantize(v, omega.basis)
 
     def ham(t):
         return type(vq)(h0q.matrix + np.cos(t) * vq.matrix)
 
-    omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
     times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=1000, record_every=100)
     # FockState construction enforces the norm bound; assert the final drift anyway
     assert abs(np.linalg.norm(states[-1].amplitudes) - 1.0) <= 1e-10
@@ -230,8 +248,7 @@ def test_spectrum_check_m8_subset():
 
 def test_correlation_from_state_vacuum_projector():
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
-    C = correlation_from_state(vacuum_state(ladders), ladders)
+    C = correlation_from_state(vacuum_state(cat))
     assert isinstance(C, CorrelationMatrix)  # the validated type the observables read
     want = np.diag([1.0 if m.label.lam == -1 else 0.0 for m in cat.modes])
     assert np.abs(C.matrix - want).max() <= 1e-14
@@ -239,11 +256,10 @@ def test_correlation_from_state_vacuum_projector():
 
 def test_evolution_rejects_non_hermitian_generator():
     cat = catalog1d(n_max=0)
-    ladders = build_ladders(cat)
-    skew = 1j * quantize(h0_matrix(cat), ladders).matrix
+    vac = vacuum_state(cat)
+    skew = 1j * quantize(h0_matrix(cat), vac.basis).matrix
     with pytest.raises(ValueError, match="hermiticity"):
         ManyBodyOperator(skew)  # no operator skips the check
-    vac = vacuum_state(ladders)
     # a per-step callable must yield a (checked) ManyBodyOperator on every step
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         evolve_schrodinger(vac, lambda t: skew, (0.0, 1.0), n_steps=2)
@@ -253,11 +269,11 @@ def test_evolution_rejects_non_hermitian_generator():
 # the quantized Hamiltonian family against the per-step closure
 
 
-def per_step_closure(catalog, ladders, pot, e=1.0):
+def per_step_closure(catalog, basis, pot, e=1.0):
     """h0 + sum_b g_b(t) B_b quantized, one checked ManyBodyOperator per t (the oracle)."""
-    h0q = quantize(h0_matrix(catalog), ladders).matrix
+    h0q = quantize(h0_matrix(catalog), basis).matrix
     blocks = [
-        (quantize(op, ladders).matrix, env)
+        (quantize(op, basis).matrix, env)
         for op, env in interaction_term_matrices(catalog, pot, e)
     ]
 
@@ -289,31 +305,37 @@ def reference_evolve(state, ham, t_span, n_steps, record_every):
 def pure_gauge_m8():
     cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
     chi = GaugeFunction({1: 0.05, -1: 0.05}, CosineRamp(t_final=1.0))
-    return cat, build_ladders(cat), gauge_transform(PotentialSpec.zero(), chi, cat.grid)
+    return cat, gauge_transform(PotentialSpec.zero(), chi, cat.grid)
 
 
 @pytest.mark.parametrize("route", ["static", "driven-family", "lambda"])
 def test_evolve_schrodinger_equals_per_step_loop(route):
-    cat, ladders, pure = pure_gauge_m8()
-    if route == "static":
-        ham = quantize(h0_matrix(cat), ladders)
-        ref = lambda t: ham  # noqa: E731
-    else:
-        family = _manybody_hamiltonian(cat, ladders, quantize(h0_matrix(cat), ladders), pure, 1.0)
-        ham = family if route == "driven-family" else (lambda t: family(t))
-        ref = per_step_closure(cat, ladders, pure)
-    omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
-    times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=23, record_every=5)
-    want_t, want_amps = reference_evolve(omega, ref, (0.0, 1.0), 23, 5)
-    assert times.shape == want_t.shape and (times == want_t).all()
-    amps = np.array([s.amplitudes for s in states])
-    assert amps.shape == want_amps.shape and (amps == want_amps).all()
+    """Every route writes the reference's bytes, in omega0's sector and on all 2^M states.
+
+    "lambda" is the per-step callable route traced benchmark runs take.
+    """
+    cat, pure = pure_gauge_m8()
+    sector = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    for omega in (sector, on_all_states(sector)):
+        if route == "static":
+            ham = quantize(h0_matrix(cat), omega.basis)
+            ref = lambda t: ham  # noqa: E731
+        else:
+            h0q = quantize(h0_matrix(cat), omega.basis)
+            family = _manybody_hamiltonian(cat, omega.basis, h0q, pure, 1.0)
+            ham = family if route == "driven-family" else (lambda t: family(t))
+            ref = per_step_closure(cat, omega.basis, pure)
+        times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=23, record_every=5)
+        want_t, want_amps = reference_evolve(omega, ref, (0.0, 1.0), 23, 5)
+        assert times.shape == want_t.shape and (times == want_t).all()
+        amps = np.array([s.amplitudes for s in states])
+        assert amps.shape == want_amps.shape and (amps == want_amps).all()
 
 
 def test_family_steps_without_building_operators(monkeypatch):
-    cat, ladders, pure = pure_gauge_m8()
-    family = _manybody_hamiltonian(cat, ladders, quantize(h0_matrix(cat), ladders), pure, 1.0)
-    omega = omega0_state(ladders, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    cat, pure = pure_gauge_m8()
+    omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    family = _manybody_hamiltonian(cat, omega.basis, quantize(h0_matrix(cat), omega.basis), pure, 1.0)
     built = []
     original = ManyBodyOperator.__post_init__
 
@@ -324,3 +346,124 @@ def test_family_steps_without_building_operators(monkeypatch):
     monkeypatch.setattr(ManyBodyOperator, "__post_init__", counted)
     evolve_schrodinger(omega, family, (0.0, 1.0), n_steps=20)
     assert built == []
+
+
+def test_driven_family_blocks_share_the_pattern_of_h0():
+    cat, pure = pure_gauge_m8()
+    basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1)).basis
+    h0q = quantize(h0_matrix(cat), basis)
+    [(block, env), *_] = _manybody_hamiltonian(cat, basis, h0q, pure, 1.0).blocks
+    # a column holds its diagonal entry and one entry per move of one of N = 5 particles to M - N = 3 holes
+    assert block.matrix.nnz == h0q.matrix.nnz == basis.dim * (1 + 5 * 3)
+    pruned = block.matrix.copy()
+    pruned.eliminate_zeros()
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned), env)])
+
+
+# ---------------------------------------------------------------------------
+# the bilinear table against the ladder operators
+
+
+def ladder_quantize(h, ladders):
+    """sum_ij h_ij c_i^dag c_j as M^2 sparse ladder products (the table's oracle)."""
+    M = ladders.n_modes
+    dim = ladders.basis.dim
+    total = sp.csr_matrix((dim, dim), dtype=complex)
+    cds = [ladders.cdag(i) for i in range(M)]
+    cs = [ladders.c(j) for j in range(M)]
+    for i in range(M):
+        for j in range(M):
+            if h[i, j] != 0.0:
+                total = total + h[i, j] * (cds[i] @ cs[j])
+    return total.tocsr()
+
+
+def ladder_readout(amplitudes, ladders):
+    """C_ij = <c_i psi | c_j psi> with one ladder product per mode (the readout's oracle)."""
+    W = np.array([ladders.c(i) @ amplitudes for i in range(ladders.n_modes)])
+    return W.conj() @ W.T
+
+
+@pytest.mark.parametrize(
+    "M, particles", [(6, None), (8, None), (8, 5), (12, 7)], ids=["full-6", "full-8", "sector-8", "sector-12"]
+)
+def test_table_quantize_equals_ladder_sum(M, particles):
+    basis = FockBasis(M, particles)
+    want = ladder_quantize(random_hermitian(M, seed=M).matrix, build_ladders(M))
+    got = quantize(random_hermitian(M, seed=M), basis).matrix.toarray()
+    want = want[basis.states][:, basis.states].toarray()  # the sector's rows and columns
+    off = ~np.eye(basis.dim, dtype=bool)
+    assert (got[off] == want[off]).all()  # one ladder product per entry: exact
+    assert np.abs(np.diag(got) - np.diag(want)).max() <= 1e-13  # a sum over occupied modes
+
+
+@pytest.mark.parametrize("M, particles", [(8, None), (8, 5), (12, 7)])
+def test_correlation_from_state_matches_ladder_readout(M, particles):
+    basis = FockBasis(M, particles)
+    rng = np.random.default_rng(M)
+    amp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    state = FockState(amp / np.linalg.norm(amp), basis)
+    want = ladder_readout(on_all_states(state).amplitudes, build_ladders(M))
+    assert np.abs(correlation_from_state(state).matrix - want).max() <= 1e-12
+
+
+def test_sector_evolution_equals_full_space_on_scan_subsets():
+    """omega0 steps in its sector exactly as on all 2^M states, at each default gauge-schrodinger subset."""
+    cfg = ScenarioConfig(n_steps=20)
+    for momenta in cfg.scan_subsets:
+        cat = _subset_catalog(cfg, momenta)
+        chi = GaugeFunction(schrodinger_scan_profile(cat, cfg), cfg.envelope())
+        pure = _pure_gauge(chi, cat.grid)
+        sector = omega0_state(cat, cfg.mode1, cfg.mode2)
+        finals = []
+        for omega in (sector, on_all_states(sector)):
+            h0q = quantize(h0_matrix(cat), omega.basis)
+            family = _manybody_hamiltonian(cat, omega.basis, h0q, pure, cfg.e)
+            _, states = evolve_schrodinger(omega, family, (0.0, cfg.t_final), 20, record_every=20)
+            finals.append((states[-1], expectation(states[-1], h0q)))
+        (in_sector, e_sector), (full, e_full) = finals
+        assert np.abs(on_all_states(in_sector).amplitudes - full.amplitudes).max() <= 1e-12
+        assert abs(e_sector - e_full) <= 1e-12 * abs(e_full)
+
+
+# ---------------------------------------------------------------------------
+# bases, operators and the dimension they share
+
+
+def test_index_of_occupations_checks_modes_and_reads_the_sector():
+    full = FockBasis(4)
+    assert full.index_of_occupations([0, 3]) == 0b1001
+    for bad in ([1, 1], [4], [-1]):
+        with pytest.raises(ValueError, match="distinct and within 0..3"):
+            full.index_of_occupations(bad)
+    sector = FockBasis(4, 2)
+    assert sector.dim == 6
+    assert list(sector.states) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert sector.index_of_occupations([3, 0]) == 3
+    with pytest.raises(ValueError, match="outside the 2-particle sector"):
+        sector.index_of_occupations([0, 1, 2])
+    with pytest.raises(ValueError, match="particle number 5"):
+        FockBasis(4, 5)
+
+
+def test_many_body_operator_needs_a_square_sparse_matrix():
+    with pytest.raises(ValueError, match=r"ndarray of shape \(3, 3\)"):
+        ManyBodyOperator(np.eye(3))
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        ManyBodyOperator(sp.csr_matrix((2, 3)))
+    op = ManyBodyOperator(sp.identity(3, format="coo"))
+    assert op.matrix.format == "csr"
+
+
+def test_operator_on_another_basis_names_both_dimensions():
+    cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
+    omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    wide = quantize(h0_matrix(cat), FockBasis(cat.size))
+    msg = "operator dimension 256 != state dimension 56"
+    with pytest.raises(ValueError, match=msg):
+        expectation(omega, wide)
+    with pytest.raises(ValueError, match=msg):
+        evolve_schrodinger(omega, wide, (0.0, 1.0), n_steps=2)
+    with pytest.raises(ValueError, match=msg):
+        evolve_schrodinger(omega, lambda t: wide, (0.0, 1.0), n_steps=2)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from diracbox.fock import (
-    build_ladders,
     correlation_from_state,
     evolve_schrodinger,
     expectation,
@@ -67,8 +66,7 @@ def test_vacuum_correlation_is_sea_projector():
 def test_omega0_correlation_matches_fock_entrywise():
     cat = catalog_m8()
     C = omega0_correlation(cat, MODE1, MODE2).matrix
-    ladders = build_ladders(cat)
-    C_fock = correlation_from_state(omega0_state(ladders, MODE1, MODE2), ladders).matrix
+    C_fock = correlation_from_state(omega0_state(cat, MODE1, MODE2)).matrix
     assert np.abs(C - C_fock).max() <= 1e-12
     # rank-one block on top of the sea: eigenvalues stay in {0, 1}
     w = np.linalg.eigvalsh(C)
@@ -98,22 +96,21 @@ def test_evolution_convention_frozen_against_fock():
     generator the two are the same evolution, so agreement is roundoff-level.
     """
     cat = catalog_m8()
-    ladders = build_ladders(cat)
+    omega = omega0_state(cat, MODE1, MODE2)
     h0 = h0_matrix(cat)
     blocks = interaction_term_matrices(cat, drive_potential())
     # one family, in both pictures
     one_body = DrivenHamiltonian(h0, blocks)
     many_body = DrivenHamiltonian(
-        quantize(h0, ladders), [(quantize(op, ladders), env) for op, env in blocks]
+        quantize(h0, omega.basis), [(quantize(op, omega.basis), env) for op, env in blocks]
     )
 
     n_steps = 60
-    omega = omega0_state(ladders, MODE1, MODE2)
     times, states = evolve_schrodinger(omega, many_body, (0.0, 1.0), n_steps, record_every=20)
     prop = propagate(one_body, (0.0, 1.0), n_steps, record_every=20)
     C0 = omega0_correlation(cat, MODE1, MODE2)
     for t, state, u in zip(times, states, prop.matrices):
-        C_fock = correlation_from_state(state, ladders).matrix
+        C_fock = correlation_from_state(state).matrix
         C_gauss = evolve_correlation(C0, u).matrix
         assert np.abs(C_fock - C_gauss).max() <= 1e-11, f"mismatch at t={t}"
     assert all(env.value(0.0) == 0.0 for _, env in blocks)  # drive really starts at zero
@@ -153,15 +150,14 @@ def test_bilinear_expectation_sea_energy_and_number():
 
 def test_bilinear_expectation_matches_fock_route():
     cat = catalog_m8()
-    ladders = build_ladders(cat)
-    omega = omega0_state(ladders, MODE1, MODE2)
+    omega = omega0_state(cat, MODE1, MODE2)
     C = omega0_correlation(cat, MODE1, MODE2)
     rng = np.random.default_rng(42)
     for _ in range(5):
         a = rng.normal(size=(cat.size, cat.size)) + 1j * rng.normal(size=(cat.size, cat.size))
         h = OneBodyOperator((a + a.conj().T) / 2)
         via_gauss = bilinear_expectation(C, h)
-        via_fock = expectation(omega, quantize(h, ladders))
+        via_fock = expectation(omega, quantize(h, omega.basis))
         assert abs(via_gauss - via_fock) <= 1e-11
         assert abs(via_gauss.imag) <= 1e-12  # hermitian h gives real value
 

@@ -15,7 +15,6 @@ import pytest
 
 import diracbox.observables as observables
 from diracbox.fock import (
-    build_ladders,
     correlation_from_state,
     expectation,
     omega0_state,
@@ -238,7 +237,6 @@ def test_energy_identity_pairing_matches_quadrature():
 
 def test_free_energies_agree_between_pictures_at_all_times():
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
     C0 = omega0_correlation(cat, MODE1, MODE2)
     prop = propagate(h0_matrix(cat), (0.0, 1.0), 100, record_every=25)
     e_sea = cat.sea_energy()
@@ -249,17 +247,17 @@ def test_free_energies_agree_between_pictures_at_all_times():
         assert heis == pytest.approx(schro, abs=1e-11)
         # free evolution: energy pinned at sea + (E1 + E2)/2
         assert heis == pytest.approx(e_sea + 1.2071067811865475, abs=1e-10)
-    # the Fock state read through the bridge agrees with the 2^M expectations
-    omega = omega0_state(ladders, MODE1, MODE2)
-    C_fock = correlation_from_state(omega, ladders)
+    # the Fock state read through the bridge agrees with the Fock-space expectations
+    omega = omega0_state(cat, MODE1, MODE2)
+    C_fock = correlation_from_state(omega)
     h0 = h0_matrix(cat)
     u = prop.final
     h0_u = OneBodyOperator(u.conj().T @ h0.matrix @ u)
     assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
-        expectation(omega, quantize(h0, ladders)).real, abs=1e-11
+        expectation(omega, quantize(h0, omega.basis)).real, abs=1e-11
     )
     assert free_energy_heisenberg(C_fock, u, cat) == pytest.approx(
-        expectation(omega, quantize(h0_u, ladders)).real, abs=1e-11
+        expectation(omega, quantize(h0_u, omega.basis)).real, abs=1e-11
     )
     assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
         free_energy_schrodinger(C0, cat), abs=1e-11
@@ -286,29 +284,27 @@ def test_total_charge_conserved_under_drive():
 def test_fock_and_gaussian_routes_agree_on_observables():
     full = build_catalog(MomentumGrid(d=1, length=2 * np.pi, n_max=1), 1.0)
     cat = restrict_catalog(full, [0, 1])
-    ladders = build_ladders(cat)
-    omega = omega0_state(ladders, MODE1, MODE2)
+    omega = omega0_state(cat, MODE1, MODE2)
     C = omega0_correlation(cat, MODE1, MODE2)
-    C_fock = correlation_from_state(omega, ladders)
+    C_fock = correlation_from_state(omega)
     sg = SpatialGrid.for_catalog(cat)
     pts = sg.points()
     rho_fock = charge_density(C_fock, cat, pts)
     cur_fock = current_density(C_fock, cat, pts)
     assert np.abs(rho_fock - charge_density(C, cat, pts)).max() <= 1e-12
     assert np.abs(cur_fock - current_density(C, cat, pts)).max() <= 1e-12
-    # oracle: the quantized point operators contracted in the 2^M space
+    # oracle: the quantized point operators contracted on the state's sector
     for x, pt in enumerate(pts):
-        rho_q = expectation(omega, quantize(density_matrix(cat, pt), ladders))
+        rho_q = expectation(omega, quantize(density_matrix(cat, pt), omega.basis))
         assert abs(rho_fock[x] - rho_q) <= 1e-12
         for a, op in enumerate(current_matrix(cat, pt)):
-            assert abs(cur_fock[x, a] - expectation(omega, quantize(op, ladders))) <= 1e-12
+            assert abs(cur_fock[x, a] - expectation(omega, quantize(op, omega.basis))) <= 1e-12
 
 
 def test_fock_state_without_ladders_rejected():
     """Observables read only a CorrelationMatrix; a Fock state crosses by the bridge."""
     cat = catalog1d(n_max=1)
-    ladders = build_ladders(cat)
-    vac = vacuum_state(ladders)
+    vac = vacuum_state(cat)
     x = (0.0, 0.0, 0.0)
     u = np.eye(cat.size)
     entry_points = [
@@ -320,10 +316,10 @@ def test_fock_state_without_ladders_rejected():
         lambda c: field_series(cat, [0.0], [c]),
     ]
     for read in entry_points:
-        for wrong in (vac, correlation_from_state(vac, ladders).matrix):
+        for wrong in (vac, correlation_from_state(vac).matrix):
             with pytest.raises(TypeError, match="expected CorrelationMatrix"):
                 read(wrong)
-    rho = charge_density(correlation_from_state(vac, ladders), cat, x)
+    rho = charge_density(correlation_from_state(vac), cat, x)
     assert rho == pytest.approx(charge_density(vacuum_correlation(cat), cat, x), abs=1e-14)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from diracbox.fock import (
     ManyBodyOperator,
-    build_ladders,
     evolve_schrodinger,
     quantize,
     vacuum_state,
@@ -529,17 +528,17 @@ def test_driven_family_validates_blocks_once():
         DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
     # the quantized family of the Fock backend: same checks, same place
     small = restrict_catalog(cat, [0])
-    ladders = build_ladders(small)
-    h0q = quantize(h0_matrix(small), ladders)
+    vac = vacuum_state(small)
+    h0q = quantize(h0_matrix(small), vac.basis)
     skew_q = 1j * h0q.matrix
     with pytest.raises(ValueError, match="hermiticity"):
         ManyBodyOperator(skew_q)
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
-        evolve_schrodinger(vacuum_state(ladders), lambda t: skew_q, (0.0, 1.0), n_steps=20)
+        evolve_schrodinger(vac, lambda t: skew_q, (0.0, 1.0), n_steps=20)
     pair = restrict_catalog(cat, [0, 1])
-    wide_q = quantize(h0_matrix(pair), build_ladders(pair))
+    wide_q = quantize(h0_matrix(pair), vacuum_state(pair).basis)
     with pytest.raises(ValueError, match="shape"):
         DrivenHamiltonian(h0q, [(wide_q, Constant(1.0))])
     with pytest.raises(ValueError, match="hermitian"):
@@ -547,7 +546,7 @@ def test_driven_family_validates_blocks_once():
     with pytest.raises(ValueError, match="OneBodyOperator"):
         propagate(DrivenHamiltonian(h0q, []), (0.0, 1.0), n_steps=20)  # the other picture
     with pytest.raises(ValueError, match="ManyBodyOperator"):
-        evolve_schrodinger(vacuum_state(ladders), DrivenHamiltonian(h0_matrix(small), []), (0.0, 1.0), n_steps=20)
+        evolve_schrodinger(vac, DrivenHamiltonian(h0_matrix(small), []), (0.0, 1.0), n_steps=20)
 
 
 @pytest.mark.parametrize("route", ["driven-family", "lambda"])
@@ -576,11 +575,11 @@ def test_steppers_share_one_time_grid(stepper):
         def run(t_span, n_steps, record_every):
             return propagate(h0_matrix(cat), t_span, n_steps, record_every).times
     else:
-        ladders = build_ladders(cat)
-        h0q = quantize(h0_matrix(cat), ladders)
+        vac = vacuum_state(cat)
+        h0q = quantize(h0_matrix(cat), vac.basis)
 
         def run(t_span, n_steps, record_every):
-            return evolve_schrodinger(vacuum_state(ladders), h0q, t_span, n_steps, record_every)[0]
+            return evolve_schrodinger(vac, h0q, t_span, n_steps, record_every)[0]
 
     for t_span, n_steps, record_every, what in (
         ((0.0, 1.0), 0, 1, "n_steps"),
