@@ -1,7 +1,7 @@
 """Scenario drivers: baseline, gauge drives, energy scans, picture equivalence.
 
 Each driver takes a ScenarioConfig, runs one experiment family, and returns a
-Report holding metrics, tolerance-tagged pass flags, and CSV-able tables.
+Report of that config: metrics, tolerance-tagged pass flags, one CSV-able series.
 Scenario defaults follow the common design: d = 1 box of length 2*pi, m = e =
 1, the two-electron state built from (p = 0, s = +1/2) and (p = 2*pi/L,
 s = +1/2), a cosine switch-on envelope with g(t_final) = 1, and gauge drives
@@ -11,7 +11,7 @@ whose spatial profile is frozen at the measurement time.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -198,14 +198,13 @@ def check_monotone(name: str, values, decreasing: bool, strict: bool = True) -> 
 
 @dataclass
 class Report:
-    """Outcome of one scenario run."""
+    """Outcome of one scenario run of `config`; `series` is its (header, rows) table."""
 
     scenario: str
-    params: dict
-    seed: int
+    config: ScenarioConfig
     metrics: dict[str, float]
     checks: list[Check]
-    tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
+    series: tuple[list[str], list[list]]
 
     @property
     def passed(self) -> bool:
@@ -214,17 +213,17 @@ class Report:
     def to_json(self) -> str:
         payload = {
             "scenario": self.scenario,
-            "params": self.params,
-            "seed": self.seed,
+            "params": config_dict(self.config),
+            "seed": self.config.seed,
             "metrics": self.metrics,
             "checks": [asdict(c) for c in self.checks],
             "pass": self.passed,
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
-    def series_csv(self, table: str = "series") -> str:
+    def series_csv(self) -> str:
         """Deterministic CSV: fixed column order, 17 significant digits, LF."""
-        header, rows = self.tables[table]
+        header, rows = self.series
         lines = [",".join(header)]
         for row in rows:
             cells = []
@@ -306,6 +305,20 @@ def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
     return gauge_transform(PotentialSpec.zero(), chi, grid)
 
 
+def _free_series(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int):
+    """The field series of omega0 under h0 on `catalog`, evolved in `backend`."""
+    h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
+    if backend == "gaussian":
+        prop = propagate(h0, t_span, n_steps)
+        c0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
+        times, cs = prop.times, evolve_correlation(c0, prop)
+    else:
+        omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
+        times, states = evolve_schrodinger(omega, quantize(h0, omega.basis), t_span, n_steps)
+        cs = [correlation_from_state(s) for s in states]
+    return field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
+
+
 # ---------------------------------------------------------------------------
 # scenario: free baseline
 
@@ -321,21 +334,10 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     for be in backends:
         catalog = cfg.catalog(cfg.resolved_n_max(be))
         m1, m2 = _modes_of(catalog, cfg)
-        h0 = h0_matrix(catalog)
-        if be == "gaussian":
-            prop = propagate(h0, (0.0, cfg.t_final), n_steps)
-            C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-            cs = [evolve_correlation(C0, u) for u in prop.matrices]
-            times = prop.times
-        else:
-            omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
-            h0q = quantize(h0, omega.basis)
-            times, states = evolve_schrodinger(omega, h0q, (0.0, cfg.t_final), n_steps)
-            cs = [correlation_from_state(s) for s in states]
-        series = field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
+        series = _free_series(be, catalog, cfg, n_steps)
         results[be] = (catalog, series)
 
-        pts = series.points
+        times, pts = series.times, series.points
         dt = times[1] - times[0]
         drho_sim = (series.rho[2:] - series.rho[:-2]) / (2.0 * dt)
         drho_want = np.array([drho_dt_oracle(pts, t, m1, m2, cfg.e) for t in times[1:-1]])
@@ -377,13 +379,9 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
                 )
 
     if len(backends) == 2:
-        # shared observable comparison needs a shared catalog; rerun gaussian
-        # contraction on the fock catalog trajectory
+        # the comparison needs a shared catalog: rerun the gaussian backend on the fock one
         catalog, fock_series = results["fock"]
-        prop = propagate(h0_matrix(catalog), (0.0, cfg.t_final), n_steps)
-        C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-        cs = [evolve_correlation(C0, u) for u in prop.matrices]
-        gauss_series = field_series(catalog, prop.times, cs, cfg.points_per_axis, e=cfg.e)
+        gauss_series = _free_series("gaussian", catalog, cfg, n_steps)
         dev = max(
             float(np.abs(gauss_series.rho - fock_series.rho).max()),
             float(np.abs(gauss_series.current - fock_series.current).max()),
@@ -392,14 +390,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
         metrics["backend_disagreement"] = dev
         checks.append(check_leq("backend_agreement", dev, 1e-8))
 
-    return Report(
-        scenario="baseline",
-        params=config_dict(cfg),
-        seed=cfg.seed,
-        metrics=metrics,
-        checks=checks,
-        tables={"series": (header, rows)},
-    )
+    return Report("baseline", cfg, metrics, checks, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +439,10 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
             record_every=record,
         )
         W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
-        cs_free = [evolve_correlation(W0, u) for u in u_free.matrices]
-        cs_gauge = [evolve_correlation(W0, u) for u in u_gauge.matrices]
-        s_free = field_series(catalog, u_free.times, cs_free, cfg.points_per_axis, e=cfg.e)
-        s_gauge = field_series(catalog, u_gauge.times, cs_gauge, cfg.points_per_axis, e=cfg.e)
+        s_free, s_gauge = (
+            field_series(catalog, u.times, evolve_correlation(W0, u), cfg.points_per_axis, e=cfg.e)
+            for u in (u_free, u_gauge)
+        )
 
         sel = catalog.tables.caps <= window
         rho_dev_t = np.abs(s_free.rho - s_gauge.rho).max(axis=1)
@@ -502,14 +493,7 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
             decreasing=True,
         )
     )
-    return Report(
-        scenario="gauge-heisenberg",
-        params=config_dict(cfg),
-        seed=cfg.seed,
-        metrics=metrics,
-        checks=checks,
-        tables={"series": (header, rows)},
-    )
+    return Report("gauge-heisenberg", cfg, metrics, checks, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +582,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     checks.append(
         check_monotone("f_star_nondecreasing", f_stars, decreasing=False, strict=False)
     )
-    return Report(
-        scenario="gauge-schrodinger",
-        params=config_dict(cfg),
-        seed=cfg.seed,
-        metrics=metrics,
-        checks=checks,
-        tables={"series": (header, rows)},
-    )
+    return Report("gauge-schrodinger", cfg, metrics, checks, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +614,9 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     sea = catalog.sea_energy()
 
     # identity RHS cross-check: pair chi with the free-run div J at t_final
-    u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), max(n_steps // 4, 1))
-    C_free = evolve_correlation(C0, u_free.final)
+    free_steps = max(n_steps // 4, 1)
+    u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), free_steps, record_every=free_steps)
+    C_free = evolve_correlation(C0, u_free)[-1]
     _, divj_k = field_fourier(C_free, catalog, e=cfg.e)
 
     header = ["f", "measured_minus_vac", "predicted_minus_vac", "rel_dev"]
@@ -647,9 +625,9 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     checks: list[Check] = []
     pairing_err = 0.0
     for f in cfg.f_list:
-        if f == 0.0:
-            u_final = u_free.final
-        else:
+        u_final = u_free.final
+        predicted = dxi - f * d7_sq
+        if f != 0.0:
             chi = GaugeFunction({k: -f * c for k, c in profile.items()}, env)
             pure = _pure_gauge(chi, catalog.grid)
             u_final = propagate(
@@ -658,12 +636,10 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
                 n_steps,
                 record_every=n_steps,
             ).final
+            if f > 0:
+                rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
+                pairing_err = max(pairing_err, abs(rhs - predicted))
         measured = free_energy_heisenberg(W0, u_final, catalog)
-        predicted = dxi - f * d7_sq
-        if f > 0:
-            chi = GaugeFunction({k: -f * c for k, c in profile.items()}, env)
-            rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
-            pairing_err = max(pairing_err, abs(rhs - predicted))
         rel = abs(measured - predicted) / abs(predicted)
         rows.append([float(f), measured, predicted, float(rel)])
         metrics[f"f{f}_measured"] = measured
@@ -681,14 +657,7 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     checks.append(check_leq("slope_rel_err", abs(slope - (-d7_sq)) / d7_sq, 0.02))
     checks.append(check_leq("intercept_rel_err", abs(intercept - dxi) / dxi, 0.01))
     checks.append(check_leq("identity_pairing", pairing_err, 1e-10))
-    return Report(
-        scenario="energy-heisenberg",
-        params=config_dict(cfg),
-        seed=cfg.seed,
-        metrics=metrics,
-        checks=checks,
-        tables={"series": (header, rows)},
-    )
+    return Report("energy-heisenberg", cfg, metrics, checks, (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +773,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
         check_leq("matched_step_deviation", max(matched), 1e-10),
         check_leq("zero_drive_control", zero_control, 1e-10),
     ]
-    return Report(
-        scenario="equivalence",
-        params=config_dict(cfg),
-        seed=cfg.seed,
-        metrics=metrics,
-        checks=checks,
-        tables={"series": (header, rows)},
-    )
+    return Report("equivalence", cfg, metrics, checks, (header, rows))
 
 
 SCENARIOS = {

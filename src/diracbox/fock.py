@@ -249,16 +249,17 @@ class FockState:
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Hermitian square sparse operator on a Fock basis, checked when built (stored as CSR)."""
+    """Hermitian sparse operator on the Fock basis it acts on, checked when built (stored as CSR)."""
 
     matrix: sp.csr_matrix
+    basis: FockBasis
 
     def __post_init__(self):
-        m = self.matrix
-        if not sp.issparse(m) or m.shape[0] != m.shape[1]:
+        m, dim = self.matrix, self.basis.dim
+        if not sp.issparse(m) or m.shape != (dim, dim):
             raise ValueError(
-                f"ManyBodyOperator needs a square scipy sparse matrix, got "
-                f"{type(m).__name__} of shape {np.shape(m)}"
+                f"ManyBodyOperator on {self.basis} needs a ({dim}, {dim}) scipy sparse matrix, "
+                f"got {type(m).__name__} of shape {np.shape(m)}"
             )
         m = m.tocsr()
         dev = m - m.conj().T
@@ -267,11 +268,13 @@ class ManyBodyOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def _on_basis(matrix, state: FockState):
-    """`matrix`, once its dimension is that of the state's basis."""
-    if matrix.shape[0] != state.basis.dim:
+def _on_basis(op, state: FockState):
+    """The matrix of the ManyBodyOperator `op`, once `op` acts on the state's basis."""
+    matrix = _check_hermitian(op, ManyBodyOperator)
+    if op.basis != state.basis:
         raise ValueError(
-            f"operator dimension {matrix.shape[0]} != state dimension {state.basis.dim}"
+            f"operator on {op.basis} (dimension {op.basis.dim}) != "
+            f"state on {state.basis} (dimension {state.basis.dim})"
         )
     return matrix
 
@@ -299,13 +302,13 @@ def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
     values = np.concatenate([h.matrix.ravel(), table.occupation @ np.diag(h.matrix)])
     data = table.sign * values[table.gather]
     return ManyBodyOperator(
-        sp.csr_matrix((data, table.indices, table.indptr), shape=(basis.dim, basis.dim))
+        sp.csr_matrix((data, table.indices, table.indptr), shape=(basis.dim, basis.dim)), basis
     )
 
 
 def expectation(state: FockState, op: ManyBodyOperator) -> complex:
     psi = state.amplitudes
-    return complex(np.vdot(psi, _on_basis(op.matrix, state) @ psi))
+    return complex(np.vdot(psi, _on_basis(op, state) @ psi))
 
 
 def commutator_identity_check(h: OneBodyOperator, ladders: LadderSet) -> float:
@@ -396,13 +399,11 @@ def evolve_schrodinger(
     if isinstance(hamiltonian, ManyBodyOperator):
         hamiltonian = DrivenHamiltonian(hamiltonian, ())
     if isinstance(hamiltonian, DrivenHamiltonian):
-        if not isinstance(hamiltonian.h0, ManyBodyOperator):
-            raise ValueError("hamiltonian must yield hermitian ManyBodyOperator")
-        _on_basis(hamiltonian.h0.matrix, state)
+        _on_basis(hamiltonian.h0, state)
         h_at = hamiltonian.at
     else:
         def h_at(t):
-            return _on_basis(_check_hermitian(hamiltonian(t), ManyBodyOperator), state)
+            return _on_basis(hamiltonian(t), state)
     psi = state.amplitudes.copy()
     states = [state]
     for step, t in enumerate(t_mid, 1):

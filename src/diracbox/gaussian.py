@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import BasisCatalog, ModeLabel
-from .onebody import OneBodyOperator
+from .onebody import OneBodyOperator, OneBodyPropagator
 
 EIGENVALUE_TOL = 1e-10
 
@@ -88,15 +88,16 @@ def excitation_correlation(
     return CorrelationMatrix(full - vacuum_correlation(catalog).matrix)
 
 
-def evolve_correlation(c: CorrelationMatrix, u: np.ndarray) -> CorrelationMatrix:
-    """Conjugate by a one-body propagator matrix: C -> conj(u) C u^T."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != c.matrix.shape:
-        raise ValueError(f"propagator shape {u.shape} != correlation {c.matrix.shape}")
-    unit = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if unit > 1e-10:
-        raise ValueError(f"propagator not unitary: {unit:.3e}")
-    return CorrelationMatrix(u.conj() @ c.matrix @ u.T)
+def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[CorrelationMatrix]:
+    """C(t) = conj(u) C u^T at every recorded time of `prop`.
+
+    Each u was checked unitary within 1e-10 when `prop` was built.
+    """
+    if not isinstance(prop, OneBodyPropagator):
+        raise TypeError(f"evolve_correlation needs a OneBodyPropagator, got {type(prop).__name__}")
+    if prop.matrices.shape[1:] != c.matrix.shape:
+        raise ValueError(f"propagator shape {prop.matrices.shape[1:]} != correlation {c.matrix.shape}")
+    return [CorrelationMatrix(u.conj() @ c.matrix @ u.T) for u in prop.matrices]
 
 
 def bilinear_expectation(c: CorrelationMatrix, h: OneBodyOperator) -> complex:

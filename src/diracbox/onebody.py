@@ -25,7 +25,7 @@ are diagonalized in batches ahead of the chain of products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -309,8 +309,7 @@ def grad_chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneB
 
 def gauge_phase(x_op: OneBodyOperator, e: float = 1.0) -> np.ndarray:
     """Unitary exp(-i e X) through the hermitian eigendecomposition of X."""
-    w, v = np.linalg.eigh(x_op.matrix)
-    return (v * np.exp(-1j * e * w)) @ v.conj().T
+    return unitary_step(x_op.matrix, e)
 
 
 def gauge_transform(
@@ -436,7 +435,8 @@ class DrivenHamiltonian:
         return sp.csr_matrix((h, h0.indices, h0.indptr), shape=h0.shape) if sparse else h
 
     def __call__(self, t: float):
-        return type(self.h0)(self.at(t))
+        """h(t) as an operator of h0's kind (a quantized one keeps h0's basis)."""
+        return replace(self.h0, matrix=self.at(t))
 
     def stack(self, times) -> np.ndarray:
         """One-body h(t) at every t in `times`, one (n, M, M) array."""

@@ -44,17 +44,20 @@ def test_check_helpers():
 
 
 def test_report_json_and_csv_shape():
+    cfg = ScenarioConfig(seed=9)
     rep = Report(
         scenario="demo",
-        params={"x": 1},
-        seed=7,
+        config=cfg,
         metrics={"m": 0.5, "opt": None},
         checks=[Check("c", 0.0, 1.0, "<=", True)],
-        tables={"series": (["a", "b"], [[1.0, 2.0], [0.1, 1e-17]])},
+        series=(["a", "b"], [[1.0, 2.0], [0.1, 1e-17]]),
     )
     assert rep.passed
     data = json.loads(rep.to_json())
     assert data["scenario"] == "demo"
+    # params and seed are derived from the config
+    assert data["params"] == config_dict(cfg)
+    assert data["seed"] == 9
     assert data["metrics"]["opt"] is None
     assert data["pass"] is True
     csv_text = rep.series_csv()
@@ -66,7 +69,7 @@ def test_report_json_and_csv_shape():
 
 
 def test_failed_check_fails_report():
-    rep = Report("demo", {}, 0, {}, [Check("c", 2.0, 1.0, "<=", False)], {})
+    rep = Report("demo", ScenarioConfig(), {}, [Check("c", 2.0, 1.0, "<=", False)], ([], []))
     assert not rep.passed
     assert json.loads(rep.to_json())["pass"] is False
 

@@ -222,7 +222,7 @@ def test_vacuum_stationary_under_driven_evolution_norm_preserved():
     vq = quantize(v, omega.basis)
 
     def ham(t):
-        return type(vq)(h0q.matrix + np.cos(t) * vq.matrix)
+        return ManyBodyOperator(h0q.matrix + np.cos(t) * vq.matrix, omega.basis)
 
     times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=1000, record_every=100)
     # FockState construction enforces the norm bound; assert the final drift anyway
@@ -259,7 +259,7 @@ def test_evolution_rejects_non_hermitian_generator():
     vac = vacuum_state(cat)
     skew = 1j * quantize(h0_matrix(cat), vac.basis).matrix
     with pytest.raises(ValueError, match="hermiticity"):
-        ManyBodyOperator(skew)  # no operator skips the check
+        ManyBodyOperator(skew, vac.basis)  # no operator skips the check
     # a per-step callable must yield a (checked) ManyBodyOperator on every step
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         evolve_schrodinger(vac, lambda t: skew, (0.0, 1.0), n_steps=2)
@@ -283,7 +283,7 @@ def per_step_closure(catalog, basis, pot, e=1.0):
             g = env.value(t)
             if g != 0.0:
                 m = m + g * bq
-        return ManyBodyOperator(m)
+        return ManyBodyOperator(m, basis)
 
     return ham
 
@@ -358,7 +358,7 @@ def test_driven_family_blocks_share_the_pattern_of_h0():
     pruned = block.matrix.copy()
     pruned.eliminate_zeros()
     with pytest.raises(ValueError, match="sparsity pattern"):
-        DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned), env)])
+        DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned, basis), env)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +448,44 @@ def test_index_of_occupations_checks_modes_and_reads_the_sector():
 
 
 def test_many_body_operator_needs_a_square_sparse_matrix():
+    basis = FockBasis(3, 1)  # 3 states
     with pytest.raises(ValueError, match=r"ndarray of shape \(3, 3\)"):
-        ManyBodyOperator(np.eye(3))
+        ManyBodyOperator(np.eye(3), basis)
     with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
-        ManyBodyOperator(sp.csr_matrix((2, 3)))
-    op = ManyBodyOperator(sp.identity(3, format="coo"))
+        ManyBodyOperator(sp.csr_matrix((2, 3)), basis)
+    with pytest.raises(ValueError, match=r"needs a \(3, 3\) scipy sparse matrix, got csr_matrix of shape \(4, 4\)"):
+        ManyBodyOperator(sp.identity(4, format="csr"), basis)
+    op = ManyBodyOperator(sp.identity(3, format="coo"), basis)
     assert op.matrix.format == "csr"
+    assert quantize(OneBodyOperator(np.eye(3)), basis).basis == basis
 
 
 def test_operator_on_another_basis_names_both_dimensions():
     cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
     omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
     wide = quantize(h0_matrix(cat), FockBasis(cat.size))
-    msg = "operator dimension 256 != state dimension 56"
+    msg = r"particles=None\) \(dimension 256\) != state on .*particles=5\) \(dimension 56\)"
     with pytest.raises(ValueError, match=msg):
         expectation(omega, wide)
     with pytest.raises(ValueError, match=msg):
         evolve_schrodinger(omega, wide, (0.0, 1.0), n_steps=2)
     with pytest.raises(ValueError, match=msg):
         evolve_schrodinger(omega, lambda t: wide, (0.0, 1.0), n_steps=2)
+
+
+def test_operator_on_a_sector_of_the_same_dimension_is_rejected():
+    """C(8, 3) = C(8, 5) = 56: only the particle number tells the two sectors apart."""
+    cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
+    omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
+    other = quantize(h0_matrix(cat), FockBasis(8, 3))
+    assert omega.basis == FockBasis(8, 5) and other.basis.dim == omega.basis.dim == 56
+    msg = r"particles=3\) \(dimension 56\) != state on .*particles=5\) \(dimension 56\)"
+    with pytest.raises(ValueError, match=msg):
+        expectation(omega, other)
+    with pytest.raises(ValueError, match=msg):
+        evolve_schrodinger(omega, other, (0.0, 1.0), n_steps=2)
+    with pytest.raises(ValueError, match=msg):
+        evolve_schrodinger(omega, lambda t: other, (0.0, 1.0), n_steps=2)
+    # on its own sector h0 reads the sea plus (E_0 + E_1) / 2 = -3.62, where the other read -2.62
+    own = expectation(omega, quantize(h0_matrix(cat), omega.basis)).real
+    assert own == pytest.approx(cat.sea_energy() + (1.0 + np.sqrt(2.0)) / 2, abs=1e-12)

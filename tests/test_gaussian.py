@@ -27,6 +27,7 @@ from diracbox.onebody import (
     CosineRamp,
     DrivenHamiltonian,
     OneBodyOperator,
+    OneBodyPropagator,
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
@@ -109,10 +110,9 @@ def test_evolution_convention_frozen_against_fock():
     times, states = evolve_schrodinger(omega, many_body, (0.0, 1.0), n_steps, record_every=20)
     prop = propagate(one_body, (0.0, 1.0), n_steps, record_every=20)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    for t, state, u in zip(times, states, prop.matrices):
+    for t, state, C_gauss in zip(times, states, evolve_correlation(C0, prop)):
         C_fock = correlation_from_state(state).matrix
-        C_gauss = evolve_correlation(C0, u).matrix
-        assert np.abs(C_fock - C_gauss).max() <= 1e-11, f"mismatch at t={t}"
+        assert np.abs(C_fock - C_gauss.matrix).max() <= 1e-11, f"mismatch at t={t}"
     assert all(env.value(0.0) == 0.0 for _, env in blocks)  # drive really starts at zero
 
 
@@ -120,22 +120,42 @@ def test_evolution_preserves_occupation_spectrum():
     cat = catalog_m8()
     one_body = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, drive_potential()))
 
-    u = propagate(one_body, (0.0, 1.0), 80).final
+    prop = propagate(one_body, (0.0, 1.0), 80, record_every=80)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    C1 = evolve_correlation(C0, u)
+    C1 = evolve_correlation(C0, prop)[-1]
     w0 = np.linalg.eigvalsh(C0.matrix)
     w1 = np.linalg.eigvalsh(C1.matrix)
     assert np.abs(np.sort(w0) - np.sort(w1)).max() <= 1e-11
     assert C1.particle_number() == pytest.approx(C0.particle_number(), abs=1e-11)
 
 
-def test_evolve_correlation_rejects_non_unitary():
+def test_evolve_correlation_conjugates_every_recorded_frame():
+    """One CorrelationMatrix per recorded u, byte-equal to conj(u) C u^T frame by frame."""
+    cat = catalog_m8()
+    one_body = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, drive_potential()))
+    prop = propagate(one_body, (0.0, 1.0), 60, record_every=7)
+    C0 = omega0_correlation(cat, MODE1, MODE2)
+    got = evolve_correlation(C0, prop)
+    assert len(got) == len(prop.times) == 10
+    for C, u in zip(got, prop.matrices):
+        assert isinstance(C, CorrelationMatrix)
+        assert np.array_equal(C.matrix, CorrelationMatrix(u.conj() @ C0.matrix @ u.T).matrix)
+
+
+def test_evolve_correlation_rejects_another_size_and_raw_matrices():
     cat = catalog_m8()
     C = vacuum_correlation(cat)
-    with pytest.raises(ValueError):
-        evolve_correlation(C, 0.5 * np.eye(cat.size))
-    with pytest.raises(ValueError):
-        evolve_correlation(C, np.eye(4))
+    with pytest.raises(ValueError, match="propagator shape"):
+        evolve_correlation(C, OneBodyPropagator([0.0], [np.eye(4)]))
+    # unitarity is checked where the propagator is built, so only a propagator is accepted
+    with pytest.raises(TypeError, match="OneBodyPropagator"):
+        evolve_correlation(C, np.eye(cat.size))
+
+
+def test_propagator_rejects_non_unitary():
+    cat = catalog_m8()
+    with pytest.raises(ValueError, match="unitarity"):
+        OneBodyPropagator([0.0, 1.0], [np.eye(cat.size), 0.5 * np.eye(cat.size)])
 
 
 def test_bilinear_expectation_sea_energy_and_number():

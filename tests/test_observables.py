@@ -53,6 +53,7 @@ from diracbox.onebody import (
     DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
+    OneBodyPropagator,
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
@@ -71,8 +72,7 @@ def free_series(n_max=2, n_steps=1000, record_every=1, points_per_axis=None):
     cat = catalog1d(n_max=n_max)
     prop = propagate(h0_matrix(cat), (0.0, 1.0), n_steps, record_every=record_every)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    cs = [evolve_correlation(C0, u) for u in prop.matrices]
-    series = field_series(cat, prop.times, cs, points_per_axis=points_per_axis)
+    series = field_series(cat, prop.times, evolve_correlation(C0, prop), points_per_axis=points_per_axis)
     return cat, series
 
 
@@ -214,8 +214,8 @@ def test_energy_identity_pairing_matches_quadrature():
     )
     ham = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pot))
 
-    u = propagate(ham, (0.0, 0.8), 160).final
-    C = evolve_correlation(omega0_correlation(cat, MODE1, MODE2), u)
+    prop = propagate(ham, (0.0, 0.8), 160, record_every=160)
+    C = evolve_correlation(omega0_correlation(cat, MODE1, MODE2), prop)[-1]
     _, divj_k = field_fourier(C, cat)
     env = CosineRamp(t_final=1.0)
     chi = GaugeFunction({1: 0.3 - 0.2j, -1: 0.3 + 0.2j}, env)
@@ -240,9 +240,8 @@ def test_free_energies_agree_between_pictures_at_all_times():
     C0 = omega0_correlation(cat, MODE1, MODE2)
     prop = propagate(h0_matrix(cat), (0.0, 1.0), 100, record_every=25)
     e_sea = cat.sea_energy()
-    for u in prop.matrices:
+    for u, C_t in zip(prop.matrices, evolve_correlation(C0, prop)):
         heis = free_energy_heisenberg(C0, u, cat)
-        C_t = evolve_correlation(C0, u)
         schro = free_energy_schrodinger(C_t, cat)
         assert heis == pytest.approx(schro, abs=1e-11)
         # free evolution: energy pinned at sea + (E1 + E2)/2
@@ -275,8 +274,7 @@ def test_total_charge_conserved_under_drive():
 
     prop = propagate(ham, (0.0, 1.0), 1000, record_every=100)
     C0 = omega0_correlation(cat, MODE1, MODE2)
-    cs = [evolve_correlation(C0, u) for u in prop.matrices]
-    series = field_series(cat, prop.times, cs)
+    series = field_series(cat, prop.times, evolve_correlation(C0, prop))
     q = total_charge(series)
     assert q.max() - q.min() <= 1e-9
 
@@ -366,7 +364,7 @@ def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
     sparse = omega0_correlation(cat, MODE1, MODE2)  # mostly exact zeros
     rng = np.random.default_rng(d * 10 + n_max)
     h = rng.normal(size=(cat.size, cat.size)) + 1j * rng.normal(size=(cat.size, cat.size))
-    dense = evolve_correlation(sparse, unitary_step(h + h.conj().T, 0.3))
+    [dense] = evolve_correlation(sparse, OneBodyPropagator([0.3], [unitary_step(h + h.conj().T, 0.3)]))
     for C in (sparse, dense):
         got = field_fourier(C, cat, e=1.5)
         assert got == oracle_field_fourier(C.matrix, cat, e=1.5)
@@ -409,7 +407,8 @@ def test_field_series_frames_equal_pointwise_densities(d, n_max):
     cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
     times = [0.0, 0.1, 0.2, 0.3]
     c0 = random_correlation(cat.size, np.random.default_rng(50 + d))
-    cs = [evolve_correlation(c0, unitary_step(h0_matrix(cat).matrix, t)) for t in times]
+    prop = OneBodyPropagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
+    cs = evolve_correlation(c0, prop)
     series = field_series(cat, times, cs, e=1.5)
     for k, c in enumerate(cs):
         assert np.array_equal(series.rho[k], charge_density(c, cat, series.points, e=1.5))

@@ -235,6 +235,24 @@ def test_gauge_phase_unitary_and_constant_chi_global_phase():
     assert np.abs(uc - phase * np.eye(cat.size)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_gauge_phase_equals_its_own_eigh_exponential_bytewise(n_max):
+    """gauge_phase shares unitary_step's kernel; the bytes of exp(-i e X) by eigh stay the same."""
+    cat = catalog1d(n_max=n_max)
+    env = CosineRamp(t_final=1.0)
+    chis = [
+        GaugeFunction({1: 1.5e-3, -1: 1.5e-3}, env),  # the gauge-heisenberg default
+        GaugeFunction({1: 0.3 + 0.2j, -1: 0.3 - 0.2j, 0: 0.1}, env),
+    ]
+    for chi in chis:
+        for t in np.linspace(0.0, 1.0, 21):
+            x = chi_matrix(cat, chi, t)
+            w, v = np.linalg.eigh(x.matrix)
+            for e in (1.0, 0.7, -2.0):
+                want = (v * np.exp(-1j * e * w)) @ v.conj().T
+                assert np.array_equal(gauge_phase(x, e), want)
+
+
 def test_gauge_transform_preserves_field_coefficients():
     grid = MomentumGrid(d=1, length=2 * np.pi, n_max=2)
     w = 0.2 + 0.1j
@@ -532,7 +550,7 @@ def test_driven_family_validates_blocks_once():
     h0q = quantize(h0_matrix(small), vac.basis)
     skew_q = 1j * h0q.matrix
     with pytest.raises(ValueError, match="hermiticity"):
-        ManyBodyOperator(skew_q)
+        ManyBodyOperator(skew_q, vac.basis)
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
