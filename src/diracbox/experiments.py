@@ -106,6 +106,14 @@ class ScenarioConfig:
             raise ValueError(f"`backend` must be one of {', '.join(BACKENDS)}, got {self.backend!r}")
         if self.d not in (1, 3):
             raise ValueError(f"`d` must be 1 or 3, got {self.d}")
+        finite = {
+            key: [getattr(self, key)]
+            for key in ("length", "m", "e", "t_final", "omega", "chi_amplitude", "drive_amplitude")
+        }
+        finite |= {"f_list": list(self.f_list), "chi": [c for _, c in self.chi_modes or ()]}
+        for key, values in finite.items():
+            if not all(v is None or np.isfinite(v) for v in values):
+                raise ValueError(f"`{key}` must be finite, got {', '.join(map(str, values))}")
         for key in ("length", "m", "t_final"):
             value = getattr(self, key)
             if not value > 0:

@@ -21,8 +21,9 @@ anticommutator and spectrum checks, and as the tests' oracle.
 
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept).  Time evolution uses the same
-midpoint-exponential rule as the one-body layer, applied with sparse
-matrix-exponential action.
+midpoint-exponential rule as the one-body layer; each step applies
+exp(-i H dt) to the state with `expm_multiply`, a truncated Taylor series on
+the stored entries of H (Al-Mohy & Higham 2011).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
@@ -380,6 +380,90 @@ def h0_spectrum_check(ladders: LadderSet) -> dict[str, float]:
     }
 
 
+# theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
+# m <= 30 from table A.3 of Higham & Al-Mohy, Acta Numerica 19, 159 (2010),
+# m >= 35 from table 3.1 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011); the values scipy.sparse.linalg.expm_multiply uses.
+_THETA_M = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9,
+])
+
+
+def _diagonal_slots(A: sp.csr_matrix) -> np.ndarray:
+    """Positions in A.data of the stored diagonal entries, in row order."""
+    n = A.shape[0]
+    return np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
+
+
+def _with_diagonal(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A in canonical CSR form with every diagonal slot stored (an absent one as 0)."""
+    n = A.shape[0]
+    coo = A.tocoo(copy=True)
+    coo.sum_duplicates()
+    missing = np.setdiff1d(np.arange(n), coo.row[coo.row == coo.col])
+    rows = np.concatenate([coo.row, missing])
+    cols = np.concatenate([coo.col, missing])
+    data = np.concatenate([coo.data, np.zeros(len(missing), coo.data.dtype)])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=A.shape)
+
+
+def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """exp(A) v for a square CSR matrix A and one vector v.
+
+    Algorithm 3.2 of Al-Mohy & Higham (2011) at tolerance 2^-53, in the order
+    scipy.sparse.linalg.expm_multiply runs it, on the stored entries of A:
+    shift by mu = tr(A)/n on the diagonal slots, pick the degree m* and the
+    number of rounds s minimizing m*s over the theta_m table with the exact
+    1-norm of A - mu I, then take s rounds of the truncated Taylor series
+    with its early exit.  The 1-norm bound is used at every norm (scipy
+    switches to estimated norms of powers above about 63; the 1-norm bound
+    is the more conservative one).  Raises FloatingPointError if that norm
+    is not finite.
+    """
+    n = A.shape[0]
+    if A.shape != (n, n) or np.shape(v) != (n,):
+        raise ValueError(f"expm_multiply needs a square matrix and a vector, got {A.shape} and {np.shape(v)}")
+    diag = _diagonal_slots(A)
+    if not np.array_equal(A.indices[diag], np.arange(n)):
+        # one slot per diagonal entry: scipy's A - mu I shifts an absent one too
+        A = _with_diagonal(A)
+        diag = _diagonal_slots(A)
+    data = A.data.astype(np.result_type(A.dtype, float))
+    mu = data[diag].sum() / float(n)
+    data[diag] -= mu
+    norm = np.bincount(A.indices, np.abs(data), n).max()
+    if not np.isfinite(norm):
+        raise FloatingPointError(f"expm_multiply: 1-norm of A - mu I is {norm}")
+    if norm == 0:
+        m_star, s = 0, 1
+    else:
+        rounds = np.ceil(norm / _THETA)
+        best = int(np.argmin(_THETA_M * rounds))  # the first minimum, as scipy takes it
+        m_star, s = int(_THETA_M[best]), int(rounds[best])
+    shifted = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    tol = 2.0**-53
+    eta = np.exp(mu / float(s))
+    f = b = v
+    for _ in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m_star):
+            b = (1.0 / (s * (j + 1))) * (shifted @ b)
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= tol * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f
+
+
 def evolve_schrodinger(
     state: FockState,
     hamiltonian: DrivenHamiltonian | Callable[[float], ManyBodyOperator] | ManyBodyOperator,
@@ -389,8 +473,8 @@ def evolve_schrodinger(
 ) -> tuple[np.ndarray, list[FockState]]:
     """Midpoint-exponential evolution of a Fock state in its basis.
 
-    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied with sparse
-    matrix-exponential action.  Returns (recorded times, recorded states);
+    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied by `expm_multiply`
+    on the stored entries of H.  Returns (recorded times, recorded states);
     the FockState constructor enforces the 1e-10 norm-drift bound.  A static
     operator is a `DrivenHamiltonian` with no blocks; a family was validated
     when built, while any other callable's operator is checked every step.

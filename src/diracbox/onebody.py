@@ -402,37 +402,53 @@ class DrivenHamiltonian:
     `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
     blocks with real weights is hermitian, so `at` and `stack` build h(t)
     without a per-step check.  Quantized blocks share the sparsity pattern of
-    h0 (`quantize` on one basis gives one pattern), so h(t) is one axpy on
-    the stored values.
+    h0 (`quantize` on one basis gives one pattern); the family keeps only the
+    slots that are nonzero in h0 or in some block, plus every diagonal slot,
+    so h(t) is one axpy on those values and a CSR matrix on that pattern.
     """
 
     h0: object
     blocks: tuple[tuple[object, object], ...]
-    _sparse: bool = field(init=False, repr=False, compare=False)
+    # (h0, *blocks) values at the kept slots (dense: the matrices) and the kept
+    # (indices, indptr) pattern (dense: None)
+    _values: tuple = field(init=False, repr=False, compare=False)
+    _pattern: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         h0 = self.h0.matrix
-        object.__setattr__(self, "_sparse", sp.issparse(h0))
-        for op in (self.h0, *(op for op, _ in self.blocks)):
+        sparse = sp.issparse(h0)
+        matrices = [h0]
+        for op, _ in self.blocks:
             m = _check_hermitian(op, type(self.h0))
             if m.shape != h0.shape:
                 raise ValueError("driven blocks must match the shape of h0")
-            if self._sparse and not (
+            if sparse and not (
                 np.array_equal(m.indptr, h0.indptr) and np.array_equal(m.indices, h0.indices)
             ):
                 raise ValueError("driven blocks must share the sparsity pattern of h0")
+            matrices.append(m)
+        pattern = None
+        if sparse:
+            n = h0.shape[0]
+            rows = np.repeat(np.arange(n), np.diff(h0.indptr))
+            keep = np.flatnonzero((h0.indices == rows) | np.any([m.data != 0 for m in matrices], axis=0))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+            pattern = (h0.indices[keep], indptr.astype(h0.indptr.dtype))
+            matrices = [m.data[keep] for m in matrices]
+        object.__setattr__(self, "_values", tuple(matrices))
+        object.__setattr__(self, "_pattern", pattern)
 
     def at(self, t: float):
         """h(t) as a matrix of h0's kind (dense or CSR): blocks in order, none where g_b(t) = 0."""
-        h0 = self.h0.matrix
-        sparse = self._sparse
-        h = h0.data if sparse else h0
-        for op, env in self.blocks:
+        h, *blocks = self._values
+        for (_, env), b in zip(self.blocks, blocks):
             g = env.value(t)
             if g != 0.0:
-                h = h + g * (op.matrix.data if sparse else op.matrix)
-        return sp.csr_matrix((h, h0.indices, h0.indptr), shape=h0.shape) if sparse else h
+                h = h + g * b
+        if self._pattern is None:
+            return h
+        return sp.csr_matrix((h, *self._pattern), shape=self.h0.matrix.shape)
 
     def __call__(self, t: float):
         """h(t) as an operator of h0's kind (a quantized one keeps h0's basis)."""

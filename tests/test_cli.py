@@ -290,6 +290,15 @@ BAD_CONFIGS = [
     ("baseline", "d = 2", "`d`"),
     ("gauge-schrodinger", "length = -1", "`length`"),
     ("equivalence", "m = 0", "`m`"),
+    ("gauge-schrodinger", "t_final = inf", "`t_final`"),
+    ("baseline", "e = nan", "`e`"),
+    ("baseline", "length = inf", "`length`"),
+    ("gauge-heisenberg", "omega = nan", "`omega`"),
+    ("equivalence", "drive_amplitude = nan", "`drive_amplitude`"),
+    ("gauge-heisenberg", "chi_amplitude = inf", "`chi_amplitude`"),
+    ("baseline", "m = -inf", "`m`"),
+    ("energy-heisenberg", "f_list = 0, 0.1, nan", "`f_list`"),
+    ("gauge-heisenberg", "chi = 1:nan:0, -1:0.0015:0", "`chi`"),
 ]
 
 

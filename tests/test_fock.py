@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from diracbox.experiments import (
@@ -33,6 +34,7 @@ from diracbox.fock import (
     correlation_from_state,
     evolve_schrodinger,
     expectation,
+    expm_multiply as kernel_expm_multiply,
     h0_spectrum_check,
     omega0_state,
     quantize,
@@ -359,6 +361,156 @@ def test_driven_family_blocks_share_the_pattern_of_h0():
     pruned.eliminate_zeros()
     with pytest.raises(ValueError, match="sparsity pattern"):
         DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned, basis), env)])
+
+
+def scan_family(momenta):
+    """The quantized driven family of one default gauge-schrodinger subset at f = 1, and omega0."""
+    cfg = ScenarioConfig()
+    cat = _subset_catalog(cfg, momenta)
+    chi = GaugeFunction(schrodinger_scan_profile(cat, cfg), cfg.envelope())
+    omega = omega0_state(cat, cfg.mode1, cfg.mode2)
+    h0q = quantize(h0_matrix(cat), omega.basis)
+    return _manybody_hamiltonian(cat, omega.basis, h0q, _pure_gauge(chi, cat.grid), cfg.e), omega
+
+
+def zero_diagonal_family():
+    """Two quantized blocks with zero one-body diagonal and a common zero at (0, 3), on 2 of 4 modes.
+
+    c_0^dag c_3 and c_3^dag c_0 each act on 2 of the 6 states: 4 of the 30 table slots are zero.
+    """
+    basis = FockBasis(4, 2)
+    ops = []
+    for seed in (1, 2):
+        h = random_hermitian(4, seed).matrix.copy()
+        np.fill_diagonal(h, 0.0)
+        h[0, 3] = h[3, 0] = 0.0
+        ops.append(quantize(OneBodyOperator(h), basis))
+    return DrivenHamiltonian(ops[0], [(ops[1], CosineRamp(t_final=1.0))])
+
+
+FAMILIES = {
+    "M8": (lambda: scan_family((0, 1))[0], 296, 896),
+    "M12": (lambda: scan_family((-1, 0, 1))[0], 7512, 28512),
+    "zero-diagonal": (zero_diagonal_family, 6 * (1 + 2 * 2) - 4, 6 * (1 + 2 * 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_driven_family_keeps_the_nonzero_and_diagonal_slots(name):
+    make, kept_nnz, table_nnz = FAMILIES[name]
+    family = make()
+    h0 = family.h0.matrix
+    blocks = [op.matrix for op, _ in family.blocks]
+    assert h0.nnz == table_nnz and all(b.nnz == table_nnz for b in blocks)
+    rows = np.repeat(np.arange(h0.shape[0]), np.diff(h0.indptr))
+    nonzero = (h0.data != 0) | np.any([b.data != 0 for b in blocks], axis=0)
+    for t in (0.0, 0.3, 0.75):
+        h = family.at(t)
+        assert h.nnz == kept_nnz
+        assert h.has_canonical_format
+        kept_rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        kept = set(zip(kept_rows.tolist(), h.indices.tolist()))
+        # exactly the slots nonzero in h0 or some block, plus every diagonal slot
+        want = nonzero | (rows == h0.indices)
+        assert kept == set(zip(rows[want].tolist(), h0.indices[want].tolist()))
+        assert all((i, i) in kept for i in range(h.shape[0]))
+        full = h0.data.copy()
+        for b, (_, env) in zip(blocks, family.blocks):
+            g = env.value(t)
+            if g != 0.0:
+                full = full + g * b.data
+        unpruned = sp.csr_matrix((full, h0.indices, h0.indptr), shape=h0.shape)
+        assert (h.toarray() == unpruned.toarray()).all()
+
+
+def hermitian_with_gaps():
+    """A 6 x 6 hermitian CSR with explicit zeros stored and no diagonal entry in row 2."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (a + a.conj().T) / 2
+    h[0, 4] = h[4, 0] = 0.0
+    h[1, 5] = h[5, 1] = 0.0
+    h[2, 2] = 0.0
+    stored = np.ones((6, 6), dtype=bool)
+    stored[2, 2] = False
+    rows, cols = np.nonzero(stored)
+    m = sp.csr_matrix((h[rows, cols], (rows, cols)), shape=(6, 6))
+    assert m.nnz == 35 and (m.data == 0).sum() == 4
+    return m
+
+
+def kernel_cases():
+    for momenta, tag in (((0, 1), "M8"), ((-1, 0, 1), "M12")):
+        family, omega = scan_family(momenta)
+        for dt in (0.0025, 0.05, 1.0):
+            steps = [((-1j * dt) * family.at(t), omega.amplitudes) for t in (0.1, 0.5, 0.9)]
+            yield f"{tag}-dt{dt}", steps
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    yield "zero", [(sp.csr_matrix((6, 6), dtype=complex), v)]
+    gaps = hermitian_with_gaps()
+    yield "explicit-zeros-missing-diagonal", [((-0.7j) * gaps, v), (gaps, v)]
+    # ||A - mu I||_1 in (29.7, 30]: m s = 40 * 5 = 50 * 4, and the first minimum (m* = 40) is scipy's
+    a = -1j * random_hermitian(6, 4).matrix
+    shift = a - np.trace(a) / 6 * np.eye(6)
+    yield "tied-degrees", [(sp.csr_matrix(a * (29.85 / np.abs(shift).sum(axis=0).max())), v)]
+
+
+KERNEL_CASES = dict(kernel_cases())
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_expm_multiply_equals_scipy(case):
+    """The kernel writes scipy's bytes: same shift, same (m*, s), same Taylor loop."""
+    for A, v in KERNEL_CASES[case]:
+        got = kernel_expm_multiply(A, v)
+        want = expm_multiply(A, v)
+        assert got.shape == want.shape and (got == want).all()
+    if case == "zero":
+        assert (got == v).all()
+
+
+def test_expm_multiply_past_the_norm_bound_matches_dense_expm():
+    """Above scipy's condition-3.13 bound (about 63.4) the 1-norm rule still converges."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    h = (a + a.conj().T) / 2
+    A = sp.csr_matrix(-1j * 40.0 * h)
+    assert np.abs(A.toarray() - np.trace(A.toarray()) / 10 * np.eye(10)).sum(axis=0).max() > 64
+    v = rng.normal(size=10) + 1j * rng.normal(size=10)
+    want = expm(A.toarray()) @ v
+    got = kernel_expm_multiply(A, v)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_multiply_sums_duplicate_entries():
+    """A CSR matrix holding a diagonal and an off-diagonal entry twice acts as their sum.
+
+    Its row 2 stores no diagonal entry, so it holds n diagonal slots, one of them twice.
+    """
+    rng = np.random.default_rng(8)
+    A = (-0.4j) * hermitian_with_gaps().toarray()
+    coo = sp.coo_matrix(A)
+    dup = [np.flatnonzero((coo.row == 1) & (coo.col == c))[0] for c in (1, 3)]
+    halves = coo.data[dup] / 2
+    data = np.concatenate([coo.data, halves])
+    data[dup] = halves
+    rows = np.concatenate([coo.row, coo.row[dup]])
+    cols = np.concatenate([coo.col, coo.col[dup]])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=6))])
+    doubled = sp.csr_matrix((data[order], cols[order], indptr), shape=(6, 6))
+    assert doubled.nnz == coo.nnz + 2 and (doubled.toarray() == A).all()
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    want = expm(A) @ v
+    assert np.linalg.norm(kernel_expm_multiply(doubled, v) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_multiply_rejects_a_nan_entry():
+    A = hermitian_with_gaps().astype(complex)
+    A.data[3] = np.nan
+    with pytest.raises(FloatingPointError, match="1-norm"):
+        kernel_expm_multiply(A, np.ones(6, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
