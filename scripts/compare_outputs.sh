@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Byte-identity check for a change that must not move any output: run
+# scripts/run_all.sh (check suite plus the five default scenarios) and
+# `baseline --backend both` on git revision REV and on the working tree, each
+# with one BLAS thread, then `diff -r` the two output directories.  The console
+# logs of both runs are part of the outputs.
+# Usage: scripts/compare_outputs.sh REV   (e.g. HEAD~ or a commit SHA)
+# Exit status: diff's (0 = byte-identical outputs).
+set -euo pipefail
+
+rev="${1:?usage: scripts/compare_outputs.sh REV}"
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "${tmp}"' EXIT
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+mkdir "${tmp}/rev"
+git -C "${repo}" archive "${rev}" | tar -x -C "${tmp}/rev"
+
+# run_tree TREE OUT: outputs of TREE's sources under OUT, with paths relative to OUT
+run_tree() {
+    mkdir -p "$2"
+    (
+        cd "$2"
+        "$1/scripts/run_all.sh" results > run_all.log 2>&1 || true
+        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --backend both \
+            --out-dir baseline-both > baseline-both.log 2>&1 || true
+    )
+}
+
+run_tree "${tmp}/rev" "${tmp}/out-rev"
+run_tree "${repo}" "${tmp}/out-tree"
+diff -r "${tmp}/out-rev" "${tmp}/out-tree"

@@ -142,7 +142,10 @@ class ScenarioConfig:
         return 1 if be in ("fock", "both") else 2
 
     def envelope(self) -> CosineRamp:
-        return CosineRamp(t_final=self.t_final, omega=self.omega)
+        try:
+            return CosineRamp(t_final=self.t_final, omega=self.omega)
+        except ValueError as exc:  # t_final > 0 holds, so omega is at fault
+            raise ValueError(f"`omega` = {self.omega}: {exc}") from None
 
     def grid(self, n_max: int) -> MomentumGrid:
         return MomentumGrid(d=self.d, length=self.length, n_max=n_max)
@@ -268,6 +271,14 @@ def _mode_indices(catalog: BasisCatalog, cfg: ScenarioConfig) -> tuple[int, int]
     return catalog.index[cfg.mode1], catalog.index[cfg.mode2]
 
 
+def _check_fock_cap(catalog: BasisCatalog, key: str):
+    """A Fock basis on `catalog` is within the mode cap; the ValueError names the config `key`."""
+    try:
+        FockBasis(catalog.size)
+    except ValueError as exc:
+        raise ValueError(f"`{key}`: {exc}") from None
+
+
 def _modes_of(catalog: BasisCatalog, cfg: ScenarioConfig):
     i1, i2 = _mode_indices(catalog, cfg)
     return catalog.modes[i1], catalog.modes[i2]
@@ -339,8 +350,13 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     rows: list[list] = []
     metrics: dict[str, float] = {}
     checks: list[Check] = []
-    for be in backends:
-        catalog = cfg.catalog(cfg.resolved_n_max(be))
+    catalogs = {be: cfg.catalog(cfg.resolved_n_max(be)) for be in backends}
+    for be, catalog in catalogs.items():
+        # every backend holds the wavepacket, and the Fock one fits the cap, before any evolution
+        _mode_indices(catalog, cfg)
+        if be == "fock":
+            _check_fock_cap(catalog, "n_max")
+    for be, catalog in catalogs.items():
         m1, m2 = _modes_of(catalog, cfg)
         series = _free_series(be, catalog, cfg, n_steps)
         results[be] = (catalog, series)
@@ -429,7 +445,7 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
     chi = GaugeFunction(chi_map, env)
     window = min(cfg.cutoffs) - chi.band()
     if window < 0:
-        raise ValueError("chi band exceeds the smallest cutoff in the scan")
+        raise ValueError(f"`chi` band {chi.band()} exceeds the smallest of `cutoffs`, {min(cfg.cutoffs)}")
     header = ["n_max", "time", "rho_dev", "j_dev", "unitary_dist"]
     rows: list[list] = []
     per_cutoff: dict[int, dict[str, float]] = {}
@@ -533,7 +549,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
     for catalog in catalogs:
         # every subset within the mode cap and holding the wavepacket before any evolution
-        FockBasis(catalog.size)
+        _check_fock_cap(catalog, "scan_subsets")
         _mode_indices(catalog, cfg)
     for catalog in catalogs:
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2)  # steps in its particle-number sector
@@ -679,7 +695,7 @@ def random_drive(
     a: dict[IntVec, np.ndarray] = {}
     ks = range(1, band + 1) if d == 1 else None
     if d != 1:
-        raise NotImplementedError("random drives are wired for d = 1 scans")
+        raise NotImplementedError(f"`d` = {d}: random drives are wired for d = 1 scans")
     for kz in ks:
         k = (0, 0, kz)
         amp0 = amplitude * complex(rng.normal(), rng.normal())
@@ -720,6 +736,11 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     momenta = cfg.scan_subsets[0]
     catalog = _subset_catalog(cfg, momenta)
     _mode_indices(catalog, cfg)
+    _check_fock_cap(catalog, "scan_subsets")
+    try:  # the catalog's grid checks each drive's band, before any evolution
+        hams_1b = [_onebody_hamiltonian(catalog, pot, cfg.e) for pot in drives]
+    except ValueError as exc:
+        raise ValueError(f"`drive_band` = {cfg.drive_band}: {exc}") from None
     n_steps = cfg.steps(200)
     panel = _observable_panel(catalog, cfg)
     omega_f = omega0_state(catalog, cfg.mode1, cfg.mode2)
@@ -742,8 +763,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     rows: list[list] = []
     deviations, doubled, matched = [], [], []
     zero_control = None
-    for drive_idx, pot in enumerate(drives):
-        ham_1b = _onebody_hamiltonian(catalog, pot, cfg.e)
+    for drive_idx, (pot, ham_1b) in enumerate(zip(drives, hams_1b)):
         ham_mb = _manybody_hamiltonian(catalog, omega_f.basis, panel_q[0], pot, cfg.e)
         u_ref = propagate(
             ham_1b,

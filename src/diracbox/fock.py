@@ -393,26 +393,6 @@ _THETA = np.array([
 ])
 
 
-def _diagonal_slots(A: sp.csr_matrix) -> np.ndarray:
-    """Positions in A.data of the stored diagonal entries, in row order."""
-    n = A.shape[0]
-    return np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
-
-
-def _with_diagonal(A: sp.csr_matrix) -> sp.csr_matrix:
-    """A in canonical CSR form with every diagonal slot stored (an absent one as 0)."""
-    n = A.shape[0]
-    coo = A.tocoo(copy=True)
-    coo.sum_duplicates()
-    missing = np.setdiff1d(np.arange(n), coo.row[coo.row == coo.col])
-    rows = np.concatenate([coo.row, missing])
-    cols = np.concatenate([coo.col, missing])
-    data = np.concatenate([coo.data, np.zeros(len(missing), coo.data.dtype)])
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_matrix((data[order], cols[order], indptr), shape=A.shape)
-
-
 def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     """exp(A) v for a square CSR matrix A and one vector v.
 
@@ -423,17 +403,25 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     1-norm of A - mu I, then take s rounds of the truncated Taylor series
     with its early exit.  The 1-norm bound is used at every norm (scipy
     switches to estimated norms of powers above about 63; the 1-norm bound
-    is the more conservative one).  Raises FloatingPointError if that norm
-    is not finite.
+    is the more conservative one).
+
+    Contract: A stores each diagonal entry exactly once (an explicit zero
+    counts), so the shift is one subtraction per diagonal slot.  `quantize`
+    and `DrivenHamiltonian.at` produce such matrices.  Raises ValueError
+    naming the rows whose diagonal entry is missing or doubled, and
+    FloatingPointError if the 1-norm of A - mu I is not finite.
     """
     n = A.shape[0]
     if A.shape != (n, n) or np.shape(v) != (n,):
         raise ValueError(f"expm_multiply needs a square matrix and a vector, got {A.shape} and {np.shape(v)}")
-    diag = _diagonal_slots(A)
-    if not np.array_equal(A.indices[diag], np.arange(n)):
-        # one slot per diagonal entry: scipy's A - mu I shifts an absent one too
-        A = _with_diagonal(A)
-        diag = _diagonal_slots(A)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diag = np.flatnonzero(A.indices == rows)
+    bad = np.flatnonzero(np.bincount(rows[diag], minlength=n) != 1)
+    if bad.size:
+        raise ValueError(
+            f"expm_multiply needs each diagonal entry of A stored exactly once; rows {bad.tolist()} "
+            "store theirs missing or doubled (quantize and DrivenHamiltonian.at store every one once)"
+        )
     data = A.data.astype(np.result_type(A.dtype, float))
     mu = data[diag].sum() / float(n)
     data[diag] -= mu

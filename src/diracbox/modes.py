@@ -166,8 +166,6 @@ def dirac_spinor(lbl: ModeLabel, m: float, grid: MomentumGrid) -> SpinorMode:
     p = grid.momentum(lbl.n)
     if m == 0.0 and not p.any():
         raise ValueError("m = 0 with p = 0 is degenerate")
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
     energy = mode_energy(p, m)
     chi = np.array([1.0, 0.0]) if lbl.s == SPIN_UP else np.array([0.0, 1.0])
     q = np.tensordot(p, _SIGMA, axes=(0, 0)) / (energy + m)

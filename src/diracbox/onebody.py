@@ -107,18 +107,14 @@ class TimeDerivative:
 # ---------------------------------------------------------------------------
 # potential and gauge data
 
-def _check_reality(amps: Mapping[IntVec, complex], what: str, vector: bool):
+def _check_reality(amps: Mapping[IntVec, complex], what: str):
     """A real field needs amp(-k) = conj(amp(k)) for every stored k."""
     for k, val in amps.items():
         mk = (-k[0], -k[1], -k[2])
         if mk not in amps:
             raise ValueError(f"{what}: missing -k partner for k = {k}")
-        other = np.conj(amps[mk])
-        mine = np.asarray(val)
-        if not np.allclose(mine, other, rtol=0, atol=1e-13):
+        if not np.allclose(val, np.conj(amps[mk]), rtol=0, atol=1e-13):
             raise ValueError(f"{what}: reality violated at k = {k}")
-        if vector and mine.shape != (3,):
-            raise ValueError(f"{what}: amplitude at {k} must be a 3-vector")
 
 
 def _check_band(keys, grid: MomentumGrid):
@@ -158,12 +154,8 @@ class PotentialTerm:
     def __post_init__(self):
         object.__setattr__(self, "a0", _norm_scalar_map(self.a0))
         object.__setattr__(self, "a", _norm_vector_map(self.a))
-        _check_reality(self.a0, "a0", vector=False)
-        _check_reality(self.a, "a", vector=True)
-
-    def band(self) -> int:
-        keys = list(self.a0) + list(self.a)
-        return max((max(abs(c) for c in k) for k in keys), default=0)
+        _check_reality(self.a0, "a0")
+        _check_reality(self.a, "a")
 
 
 @dataclass(frozen=True)
@@ -185,13 +177,6 @@ class PotentialSpec:
     def zero(cls) -> "PotentialSpec":
         return cls(())
 
-    def band(self) -> int:
-        return max((t.band() for t in self.terms), default=0)
-
-    def validate_against(self, grid: MomentumGrid):
-        for term in self.terms:
-            _check_band(list(term.a0) + list(term.a), grid)
-
 
 @dataclass(frozen=True)
 class GaugeFunction:
@@ -206,15 +191,12 @@ class GaugeFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "chi", _norm_scalar_map(self.chi))
-        _check_reality(self.chi, "chi", vector=False)
+        _check_reality(self.chi, "chi")
         if abs(self.envelope.value(0.0)) > 1e-12 or abs(self.envelope.dot(0.0)) > 1e-12:
             raise ValueError("gauge envelope must satisfy g(0) = 0 and g'(0) = 0")
 
     def band(self) -> int:
         return max((max(abs(c) for c in k) for k in self.chi), default=0)
-
-    def validate_against(self, grid: MomentumGrid):
-        _check_band(self.chi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +237,14 @@ def _coupling_matrix(
 
     Element (target, source) = u_target^dag (scalar_k + alpha.vector_k)
     u_source with n_target = n_source + k; off-grid targets are dropped.
+    Every k must lie within the grid's band (`_check_band`).
     """
+    keys = set(scalar) | set(vector)
+    _check_band(keys, catalog.grid)
     M = catalog.size
     out = np.zeros((M, M), dtype=complex)
     tables = catalog.tables
-    for k in set(scalar) | set(vector):
+    for k in keys:
         block = scalar.get(k, 0.0) * np.eye(4, dtype=complex)
         vec = vector.get(k)
         if vec is not None:
@@ -278,7 +263,6 @@ def interaction_term_matrices(
     The full interaction at time t is the envelope-weighted sum; splitting it
     this way lets many-body drivers quantize each block once.
     """
-    pot.validate_against(catalog.grid)
     out = []
     for term in pot.terms:
         a_scaled = {k: -e * v for k, v in term.a.items()}  # -e alpha . A
@@ -290,14 +274,12 @@ def interaction_term_matrices(
 
 def chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneBodyOperator:
     """Multiplication by chi(x, t) projected onto the mode basis."""
-    chi.validate_against(catalog.grid)
     mat = _coupling_matrix(catalog, {k: v * chi.envelope.value(t) for k, v in chi.chi.items()}, {})
     return OneBodyOperator(mat)
 
 
 def grad_chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneBodyOperator:
     """Matrix of alpha . grad(chi)(x, t); grad brings down i k."""
-    chi.validate_against(catalog.grid)
     dk = catalog.grid.dk
     g = chi.envelope.value(t)
     vec = {
@@ -318,9 +300,10 @@ def gauge_transform(
     """A' = A - grad(chi), A_0' = A_0 + d(chi)/dt as appended Fourier blocks.
 
     The electric and magnetic fields are unchanged: the new blocks cancel in
-    -dA/dt - grad(A_0) and grad x A.
+    -dA/dt - grad(A_0) and grad x A.  chi must lie within the grid's band;
+    the blocks of `pot` are checked where they meet a catalog.
     """
-    chi.validate_against(grid)
+    _check_band(chi.chi, grid)
     dk = grid.dk
     grad_block = PotentialTerm(
         a0={},
@@ -332,9 +315,7 @@ def gauge_transform(
         a={},
         envelope=TimeDerivative(chi.envelope),
     )
-    combined = PotentialSpec(pot.terms + (grad_block, dt_block))
-    combined.validate_against(grid)
-    return combined
+    return PotentialSpec(pot.terms + (grad_block, dt_block))
 
 
 def efield_coefficients(pot: PotentialSpec, grid: MomentumGrid, t: float) -> dict[IntVec, np.ndarray]:
@@ -403,8 +384,10 @@ class DrivenHamiltonian:
     blocks with real weights is hermitian, so `at` and `stack` build h(t)
     without a per-step check.  Quantized blocks share the sparsity pattern of
     h0 (`quantize` on one basis gives one pattern); the family keeps only the
-    slots that are nonzero in h0 or in some block, plus every diagonal slot,
-    so h(t) is one axpy on those values and a CSR matrix on that pattern.
+    slots that are nonzero in h0 or in some block, so h(t) is one axpy on
+    those values and a CSR matrix on that pattern.  It also keeps every
+    diagonal slot, zero or not, because `fock.expm_multiply` requires each
+    diagonal entry stored exactly once.
     """
 
     h0: object
@@ -517,7 +500,7 @@ def _step_chunks(hamiltonian, t_mid: list[float], dt: float, bound: float):
     """Yield the step matrices exp(-i h(t_mid) dt) in step order, in chunks."""
     if isinstance(hamiltonian, OneBodyOperator):
         # one decomposition serves every step
-        h = _check_hermitian(hamiltonian)[None]
+        h = hamiltonian.matrix[None]
         step = _guarded_steps(h, dt, t_mid[:1], 0, bound)
         yield np.broadcast_to(step, (len(t_mid),) + step.shape[1:])
         return

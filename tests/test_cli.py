@@ -272,7 +272,7 @@ def _count_evolutions(monkeypatch) -> list:
     return calls
 
 
-# (scenario, config text, the key the one stderr line names)
+# (scenario, config text, the key the one stderr line names, or the text naming two keys)
 BAD_CONFIGS = [
     ("baseline", "n_steps = 0", "`n_steps`"),
     ("baseline", "points_per_axis = 0", "`points_per_axis`"),
@@ -299,6 +299,13 @@ BAD_CONFIGS = [
     ("baseline", "m = -inf", "`m`"),
     ("energy-heisenberg", "f_list = 0, 0.1, nan", "`f_list`"),
     ("gauge-heisenberg", "chi = 1:nan:0, -1:0.0015:0", "`chi`"),
+    ("equivalence", "drive_band = 3", "`drive_band`"),
+    ("baseline", "backend = both\nn_max = 2", "`n_max`"),
+    ("gauge-schrodinger", "scan_subsets = -2 -1 0 1", "`scan_subsets`"),
+    ("equivalence", "scan_subsets = -2 -1 0 1", "`scan_subsets`"),
+    ("gauge-heisenberg", "chi = 3:0.001:0, -3:0.001:0", "`chi` band 3 exceeds the smallest of `cutoffs`"),
+    ("equivalence", "d = 3", "`d`"),
+    ("gauge-heisenberg", "omega = 6.283185307179586", "`omega`"),
 ]
 
 

@@ -424,19 +424,24 @@ def test_driven_family_keeps_the_nonzero_and_diagonal_slots(name):
 
 
 def hermitian_with_gaps():
-    """A 6 x 6 hermitian CSR with explicit zeros stored and no diagonal entry in row 2."""
+    """A 6 x 6 hermitian CSR storing every entry, five of them explicit zeros (row 2's diagonal one)."""
     rng = np.random.default_rng(3)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = (a + a.conj().T) / 2
     h[0, 4] = h[4, 0] = 0.0
     h[1, 5] = h[5, 1] = 0.0
     h[2, 2] = 0.0
-    stored = np.ones((6, 6), dtype=bool)
-    stored[2, 2] = False
-    rows, cols = np.nonzero(stored)
+    rows, cols = np.nonzero(np.ones((6, 6), dtype=bool))
     m = sp.csr_matrix((h[rows, cols], (rows, cols)), shape=(6, 6))
-    assert m.nnz == 35 and (m.data == 0).sum() == 4
+    assert m.nnz == 36 and (m.data == 0).sum() == 5
     return m
+
+
+def unsummed_csr(data, rows, cols, n: int) -> sp.csr_matrix:
+    """An n x n CSR storing each (rows[k], cols[k], data[k]) as its own slot, duplicates kept."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
 
 
 def kernel_cases():
@@ -447,9 +452,10 @@ def kernel_cases():
             yield f"{tag}-dt{dt}", steps
     rng = np.random.default_rng(5)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    yield "zero", [(sp.csr_matrix((6, 6), dtype=complex), v)]
+    # the zero matrix with its zero diagonal stored
+    yield "zero", [(sp.csr_matrix((np.zeros(6, complex), np.arange(6), np.arange(7)), shape=(6, 6)), v)]
     gaps = hermitian_with_gaps()
-    yield "explicit-zeros-missing-diagonal", [((-0.7j) * gaps, v), (gaps, v)]
+    yield "explicit-zeros", [((-0.7j) * gaps, v), (gaps, v)]
     # ||A - mu I||_1 in (29.7, 30]: m s = 40 * 5 = 50 * 4, and the first minimum (m* = 40) is scipy's
     a = -1j * random_hermitian(6, 4).matrix
     shift = a - np.trace(a) / 6 * np.eye(6)
@@ -467,7 +473,7 @@ def test_expm_multiply_equals_scipy(case):
         want = expm_multiply(A, v)
         assert got.shape == want.shape and (got == want).all()
     if case == "zero":
-        assert (got == v).all()
+        assert A.nnz == 6 and (got == v).all()
 
 
 def test_expm_multiply_past_the_norm_bound_matches_dense_expm():
@@ -484,23 +490,15 @@ def test_expm_multiply_past_the_norm_bound_matches_dense_expm():
 
 
 def test_expm_multiply_sums_duplicate_entries():
-    """A CSR matrix holding a diagonal and an off-diagonal entry twice acts as their sum.
-
-    Its row 2 stores no diagonal entry, so it holds n diagonal slots, one of them twice.
-    """
+    """A CSR matrix holding an off-diagonal entry twice, and each diagonal entry once, acts as their sum."""
     rng = np.random.default_rng(8)
-    A = (-0.4j) * hermitian_with_gaps().toarray()
-    coo = sp.coo_matrix(A)
-    dup = [np.flatnonzero((coo.row == 1) & (coo.col == c))[0] for c in (1, 3)]
-    halves = coo.data[dup] / 2
-    data = np.concatenate([coo.data, halves])
-    data[dup] = halves
-    rows = np.concatenate([coo.row, coo.row[dup]])
-    cols = np.concatenate([coo.col, coo.col[dup]])
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=6))])
-    doubled = sp.csr_matrix((data[order], cols[order], indptr), shape=(6, 6))
-    assert doubled.nnz == coo.nnz + 2 and (doubled.toarray() == A).all()
+    coo = ((-0.4j) * hermitian_with_gaps()).tocoo()
+    dup = np.flatnonzero((coo.row == 1) & (coo.col == 3))
+    data = np.append(coo.data, coo.data[dup] / 2)
+    data[dup] /= 2
+    doubled = unsummed_csr(data, np.append(coo.row, 1), np.append(coo.col, 3), 6)
+    A = coo.toarray()
+    assert doubled.nnz == 37 and (doubled.toarray() == A).all()
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     want = expm(A) @ v
     assert np.linalg.norm(kernel_expm_multiply(doubled, v) - want) <= 1e-12 * np.linalg.norm(want)
@@ -511,6 +509,26 @@ def test_expm_multiply_rejects_a_nan_entry():
     A.data[3] = np.nan
     with pytest.raises(FloatingPointError, match="1-norm"):
         kernel_expm_multiply(A, np.ones(6, dtype=complex))
+
+
+def test_expm_multiply_rejects_a_missing_or_doubled_diagonal():
+    """The kernel shifts A - mu I on the stored diagonal slots: one per row, no repair."""
+    A = (-0.7j) * hermitian_with_gaps()
+    v = np.ones(6, dtype=complex)
+    coo = A.tocoo()
+    keep = (coo.row != 2) | (coo.col != 2)
+    missing = unsummed_csr(coo.data[keep], coo.row[keep], coo.col[keep], 6)
+    assert missing.nnz == 35
+    with pytest.raises(ValueError, match=r"exactly once; rows \[2\] "):
+        kernel_expm_multiply(missing, v)
+    # row 4 stores its diagonal entry twice, as two halves
+    slot = np.flatnonzero((coo.row == 4) & (coo.col == 4))[0]
+    data = np.append(coo.data, coo.data[slot] / 2)
+    data[slot] /= 2
+    doubled = unsummed_csr(data, np.append(coo.row, 4), np.append(coo.col, 4), 6)
+    assert doubled.nnz == 37 and (doubled.toarray() == A.toarray()).all()
+    with pytest.raises(ValueError, match=r"exactly once; rows \[4\] "):
+        kernel_expm_multiply(doubled, v)
 
 
 # ---------------------------------------------------------------------------

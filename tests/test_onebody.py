@@ -178,9 +178,10 @@ def test_gauge_function_off_axis_and_band_limit_rejected():
     off = GaugeFunction({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, env)
     wide = GaugeFunction({(0, 0, 3): 0.5, (0, 0, -3): 0.5}, env)
     for chi in (off, wide):
-        with pytest.raises(ValueError):
-            chi_matrix(cat, chi, 0.5)
-        with pytest.raises(ValueError):
+        for build in (chi_matrix, grad_chi_matrix):
+            with pytest.raises(ValueError, match="off the 1-d grid axis|beyond band limit"):
+                build(cat, chi, 0.5)
+        with pytest.raises(ValueError, match="off the 1-d grid axis|beyond band limit"):
             gauge_transform(PotentialSpec.zero(), chi, cat.grid)
 
 
