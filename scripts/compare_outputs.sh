@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity check for a change that must not move any output: run
-# scripts/run_all.sh (check suite plus the five default scenarios) and
-# `baseline --backend both` on git revision REV and on the working tree, each
-# with one BLAS thread, then `diff -r` the two output directories.  The console
-# logs of both runs are part of the outputs.
+# scripts/run_all.sh (check suite plus the five default scenarios),
+# `baseline --backend both`, and `baseline` at d = 3 (n_max = 1, 200 steps,
+# the path of the benchmark's d3-field-sampling workload) on git revision REV
+# and on the working tree, each with one BLAS thread, then `diff -r` the two
+# output directories.  The console logs of both runs are part of the outputs.
 # Usage: scripts/compare_outputs.sh REV   (e.g. HEAD~ or a commit SHA)
 # Exit status: diff's (0 = byte-identical outputs).
 set -euo pipefail
@@ -16,6 +17,7 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 mkdir "${tmp}/rev"
 git -C "${repo}" archive "${rev}" | tar -x -C "${tmp}/rev"
+printf 'd = 3\nn_max = 1\nn_steps = 200\n' > "${tmp}/d3.cfg"
 
 # run_tree TREE OUT: outputs of TREE's sources under OUT, with paths relative to OUT
 run_tree() {
@@ -25,6 +27,8 @@ run_tree() {
         "$1/scripts/run_all.sh" results > run_all.log 2>&1 || true
         PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --backend both \
             --out-dir baseline-both > baseline-both.log 2>&1 || true
+        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3.cfg" \
+            --out-dir baseline-d3 > baseline-d3.log 2>&1 || true
     )
 }
 

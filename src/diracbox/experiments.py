@@ -120,12 +120,14 @@ class ScenarioConfig:
                 raise ValueError(f"`{key}` must be > 0, got {value}")
         if self.n_max is not None and self.n_max < 0:
             raise ValueError(f"`n_max` must be >= 0, got {self.n_max}")
-        for key in ("n_steps", "points_per_axis", "n_drives", "heis_refine"):
+        for key in ("n_steps", "points_per_axis", "n_drives", "heis_refine", "drive_band"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ValueError(f"`{key}` must be >= 1, got {value}")
         if self.e == 0:
             raise ValueError("`e` must be nonzero")
+        if any(a >= b for a, b in zip(self.cutoffs, self.cutoffs[1:])):
+            raise ValueError(f"`cutoffs` must strictly increase, got {', '.join(map(str, self.cutoffs))}")
         if not all(self.scan_subsets):
             raise ValueError("`scan_subsets` holds an empty momentum subset")
         if self.mode1 == self.mode2:
@@ -135,11 +137,11 @@ class ScenarioConfig:
         """n_steps, or the scenario's `default` when it is unset."""
         return default if self.n_steps is None else self.n_steps
 
-    def resolved_n_max(self, scenario_backend: str | None = None) -> int:
+    def resolved_n_max(self, backend: str) -> int:
+        """n_max, or the default of `backend` ("fock" or "gaussian") when it is unset."""
         if self.n_max is not None:
             return self.n_max
-        be = scenario_backend or self.backend
-        return 1 if be in ("fock", "both") else 2
+        return 1 if backend == "fock" else 2
 
     def envelope(self) -> CosineRamp:
         try:
@@ -157,9 +159,7 @@ class ScenarioConfig:
 def config_dict(cfg: ScenarioConfig) -> dict:
     """JSON-safe view of a config (Fractions and labels flattened)."""
 
-    def clean(v):
-        if isinstance(v, ModeLabel):
-            return {"lam": v.lam, "s": float(v.s), "n": list(v.n)}
+    def clean(v):  # asdict has already turned each ModeLabel into a dict
         if isinstance(v, Fraction):
             return float(v)
         if isinstance(v, complex):
@@ -250,16 +250,14 @@ class Report:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _onebody_hamiltonian(catalog: BasisCatalog, pot: PotentialSpec, e: float):
-    return DrivenHamiltonian(h0_matrix(catalog), interaction_term_matrices(catalog, pot, e))
+def _onebody_hamiltonian(catalog: BasisCatalog, blocks):
+    """The one-body family h0 + sum_b g_b(t) B_b of `catalog` with the drive `blocks`."""
+    return DrivenHamiltonian(h0_matrix(catalog), blocks)
 
 
-def _manybody_hamiltonian(catalog: BasisCatalog, basis: FockBasis, h0q, pot: PotentialSpec, e: float):
-    """The quantized family on `basis` around the caller's quantized h0 `h0q`."""
-    return DrivenHamiltonian(
-        h0q,
-        [(quantize(op, basis), env) for op, env in interaction_term_matrices(catalog, pot, e)],
-    )
+def _manybody_hamiltonian(h0q, blocks):
+    """The family h0q + sum_b g_b(t) B_b, each one-body block of `blocks` quantized on `h0q`'s basis."""
+    return DrivenHamiltonian(h0q, [(quantize(op, h0q.basis), env) for op, env in blocks])
 
 
 def _mode_indices(catalog: BasisCatalog, cfg: ScenarioConfig) -> tuple[int, int]:
@@ -457,7 +455,7 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
         record = max(1, n_steps // 20)
         u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), n_steps, record_every=record)
         u_gauge = propagate(
-            _onebody_hamiltonian(catalog, pure, cfg.e),
+            _onebody_hamiltonian(catalog, interaction_term_matrices(catalog, pure, cfg.e)),
             (0.0, cfg.t_final),
             n_steps,
             record_every=record,
@@ -567,7 +565,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
             else:
                 chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
                 pure = _pure_gauge(chi, catalog.grid)
-                ham = _manybody_hamiltonian(catalog, omega.basis, h0q, pure, cfg.e)
+                ham = _manybody_hamiltonian(h0q, interaction_term_matrices(catalog, pure, cfg.e))
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
@@ -655,7 +653,7 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
             chi = GaugeFunction({k: -f * c for k, c in profile.items()}, env)
             pure = _pure_gauge(chi, catalog.grid)
             u_final = propagate(
-                _onebody_hamiltonian(catalog, pure, cfg.e),
+                _onebody_hamiltonian(catalog, interaction_term_matrices(catalog, pure, cfg.e)),
                 (0.0, cfg.t_final),
                 n_steps,
                 record_every=n_steps,
@@ -738,7 +736,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     _mode_indices(catalog, cfg)
     _check_fock_cap(catalog, "scan_subsets")
     try:  # the catalog's grid checks each drive's band, before any evolution
-        hams_1b = [_onebody_hamiltonian(catalog, pot, cfg.e) for pot in drives]
+        drive_blocks = [interaction_term_matrices(catalog, pot, cfg.e) for pot in drives]
     except ValueError as exc:
         raise ValueError(f"`drive_band` = {cfg.drive_band}: {exc}") from None
     n_steps = cfg.steps(200)
@@ -763,8 +761,9 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     rows: list[list] = []
     deviations, doubled, matched = [], [], []
     zero_control = None
-    for drive_idx, (pot, ham_1b) in enumerate(zip(drives, hams_1b)):
-        ham_mb = _manybody_hamiltonian(catalog, omega_f.basis, panel_q[0], pot, cfg.e)
+    for drive_idx, blocks in enumerate(drive_blocks):
+        ham_1b = _onebody_hamiltonian(catalog, blocks)
+        ham_mb = _manybody_hamiltonian(panel_q[0], blocks)
         u_ref = propagate(
             ham_1b,
             (0.0, cfg.t_final),

@@ -16,8 +16,9 @@ particles stays in the sector of bitstrings with N set bits.  A `FockBasis`
 is that sector, or the whole space when it has no particle number.  Its
 `BilinearTable` holds every c_i^dag c_j on one sparse pattern, built once by
 bit arithmetic: `quantize`, the driven family and `correlation_from_state`
-all read it.  The ladder operators of the whole space stay for the
-anticommutator and spectrum checks, and as the tests' oracle.
+all read it.  The annihilators of the whole space, a tuple from
+`build_ladders`, serve the anticommutator and commutator checks and the
+tests' oracle; the spectrum check reads the full `FockBasis` of a catalog.
 
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept).  Time evolution uses the same
@@ -28,7 +29,7 @@ the stored entries of H (Al-Mohy & Higham 2011).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 
 from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
-from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, time_grid
+from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, h0_matrix, time_grid
 
 FOCK_MODE_CAP = 14
 
@@ -156,70 +157,23 @@ def _annihilator(M: int, i: int) -> sp.csr_matrix:
     return sp.csr_matrix((signs, (rows, cols)), shape=(dim, dim), dtype=complex)
 
 
-@dataclass(frozen=True)
-class LadderSet:
-    """Annihilators c_i (and adjoints) for each catalog slot.
-
-    Built either from a BasisCatalog (physical runs) or a bare mode count
-    (algebra-only checks).
-    """
-
-    basis: FockBasis
-    lowering: tuple[sp.csr_matrix, ...] = field(repr=False)
-    catalog: BasisCatalog | None = None
-
-    @property
-    def n_modes(self) -> int:
-        return self.basis.n_modes
-
-    def c(self, i: int) -> sp.csr_matrix:
-        return self.lowering[i]
-
-    def cdag(self, i: int) -> sp.csr_matrix:
-        return self.lowering[i].conj().T.tocsr()
-
-    def _physical_index(self, lbl: ModeLabel) -> int:
-        if self.catalog is None:
-            raise ValueError("ladder set was built without a catalog")
-        return self.catalog.index_of(lbl)
-
-    def electron_annihilator(self, lbl: ModeLabel) -> sp.csr_matrix:
-        """b_{s,p}: destroys the positive-energy mode."""
-        if lbl.lam != +1:
-            raise ValueError("electron operator needs a lam = +1 label")
-        return self.c(self._physical_index(lbl))
-
-    def positron_annihilator(self, lbl: ModeLabel) -> sp.csr_matrix:
-        """d_{s,p}: fills the negative-energy mode back up."""
-        if lbl.lam != -1:
-            raise ValueError("positron operator needs a lam = -1 label")
-        return self.cdag(self._physical_index(lbl))
+def build_ladders(M: int) -> tuple[sp.csr_matrix, ...]:
+    """Jordan-Wigner annihilators c_0 .. c_{M-1} on all 2^M states."""
+    FockBasis(M)  # raises for M outside 1..FOCK_MODE_CAP
+    return tuple(_annihilator(M, i) for i in range(M))
 
 
-def build_ladders(source: BasisCatalog | int) -> LadderSet:
-    """Jordan-Wigner ladder operators for a catalog or a bare mode count."""
-    if isinstance(source, BasisCatalog):
-        catalog, M = source, source.size
-    else:
-        catalog, M = None, int(source)
-    basis = FockBasis(M)
-    lowering = tuple(_annihilator(M, i) for i in range(M))
-    return LadderSet(basis, lowering, catalog)
-
-
-def car_residual(ladders: LadderSet) -> float:
-    """Max deviation from {c_i, c_j^dag} = delta_ij, {c_i, c_j} = 0."""
-    M = ladders.n_modes
-    eye = sp.identity(ladders.basis.dim, dtype=complex, format="csr")
+def car_residual(ladders: tuple[sp.csr_matrix, ...]) -> float:
+    """Max deviation of the annihilators `ladders` from {c_i, c_j^dag} = delta_ij, {c_i, c_j} = 0."""
+    eye = sp.identity(ladders[0].shape[0], dtype=complex, format="csr")
     worst = 0.0
-    cs = [ladders.c(i) for i in range(M)]
-    cds = [ladders.cdag(i) for i in range(M)]
-    for i in range(M):
-        for j in range(M):
-            mixed = cs[i] @ cds[j] + cds[j] @ cs[i]
+    cds = [c.conj().T.tocsr() for c in ladders]
+    for i, ci in enumerate(ladders):
+        for j, cj in enumerate(ladders):
+            mixed = ci @ cds[j] + cds[j] @ ci
             if i == j:
                 mixed = mixed - eye
-            same = cs[i] @ cs[j] + cs[j] @ cs[i]
+            same = ci @ cj + cj @ ci
             for residual in (mixed, same):
                 if residual.nnz:
                     worst = max(worst, float(np.abs(residual.data).max()))
@@ -242,9 +196,6 @@ class FockState:
             raise ValueError(f"state norm {norm} drifted beyond 1e-10")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    def overlap(self, other: "FockState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -311,18 +262,18 @@ def expectation(state: FockState, op: ManyBodyOperator) -> complex:
     return complex(np.vdot(psi, _on_basis(op, state) @ psi))
 
 
-def commutator_identity_check(h: OneBodyOperator, ladders: LadderSet) -> float:
-    """Max residual of [quantize(h), c_i] = -sum_j h_ij c_j over modes i.
+def commutator_identity_check(h: OneBodyOperator, ladders: tuple[sp.csr_matrix, ...]) -> float:
+    """Max residual of [quantize(h), c_i] = -sum_j h_ij c_j over the annihilators c_i of `ladders`.
 
     `quantize` reads the bilinear table, so this checks the table against
     the ladder operators.
     """
-    H = quantize(h, ladders.basis).matrix
+    M = len(ladders)
+    H = quantize(h, FockBasis(M)).matrix
     worst = 0.0
-    for i in range(ladders.n_modes):
-        ci = ladders.c(i)
+    for i, ci in enumerate(ladders):
         lhs = H @ ci - ci @ H
-        rhs = -sum(h.matrix[i, j] * ladders.c(j) for j in range(ladders.n_modes))
+        rhs = -sum(h.matrix[i, j] * ladders[j] for j in range(M))
         residual = lhs - rhs
         if residual.nnz:
             worst = max(worst, float(np.abs(residual.data).max()))
@@ -349,27 +300,23 @@ def omega0_state(catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel) -> F
     return FockState(amp, basis)
 
 
-def h0_spectrum_check(ladders: LadderSet) -> dict[str, float]:
+def h0_spectrum_check(catalog: BasisCatalog) -> dict[str, float]:
     """Exact diagonalization facts about the quantized free Hamiltonian.
 
     Returns the minimum eigenvalue, its deviation from the filled-sea energy
     -sum E_p, the occupation-basis off-diagonal weight, whether the minimum
     sits exactly on the vacuum bitstring, and the gap to the next level
     (which equals the lightest single-mode energy: one extra electron or one
-    hole).  Read on all 2^M states.
+    hole).  Read on all 2^M states of the catalog's modes.
     """
-    from .onebody import h0_matrix
-
-    if ladders.catalog is None:
-        raise ValueError("spectrum check needs the physical catalog")
-    catalog = ladders.catalog
-    H = quantize(h0_matrix(catalog), ladders.basis).matrix.toarray()
+    basis = FockBasis(catalog.size)
+    H = quantize(h0_matrix(catalog), basis).matrix.toarray()
     diag = np.real(np.diag(H).copy())
     off_diag = float(np.abs(H - np.diag(np.diag(H))).max())
     order = np.argsort(diag)
     e_min = float(diag[order[0]])
     gap = float(diag[order[1]] - diag[order[0]])
-    vac_index = ladders.basis.index_of_occupations(_sea(catalog))
+    vac_index = basis.index_of_occupations(_sea(catalog))
     return {
         "min_eigenvalue": e_min,
         "sea_energy_deviation": abs(e_min - catalog.sea_energy()),

@@ -182,15 +182,6 @@ def dirac_spinor(lbl: ModeLabel, m: float, grid: MomentumGrid) -> SpinorMode:
     return SpinorMode(lbl, p, u, energy, grid)
 
 
-def mode_overlap(a: SpinorMode, b: SpinorMode) -> complex:
-    """Inner product <a|b> = u_a^dag u_b * delta(p_a, p_b) (box integral)."""
-    if a.grid != b.grid:
-        raise ValueError("modes come from different grids")
-    if a.label.n != b.label.n:
-        return 0.0 + 0.0j
-    return complex(np.vdot(a.u, b.u))
-
-
 @dataclass(frozen=True)
 class SpinorTables:
     """Spinor contractions of a catalog: the one place they are computed.
@@ -235,10 +226,6 @@ class BasisCatalog:
     @property
     def size(self) -> int:
         return len(self.modes)
-
-    @property
-    def is_full(self) -> bool:
-        return self.size == 4 * (2 * self.n_max + 1) ** self.d
 
     @property
     def d(self) -> int:

@@ -186,14 +186,12 @@ class FieldSeries:
     rho: np.ndarray  # (T, N)
     current: np.ndarray  # (T, N, 3)
     energy: np.ndarray  # (T,) free-Hamiltonian expectation
-    points: np.ndarray = field(default=None, repr=False)
+    points: np.ndarray = field(repr=False)  # (N, 3) the spatial grid's points
 
     def __post_init__(self):
         T, N = len(self.times), self.spatial.n_points
         if self.rho.shape != (T, N) or self.current.shape != (T, N, 3):
             raise ValueError("series shapes inconsistent with times x grid")
-        if self.points is None:
-            object.__setattr__(self, "points", self.spatial.points())
 
 
 def field_series(
@@ -205,8 +203,9 @@ def field_series(
 ) -> FieldSeries:
     """Evaluate rho, J, and free energy for a `CorrelationMatrix` trajectory."""
     sgrid = SpatialGrid.for_catalog(catalog, points_per_axis)
+    points = sgrid.points()
     t = catalog.tables
-    w = t.waves(sgrid.points())  # once per series, shared by every frame
+    w = t.waves(points)  # once per series, shared by every frame
     scale = e / catalog.volume
     h0 = h0_matrix(catalog)
     times = np.asarray(times, dtype=float)
@@ -216,7 +215,7 @@ def field_series(
     for k, c in enumerate(correlations):
         rho[k], cur[k] = _densities(_matrix_of(c), t, w, scale)
         energy[k] = bilinear_expectation(c, h0).real
-    return FieldSeries(times, sgrid, rho, cur, energy)
+    return FieldSeries(times, sgrid, rho, cur, energy, points)
 
 
 def spectral_divergence(series: FieldSeries) -> np.ndarray:

@@ -470,38 +470,34 @@ class OneBodyPropagator:
     def final(self) -> np.ndarray:
         return self.matrices[-1]
 
-    def at(self, t: float) -> np.ndarray:
-        idx = np.argmin(np.abs(self.times - t))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise KeyError(f"time {t} not on the recorded grid")
-        return self.matrices[idx]
-
 
 # midpoint steps per batched eigh; longer chunks cost memory, not time
 _STEP_CHUNK = 16
+# accuracy guard of `propagate`: the largest ||h(t_mid)||_2 * dt of one step
+MAX_STEP_NORM = 0.1
 
 
-def _guarded_steps(h: np.ndarray, dt: float, t_mid: list[float], first: int, bound: float):
+def _guarded_steps(h: np.ndarray, dt: float, t_mid: list[float], first: int):
     """exp(-i h_n dt) for a stack of hermitian h_n = h(t_mid[n]), one batched eigh.
 
     The step guard reads ||h_n||_2 * dt = max|w_n| * dt off the eigenvalues
-    and raises at the first step (global index `first` + n) over `bound`.
+    and raises at the first step (global index `first` + n) over `MAX_STEP_NORM`.
     """
     w, v = np.linalg.eigh(h)
     size = np.abs(w).max(axis=-1) * dt
-    over = np.flatnonzero(size > bound)
+    over = np.flatnonzero(size > MAX_STEP_NORM)
     if over.size:
         n = int(over[0])
-        raise StepGuardError(first + n, t_mid[n], float(size[n]), bound)
+        raise StepGuardError(first + n, t_mid[n], float(size[n]), MAX_STEP_NORM)
     return _exp_eigh(w, v, dt)
 
 
-def _step_chunks(hamiltonian, t_mid: list[float], dt: float, bound: float):
+def _step_chunks(hamiltonian, t_mid: list[float], dt: float):
     """Yield the step matrices exp(-i h(t_mid) dt) in step order, in chunks."""
     if isinstance(hamiltonian, OneBodyOperator):
         # one decomposition serves every step
         h = hamiltonian.matrix[None]
-        step = _guarded_steps(h, dt, t_mid[:1], 0, bound)
+        step = _guarded_steps(h, dt, t_mid[:1], 0)
         yield np.broadcast_to(step, (len(t_mid),) + step.shape[1:])
         return
     if isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator):
@@ -513,7 +509,7 @@ def _step_chunks(hamiltonian, t_mid: list[float], dt: float, bound: float):
         raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
     for start in range(0, len(t_mid), _STEP_CHUNK):
         chunk = t_mid[start : start + _STEP_CHUNK]
-        yield _guarded_steps(stack(chunk), dt, chunk, start, bound)
+        yield _guarded_steps(stack(chunk), dt, chunk, start)
 
 
 def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
@@ -541,13 +537,12 @@ def propagate(
     t_span: tuple[float, float],
     n_steps: int,
     record_every: int = 1,
-    max_step_norm: float = 0.1,
 ) -> OneBodyPropagator:
     """Midpoint-exponential propagation of i du/dt = h(t) u, u(t0) = 1.
 
     Records u at every `record_every`-th grid time (the final time is always
-    recorded).  Raises `StepGuardError` if ||h|| * dt exceeds `max_step_norm`
-    (accuracy guard; relax explicitly for coarse scans).
+    recorded).  Raises `StepGuardError` if ||h|| * dt exceeds `MAX_STEP_NORM`
+    (accuracy guard).
 
     A static `OneBodyOperator` is diagonalized once; a `DrivenHamiltonian`
     builds each chunk of midpoint Hamiltonians in one array operation; any
@@ -557,7 +552,7 @@ def propagate(
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []
     step = 0
-    for chunk in _step_chunks(hamiltonian, t_mid, dt, max_step_norm):
+    for chunk in _step_chunks(hamiltonian, t_mid, dt):
         if not mats:
             u = np.eye(chunk.shape[-1], dtype=complex)
             mats.append(u)

@@ -20,7 +20,7 @@ from diracbox.cli import (
     write_outputs,
 )
 from diracbox.experiments import ScenarioConfig, run_free_baseline
-from diracbox.fock import LadderSet, build_ladders
+from diracbox.fock import build_ladders
 from diracbox.modes import label
 from diracbox.onebody import GaugeFunction
 
@@ -163,13 +163,11 @@ def test_check_suite_passes():
 
 
 def test_check_suite_catches_broken_anticommutators():
-    good = build_ladders(12)
-    broken = list(good.lowering)
+    broken = list(build_ladders(12))
     broken[3] = broken[3] + sp.csr_matrix(
         ([0.5], ([0], [0])), shape=broken[3].shape, dtype=complex
     )
-    bad = LadderSet(basis=good.basis, lowering=tuple(broken), catalog=good.catalog)
-    checks = run_check_suite(seed=7, car_ladders=bad)
+    checks = run_check_suite(seed=7, car_ladders=tuple(broken))
     by_name = {c.name: c for c in checks}
     assert not by_name["car_anticommutators_m12"].passed
 
@@ -300,6 +298,8 @@ BAD_CONFIGS = [
     ("energy-heisenberg", "f_list = 0, 0.1, nan", "`f_list`"),
     ("gauge-heisenberg", "chi = 1:nan:0, -1:0.0015:0", "`chi`"),
     ("equivalence", "drive_band = 3", "`drive_band`"),
+    ("equivalence", "drive_band = 0", "`drive_band`"),
+    ("gauge-heisenberg", "cutoffs = 2, 2", "`cutoffs`"),
     ("baseline", "backend = both\nn_max = 2", "`n_max`"),
     ("gauge-schrodinger", "scan_subsets = -2 -1 0 1", "`scan_subsets`"),
     ("equivalence", "scan_subsets = -2 -1 0 1", "`scan_subsets`"),
@@ -332,6 +332,7 @@ def test_main_flag_overrides_parse_like_config_values(tmp_path, capsys):
         (["--seed", "x"], "config error: invalid value for `seed`: 'x'\n"),
         (["--seed", "none"], "config error: `seed` does not accept none\n"),
         (["--cutoffs", "2,x"], "config error: invalid value for `cutoffs`: '2,x'\n"),
+        (["--cutoffs", "3,2"], "config error: `cutoffs` must strictly increase, got 3, 2\n"),
     ):
         assert main(["baseline", *flags, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == want

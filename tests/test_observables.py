@@ -171,6 +171,7 @@ def test_continuity_residual_needs_uniform_grid():
         series.rho[:3],
         series.current[:3],
         series.energy[:3],
+        series.points,
     )
     with pytest.raises(ValueError):
         continuity_residual(broken)

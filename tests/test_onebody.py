@@ -301,7 +301,7 @@ def test_propagate_static_hamiltonian_closed_form():
     prop = propagate(h0, (0.0, 1.5), n_steps=50)
     want = unitary_step(h0.matrix, 1.5)
     assert np.abs(prop.final - want).max() <= 1e-12
-    assert np.abs(prop.at(0.0) - np.eye(cat.size)).max() == 0.0
+    assert prop.times[0] == 0.0 and np.abs(prop.matrices[0] - np.eye(cat.size)).max() == 0.0
 
 
 def test_propagate_composition_and_unitarity():

@@ -15,8 +15,10 @@ import pytest
 from diracbox.experiments import (
     ScenarioConfig,
     run_free_baseline,
+    run_heisenberg_energy_scan,
     run_heisenberg_gauge,
     run_picture_equivalence,
+    run_schrodinger_gauge_scan,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -35,8 +37,10 @@ def load_tracing():
         (run_picture_equivalence, ScenarioConfig(n_drives=1, n_steps=20)),
         (run_free_baseline, ScenarioConfig(backend="both", n_steps=50)),
         (run_heisenberg_gauge, ScenarioConfig(cutoffs=(2,), n_steps=200)),
+        (run_schrodinger_gauge_scan, ScenarioConfig(n_steps=20)),
+        (run_heisenberg_energy_scan, ScenarioConfig(n_steps=400)),
     ],
-    ids=["equivalence", "baseline-both", "gauge-heisenberg"],
+    ids=["equivalence", "baseline-both", "gauge-heisenberg", "gauge-schrodinger", "energy-heisenberg"],
 )
 def test_traced_run_writes_the_plain_run_outputs(driver, cfg):
     tracing = load_tracing()
