@@ -5,6 +5,8 @@
 # the path of the benchmark's d3-field-sampling workload) on git revision REV
 # and on the working tree, each with one BLAS thread, then `diff -r` the two
 # output directories.  The console logs of both runs are part of the outputs.
+# When they differ, scripts/compare_numbers.py then prints how far each
+# number in the differing CSV/JSON files moved.
 # Usage: scripts/compare_outputs.sh REV   (e.g. HEAD~ or a commit SHA)
 # Exit status: diff's (0 = byte-identical outputs).
 set -euo pipefail
@@ -34,4 +36,11 @@ run_tree() {
 
 run_tree "${tmp}/rev" "${tmp}/out-rev"
 run_tree "${repo}" "${tmp}/out-tree"
-diff -r "${tmp}/out-rev" "${tmp}/out-tree"
+status=0
+diff -r "${tmp}/out-rev" "${tmp}/out-tree" || status=$?
+if [ "${status}" -ne 0 ]; then
+    echo
+    echo "== how far the numbers moved (${rev} -> working tree) =="
+    python3 "${repo}/scripts/compare_numbers.py" "${tmp}/out-rev" "${tmp}/out-tree" || true
+fi
+exit "${status}"

@@ -20,7 +20,11 @@ Time evolution is the midpoint-exponential stepper
 
 unitary by construction and second-order accurate (the second-order Magnus
 integrator).  The midpoint Hamiltonians never depend on the state, so they
-are diagonalized in batches ahead of the chain of products.
+are diagonalized in batches ahead of the chain of products.  Steps are taken
+on the invariant blocks of the stepped matrices (the connected components of
+their exact nonzero pattern): the spin blocks of a pure-gauge family in
+d = 1, the 1 x 1 blocks of the diagonal h0.  Every route to `propagate`
+finds the blocks from the same stacked matrices, so all share them.
 """
 
 from __future__ import annotations
@@ -477,28 +481,30 @@ _STEP_CHUNK = 16
 MAX_STEP_NORM = 0.1
 
 
-def _guarded_steps(h: np.ndarray, dt: float, t_mid: list[float], first: int):
-    """exp(-i h_n dt) for a stack of hermitian h_n = h(t_mid[n]), one batched eigh.
+def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
+    """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]).
 
-    The step guard reads ||h_n||_2 * dt = max|w_n| * dt off the eigenvalues
-    and raises at the first step (global index `first` + n) over `MAX_STEP_NORM`.
+    `hs` holds one stack per block group (see `_split`), each diagonalized by
+    one batched eigh.  The step guard reads ||h_n||_2 * dt off the
+    eigenvalues, as the max over blocks of max|w_n| * dt, and raises at the
+    first step (global index `first` + n) over `MAX_STEP_NORM`.
     """
-    w, v = np.linalg.eigh(h)
-    size = np.abs(w).max(axis=-1) * dt
+    eig = [np.linalg.eigh(h) for h in hs]
+    size = np.max([np.abs(w).reshape(len(w), -1).max(axis=1) for w, _ in eig], axis=0) * dt
     over = np.flatnonzero(size > MAX_STEP_NORM)
     if over.size:
         n = int(over[0])
         raise StepGuardError(first + n, t_mid[n], float(size[n]), MAX_STEP_NORM)
-    return _exp_eigh(w, v, dt)
+    return [_exp_eigh(w, v, dt) for w, v in eig]
 
 
-def _step_chunks(hamiltonian, t_mid: list[float], dt: float):
-    """Yield the step matrices exp(-i h(t_mid) dt) in step order, in chunks."""
+def _step_chunks(hamiltonian, t_mid: list[float]):
+    """Yield (first step, its chunk of t_mid, stacked h(t_mid)) in step order.
+
+    A static operator yields one matrix that serves every step.
+    """
     if isinstance(hamiltonian, OneBodyOperator):
-        # one decomposition serves every step
-        h = hamiltonian.matrix[None]
-        step = _guarded_steps(h, dt, t_mid[:1], 0)
-        yield np.broadcast_to(step, (len(t_mid),) + step.shape[1:])
+        yield 0, t_mid, hamiltonian.matrix[None]
         return
     if isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator):
         stack = hamiltonian.stack
@@ -509,7 +515,46 @@ def _step_chunks(hamiltonian, t_mid: list[float], dt: float):
         raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
     for start in range(0, len(t_mid), _STEP_CHUNK):
         chunk = t_mid[start : start + _STEP_CHUNK]
-        yield _guarded_steps(stack(chunk), dt, chunk, start)
+        yield start, chunk, stack(chunk)
+
+
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Connected components of a square boolean pattern, taken as undirected.
+
+    Each index is labelled with the smallest index it reaches; the reach
+    matrix is squared until it stops growing.
+    """
+    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            return reach.argmax(axis=1)
+        reach = wider
+
+
+def _split(u: np.ndarray, labels: np.ndarray) -> list:
+    """u on the blocks of a partition, as [(rows, u_blocks)], blocks grouped by size.
+
+    `rows` is an (n_blocks, size) index array and `u_blocks` the matching
+    (n_blocks, size, size) stack; a partition of one block is [(None, u)].
+    """
+    if not labels.any():
+        return [(None, u)]
+    by_size: dict[int, list] = {}
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        by_size.setdefault(len(rows), []).append(rows)
+    return [(rows, u[rows[:, :, None], rows[:, None, :]]) for rows in map(np.array, by_size.values())]
+
+
+def _join(blocks: list, size: int) -> np.ndarray:
+    """The size x size matrix of a block-diagonal u held as `_split` gives it."""
+    if blocks[0][0] is None:
+        return blocks[0][1]
+    u = np.zeros((size, size), dtype=complex)
+    for rows, ub in blocks:
+        u[rows[:, :, None], rows[:, None, :]] = ub
+    return u
 
 
 def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
@@ -546,21 +591,40 @@ def propagate(
 
     A static `OneBodyOperator` is diagonalized once; a `DrivenHamiltonian`
     builds each chunk of midpoint Hamiltonians in one array operation; any
-    other callable is called once per step.  All three take the same batched
-    eigendecomposition, so they give the same bytes for the same h(t).
+    other callable is called once per step.  Steps are taken on invariant
+    blocks: the connected components of the exact nonzero pattern of each
+    chunk, joined with those of the chunks before (so the partition only
+    coarsens, and u stays block-diagonal in it).  Each block is
+    diagonalized, exponentiated and chain-multiplied on its own; once the
+    partition is one block, u is stepped as a whole.  The blocks are read
+    off the stacked matrices, so all three routes find the same blocks and
+    give the same bytes for the same h(t).
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []
-    step = 0
-    for chunk in _step_chunks(hamiltonian, t_mid, dt):
+    for first, chunk, h in _step_chunks(hamiltonian, t_mid):
         if not mats:
-            u = np.eye(chunk.shape[-1], dtype=complex)
-            mats.append(u)
-        for s in chunk:
-            u = s @ u
-            step += 1
-            if step in kept:
-                mats.append(u)
+            size = h.shape[-1]
+            labels = np.arange(size)
+            mats.append(np.eye(size, dtype=complex))
+            blocks = _split(mats[0], labels)
+        if blocks[0][0] is not None:
+            same = labels[:, None] == labels
+            pattern = np.any(h != 0, axis=0)
+            if (pattern & ~same).any():
+                labels = _components(pattern | same)
+                blocks = _split(_join(blocks, size), labels)
+        steps = _guarded_steps(
+            [h if rows is None else h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks],
+            dt,
+            chunk,
+            first,
+        )
+        steps = [np.broadcast_to(s, (len(chunk),) + s.shape[1:]) for s in steps]
+        for n in range(len(chunk)):
+            blocks = [(rows, s[n] @ ub) for (rows, ub), s in zip(blocks, steps)]
+            if first + n + 1 in kept:
+                mats.append(_join(blocks, size))
     return OneBodyPropagator(times, np.array(mats))
 
 

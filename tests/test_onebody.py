@@ -20,6 +20,7 @@ from diracbox.fock import (
 )
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
 from diracbox.onebody import (
+    _components,
     _coupling_matrix,
     Constant,
     CosineRamp,
@@ -444,25 +445,48 @@ def test_coupling_matrix_equals_mode_pair_loop(d, n_max, keep, ks):
 # batched stepping against the one-step-at-a-time loop
 
 
-def reference_propagate(hamiltonian, t_span, n_steps, record_every=1, max_step_norm=0.1):
-    """Midpoint loop one step at a time: an eigh and an SVD norm guard per step."""
+def reference_propagate(hamiltonian, t_span, n_steps, record_every=1, max_step_norm=0.1, blocks=None):
+    """Midpoint loop one step at a time: an eigh and an SVD norm guard per step.
+
+    With `blocks` (index arrays of an invariant partition of every h(t)) each
+    block is diagonalized and chain-multiplied on its own; without, the
+    whole matrix is.
+    """
     t0, t1 = map(float, t_span)
     h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
     dt = (t1 - t0) / n_steps
-    u = np.eye(h_of_t(t0 + 0.5 * dt).size, dtype=complex)
-    times, mats = [t0], [u]
+    size = h_of_t(t0 + 0.5 * dt).size
+    blocks = [np.arange(size)] if blocks is None else blocks
+    ub = [np.eye(len(b), dtype=complex) for b in blocks]
+
+    def joined():
+        if len(blocks) == 1:
+            return ub[0]
+        u = np.zeros((size, size), dtype=complex)
+        for b, u_b in zip(blocks, ub):
+            u[np.ix_(b, b)] = u_b
+        return u
+
+    times, mats = [t0], [joined()]
     for step in range(n_steps):
         t_mid = t0 + (step + 0.5) * dt
         h = h_of_t(t_mid).matrix
         norm = np.linalg.norm(h, 2)
         if norm * dt > max_step_norm:
             raise StepGuardError(step, t_mid, norm * dt, max_step_norm)
-        w, v = np.linalg.eigh(h)
-        u = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ u
+        for i, b in enumerate(blocks):
+            w, v = np.linalg.eigh(h[np.ix_(b, b)])
+            ub[i] = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ ub[i]
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append(t0 + (step + 1) * dt)
-            mats.append(u)
+            mats.append(joined())
     return np.array(times), np.array(mats)
+
+
+def spin_blocks(catalog):
+    """Mode indices of each spin: the invariant blocks of a d = 1 family without transverse a."""
+    spins = np.array([mode.label.s for mode in catalog.modes])
+    return [np.flatnonzero(spins == s) for s in sorted(set(spins))]
 
 
 def pure_gauge_family(n_max=2):
@@ -497,25 +521,111 @@ def driven_potential_callable(n_max=2):
     return lambda t: OneBodyOperator(h0.matrix + interaction_at(cat, pot, t))
 
 
+def spin_mixing_family(n_max=2):
+    """A driven potential with transverse a: spin is mixed, the family is one block."""
+    cat = catalog1d(n_max=n_max)
+    pot = PotentialSpec.single(
+        a0={1: 0.3, -1: 0.3},
+        a={1: (0.1, 0, 0.2), -1: (0.1, 0, 0.2)},
+        envelope=CosineRamp(t_final=1.0),
+    )
+    return DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pot))
+
+
 @pytest.mark.parametrize(
     "route",
-    ["static", "driven-family", "lambda"],
+    ["static", "driven-family", "lambda", "spin-mixing"],
 )
 def test_batched_propagate_equals_per_step_loop(route):
+    blocks = None
     if route == "static":
         ham = ref = h0_matrix(catalog1d(n_max=2))
     elif route == "driven-family":
         ham = pure_gauge_family()
         ref = per_t_sum(ham)
-    else:
+        blocks = spin_blocks(catalog1d(n_max=2))
+    elif route == "lambda":
         ham = ref = driven_potential_callable()
+        blocks = spin_blocks(catalog1d(n_max=2))
+    else:
+        ham = spin_mixing_family()
+        ref = per_t_sum(ham)
     # 203 steps is no multiple of the 16-step chunk; recording every step
     # would also show a step taken past the end of the run
     every = 1 if route == "lambda" else 7
     prop = propagate(ham, (0.0, 1.0), n_steps=203, record_every=every)
     times, mats = reference_propagate(ref, (0.0, 1.0), n_steps=203, record_every=every)
     assert prop.times.shape == times.shape and (prop.times == times).all()
-    assert prop.matrices.shape == mats.shape and (prop.matrices == mats).all()
+    assert prop.matrices.shape == mats.shape
+    if blocks is None:
+        # a diagonal h0 (1 x 1 blocks) and a spin-mixing family (one block)
+        # keep the whole-matrix arithmetic bit for bit
+        assert (prop.matrices == mats).all()
+    else:
+        # the spin blocks are stepped on their own: the same arithmetic
+        # block by block, and the whole-matrix loop as the oracle
+        _, by_block = reference_propagate(
+            ref, (0.0, 1.0), n_steps=203, record_every=every, blocks=blocks
+        )
+        assert (prop.matrices == by_block).all()
+        assert np.abs(prop.matrices - mats).max() <= 1e-12
+
+
+def test_components_of_a_hand_made_pattern():
+    # two 3-mode blocks, isolated 6 and 7 (7 with no diagonal entry), and a
+    # chain 8 - 10 - 9 that a squaring must close
+    pattern = np.zeros((11, 11), dtype=bool)
+    for block in ([0, 2, 4], [1, 3, 5]):
+        pattern[np.ix_(block, block)] = True
+    pattern[6, 6] = True
+    pattern[8, 10] = pattern[10, 9] = True  # one direction only: taken as undirected
+    assert _components(pattern).tolist() == [0, 1, 0, 1, 0, 1, 6, 7, 8, 8, 8]
+    # one entry between the spin blocks joins them
+    pattern[4, 5] = True
+    assert _components(pattern).tolist() == [0, 0, 0, 0, 0, 0, 6, 7, 8, 8, 8]
+    # a chain through every index is one block
+    chain = np.eye(11, k=1, dtype=bool)
+    assert (_components(chain) == 0).all()
+
+
+class Window:
+    """An envelope that is exactly 0 outside [start, stop), `base` shifted to start inside."""
+
+    def __init__(self, base, start, stop=np.inf):
+        self.base, self.start, self.stop = base, start, stop
+
+    def value(self, t):
+        return self.base.value(t - self.start) if self.start <= t < self.stop else 0.0
+
+
+def test_partition_coarsens_mid_run():
+    # diagonal h0 alone (1 x 1 blocks), the spin blocks of a pure-gauge
+    # coupling on [0.2, 0.4), kept while h0 runs alone again, then one block
+    # once a transverse a joins at 0.7
+    gauge = pure_gauge_family()
+    mixing = spin_mixing_family()
+    family = DrivenHamiltonian(
+        gauge.h0,
+        [(op, Window(env, 0.2, 0.4)) for op, env in gauge.blocks]
+        + [(op, Window(env, 0.7)) for op, env in mixing.blocks],
+    )
+    prop = propagate(family, (0.0, 1.0), n_steps=203, record_every=7)
+    _, mats = reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=203, record_every=7)
+    assert np.abs(prop.matrices - mats).max() <= 1e-12
+    eye = np.eye(family.h0.size)
+    assert max(np.abs(u.conj().T @ u - eye).max() for u in prop.matrices) <= 1e-12
+    # before the gauge coupling starts, u is exactly the diagonal free phase
+    assert (prop.matrices[1] == mats[1]).all()
+    # the callable route finds the same blocks and writes the same bytes
+    assert (propagate(per_t_sum(family), (0.0, 1.0), n_steps=203, record_every=7).matrices == prop.matrices).all()
+
+
+def test_split_family_callable_route_writes_the_family_bytes():
+    family = pure_gauge_family()
+    prop = propagate(family, (0.0, 1.0), n_steps=203, record_every=7)
+    called = propagate(lambda t: family(t), (0.0, 1.0), n_steps=203, record_every=7)
+    assert (called.times == prop.times).all()
+    assert (called.matrices == prop.matrices).all()
 
 
 def test_driven_family_stack_equals_per_t_call():
@@ -585,6 +695,24 @@ def test_step_guard_trips_at_the_reference_step(route):
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
     assert got.value.bound == 0.1
     assert f"at step {ref.value.step}" in str(got.value)
+
+
+def test_step_guard_of_a_split_family_trips_at_the_reference_step():
+    family = pure_gauge_family()
+    strong = DrivenHamiltonian(
+        family.h0, [(OneBodyOperator(60.0 * op.matrix), env) for op, env in family.blocks]
+    )
+    with pytest.raises(StepGuardError) as ref:
+        reference_propagate(per_t_sum(strong), (0.0, 1.0), n_steps=40)
+    for ham in (strong, per_t_sum(strong)):
+        with pytest.raises(StepGuardError) as got:
+            propagate(ham, (0.0, 1.0), n_steps=40)
+        # the guard reads max|w| over the spin blocks: the same ||h||_2 * dt
+        assert 0 < ref.value.step < 39
+        assert got.value.step == ref.value.step
+        assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
+        assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
+        assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("stepper", ["propagate", "evolve_schrodinger"])
