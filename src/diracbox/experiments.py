@@ -59,6 +59,7 @@ from .onebody import (
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
+    Scaled,
     chi_matrix,
     gauge_identity_residual,
     gauge_phase,
@@ -318,6 +319,27 @@ def profile_square_integral(profile: dict[IntVec, complex], volume: float) -> fl
     return volume * sum(abs(c) ** 2 for c in profile.values())
 
 
+def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog, name: str) -> float:
+    """integral of the scan profile `name` squared; a ValueError naming `mode2` when it is 0.
+
+    A vanishing profile (mode2 of another spin than mode1, or of its energy)
+    gives the linear prediction no slope to check.
+    """
+    sq = profile_square_integral(profile, catalog.volume)
+    if sq == 0:
+        raise ValueError(
+            f"`mode2`: the scan profile {name} of mode1 and mode2 vanishes (its square integral is 0); "
+            "pick two modes of one spin and different energy"
+        )
+    return sq
+
+
+def _spin_groups(catalog: BasisCatalog) -> list[list[int]]:
+    """Mode indices of each spin: the groups a pure-gauge family on the z axis keeps apart."""
+    spins = [mode.label.s for mode in catalog.modes]
+    return [[i for i, s in enumerate(spins) if s == spin] for spin in sorted(set(spins))]
+
+
 def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
     return gauge_transform(PotentialSpec.zero(), chi, grid)
 
@@ -545,27 +567,33 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     if 0.0 not in cfg.f_list or not small_f:
         raise ValueError("`f_list` needs 0 and at least one positive f for the linear fit")
     catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
+    profiles = []
     for catalog in catalogs:
-        # every subset within the mode cap and holding the wavepacket before any evolution
+        # every subset within the mode cap, holding the wavepacket and with a
+        # profile to scan, before any evolution
         _check_fock_cap(catalog, "scan_subsets")
         _mode_indices(catalog, cfg)
-    for catalog in catalogs:
-        omega = omega0_state(catalog, cfg.mode1, cfg.mode2)  # steps in its particle-number sector
+        profile = schrodinger_scan_profile(catalog, cfg)
+        profiles.append((profile, _scan_square_integral(profile, catalog, "D")))
+    for catalog, (profile, d_sq) in zip(catalogs, profiles):
+        # the pure-gauge family keeps each spin's particle count: omega0 steps in its spin sector
+        omega = omega0_state(catalog, cfg.mode1, cfg.mode2, _spin_groups(catalog))
         h0q = quantize(h0_matrix(catalog), omega.basis)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
-        profile = schrodinger_scan_profile(catalog, cfg)
-        d_sq = profile_square_integral(profile, catalog.volume)
         sea = catalog.sea_energy()
         tag = f"M{catalog.size}"
         f_star = None
+        # the pure-gauge blocks are linear in chi = f D g(t): quantize them at f = 1, f rides on the envelopes
+        unit = GaugeFunction(profile, env)
+        unit_blocks = [
+            (quantize(op, omega.basis), block_env)
+            for op, block_env in interaction_term_matrices(catalog, _pure_gauge(unit, catalog.grid), cfg.e)
+        ]
         for f in cfg.f_list:
-            if f == 0.0:
-                ham = h0q
-            else:
-                chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
-                pure = _pure_gauge(chi, catalog.grid)
-                ham = _manybody_hamiltonian(h0q, interaction_term_matrices(catalog, pure, cfg.e))
+            ham = h0q
+            if f != 0.0:
+                ham = DrivenHamiltonian(h0q, [(bq, Scaled(f, block_env)) for bq, block_env in unit_blocks])
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
@@ -630,7 +658,7 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     m1, m2 = _modes_of(catalog, cfg)
     dxi = delta_xi(m1, m2)
     profile = heisenberg_scan_profile(catalog, cfg)
-    d7_sq = profile_square_integral(profile, catalog.volume)
+    d7_sq = _scan_square_integral(profile, catalog, "D7")
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
     W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
     sea = catalog.sea_energy()

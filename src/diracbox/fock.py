@@ -12,19 +12,24 @@ modes; positron operators d create negative-energy ones, so both annihilate
 the vacuum.
 
 Every Hamiltonian here is a number-conserving bilinear, so a state of N
-particles stays in the sector of bitstrings with N set bits.  A `FockBasis`
-is that sector, or the whole space when it has no particle number.  Its
-`BilinearTable` holds every c_i^dag c_j on one sparse pattern, built once by
-bit arithmetic: `quantize`, the driven family and `correlation_from_state`
-all read it.  The annihilators of the whole space, a tuple from
-`build_ladders`, serve the anticommutator and commutator checks and the
-tests' oracle; the spectrum check reads the full `FockBasis` of a catalog.
+particles stays in the sector of bitstrings with N set bits; one that moves
+particles only within groups of modes (the spins of a d = 1 pure-gauge
+drive) also keeps the particle count of each group.  A `FockBasis` is such a
+sector, given by its mode groups and their counts (one group of all modes is
+the N-particle sector), or the whole space.  Its `BilinearTable` holds every
+c_i^dag c_j within a group on one sparse pattern, built once by bit
+arithmetic: `quantize`, the driven family and `correlation_from_state` all
+read it.  The annihilators of the whole space, a tuple from `build_ladders`,
+serve the anticommutator and commutator checks and the tests' oracle; the
+spectrum check reads the full `FockBasis` of a catalog.
 
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept).  Time evolution uses the same
 midpoint-exponential rule as the one-body layer; each step applies
-exp(-i H dt) to the state with `expm_multiply`, a truncated Taylor series on
-the stored entries of H (Al-Mohy & Higham 2011).
+exp(-i H dt) to the state with a truncated Taylor series on the stored
+entries of H (Al-Mohy & Higham 2011).  `evolve_schrodinger` does the work of
+the family's sparsity pattern (its diagonal slots and one CSR holder) once
+per evolution; `expm_multiply` is the same arithmetic for one matrix.
 """
 
 from __future__ import annotations
@@ -55,27 +60,51 @@ def _popcount(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis of M modes: the sector of `particles`, or all 2^M states."""
+    """Occupation-number basis of M modes: all 2^M states, or one sector.
+
+    A sector fixes the particle count of each group of modes: `groups` is
+    ((modes, count), ...), the groups partitioning the modes 0..M-1, or an
+    int N, the N-particle sector (one group of all modes).  Groups are kept
+    sorted, so two bases are equal exactly when they hold the same states.
+    """
 
     n_modes: int
-    particles: int | None = None
+    groups: tuple[tuple[tuple[int, ...], int], ...] | int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_modes <= FOCK_MODE_CAP:
+        M = self.n_modes
+        if not 1 <= M <= FOCK_MODE_CAP:
             raise ValueError(
-                f"mode count {self.n_modes} outside 1..{FOCK_MODE_CAP} "
+                f"mode count {M} outside 1..{FOCK_MODE_CAP} "
                 "(Fock dimension 2^M); use the gaussian backend or a momentum subset"
             )
-        if self.particles is not None and not 0 <= self.particles <= self.n_modes:
-            raise ValueError(f"particle number {self.particles} outside 0..{self.n_modes}")
+        if self.groups is None:
+            return
+        groups = ((range(M), self.groups),) if isinstance(self.groups, (int, np.integer)) else self.groups
+        groups = tuple(sorted((tuple(sorted(int(i) for i in modes)), int(n)) for modes, n in groups))
+        if sorted(i for modes, _ in groups for i in modes) != list(range(M)) or not all(m for m, _ in groups):
+            raise ValueError(f"mode groups {[m for m, _ in groups]} do not partition the modes 0..{M - 1}")
+        for modes, n in groups:
+            if not 0 <= n <= len(modes):
+                raise ValueError(f"particle number {n} outside 0..{len(modes)} of the modes {modes}")
+        object.__setattr__(self, "groups", groups)
+
+    @cached_property
+    def group_of(self) -> np.ndarray:
+        """The group index of each mode (all 0 for the whole space)."""
+        of = np.zeros(self.n_modes, dtype=np.int64)
+        for g, (modes, _) in enumerate(self.groups or ()):
+            of[list(modes)] = g
+        return of
 
     @cached_property
     def states(self) -> np.ndarray:
         """The basis bitstrings in increasing order; position = basis index."""
         every = np.arange(1 << self.n_modes, dtype=np.int64)
-        if self.particles is None:
-            return every
-        return every[_popcount(every) == self.particles]
+        keep = np.ones(every.shape, dtype=bool)
+        for modes, n in self.groups or ():
+            keep &= _popcount(every & sum(1 << i for i in modes)) == n
+        return every[keep]
 
     @property
     def dim(self) -> int:
@@ -93,17 +122,19 @@ class FockBasis:
         bits = sum(1 << i for i in modes)
         idx = int(np.searchsorted(self.states, bits))
         if idx == self.dim or self.states[idx] != bits:
-            raise ValueError(f"{len(modes)} occupied modes are outside the {self.particles}-particle sector")
+            counts = "+".join(str(n) for _, n in self.groups)
+            raise ValueError(f"occupied modes {sorted(modes)} are outside the {counts}-particle sector of {self}")
         return idx
 
 
 @dataclass(frozen=True)
 class BilinearTable:
-    """Every c_i^dag c_j of one basis as the entries of one CSR pattern.
+    """Every c_i^dag c_j within a mode group of one basis as the entries of one CSR pattern.
 
     Slot k is the entry (rows[k], indices[k]); rows run in order and columns
     are sorted within a row.  Off the diagonal, moving one particle from mode
-    j to mode i fixes the ordered pair: gather[k] = i*M + j and the entry of
+    j to mode i of the same group fixes the ordered pair (a move between
+    groups leaves the sector): gather[k] = i*M + j and the entry of
     c_i^dag c_j is sign[k], (-1)^(occupied modes strictly between i and j).
     On the diagonal gather[k] = M*M + row and sign[k] = 1: the entry of
     sum_i h_ii c_i^dag c_i is `occupation` (dim x M) times diag(h).
@@ -121,7 +152,8 @@ class BilinearTable:
         M, states = basis.n_modes, basis.states
         dim = len(states)
         occ = ((states[:, None] >> np.arange(M)) & 1).astype(np.int8)
-        i, j = np.nonzero(~np.eye(M, dtype=bool))
+        group = basis.group_of
+        i, j = np.nonzero((group[:, None] == group) & ~np.eye(M, dtype=bool))
         # c_i^dag c_j needs mode j occupied and mode i empty
         pair, col = np.nonzero((occ[:, j] & (1 - occ[:, i])).T)
         i, j, src = i[pair], j[pair], states[col]
@@ -245,10 +277,23 @@ def vacuum_state(catalog: BasisCatalog) -> FockState:
 
 
 def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
-    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j, gathered onto the basis' table."""
+    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j, gathered onto the basis' table.
+
+    The basis' sector must be invariant: an entry h_ij between two mode
+    groups would move a particle out of it, so it raises a ValueError
+    naming (i, j).
+    """
     M = basis.n_modes
     if h.size != M:
         raise ValueError(f"matrix size {h.size} != mode count {M}")
+    group = basis.group_of
+    leaks = np.argwhere((group[:, None] != group) & (h.matrix != 0))
+    if len(leaks):
+        i, j = leaks[0]
+        raise ValueError(
+            f"h[{i}, {j}] = {h.matrix[i, j]:.3g} couples modes {i} and {j} of different groups "
+            f"of {basis}; the sector is not invariant"
+        )
     table = basis.table
     values = np.concatenate([h.matrix.ravel(), table.occupation @ np.diag(h.matrix)])
     data = table.sign * values[table.gather]
@@ -280,17 +325,25 @@ def commutator_identity_check(h: OneBodyOperator, ladders: tuple[sp.csr_matrix, 
     return worst
 
 
-def omega0_state(catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel) -> FockState:
+def omega0_state(
+    catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel, groups=None
+) -> FockState:
     """Equal-amplitude two-mode electron state (b1^dag + b2^dag)|vac>/sqrt(2).
 
-    It lives in the sector of its particle number, the sea's plus one.
+    It lives in the sector of its particle number, the sea's plus one, or,
+    given `groups` (mode index lists partitioning the catalog), in the sector
+    of each group's particle count; mode2 must then be in mode1's group.
     """
     if mode1.lam != +1 or mode2.lam != +1:
         raise ValueError("omega0 modes must be positive-energy (lam = +1)")
     if mode1 == mode2:
         raise ValueError("omega0 modes must differ")
     sea = _sea(catalog)
-    basis = FockBasis(catalog.size, len(sea) + 1)
+    occupied = set(sea) | {catalog.index_of(mode1)}
+    if groups is None:
+        basis = FockBasis(catalog.size, len(occupied))
+    else:
+        basis = FockBasis(catalog.size, [(modes, len(occupied.intersection(modes))) for modes in groups])
     amp = np.zeros(basis.dim, dtype=complex)
     for mode in (mode1, mode2):
         i = catalog.index_of(mode)
@@ -361,18 +414,31 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n) or np.shape(v) != (n,):
         raise ValueError(f"expm_multiply needs a square matrix and a vector, got {A.shape} and {np.shape(v)}")
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    diag = np.flatnonzero(A.indices == rows)
+    diag = _diagonal_slots(A.indptr, A.indices)
+    work = sp.csr_matrix((A.data.astype(np.result_type(A.dtype, float)), A.indices, A.indptr), shape=A.shape)
+    return _expm_shifted(work, diag, v)
+
+
+def _diagonal_slots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The slots of a CSR pattern's diagonal entries; ValueError unless each row stores one."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diag = np.flatnonzero(indices == rows)
     bad = np.flatnonzero(np.bincount(rows[diag], minlength=n) != 1)
     if bad.size:
         raise ValueError(
             f"expm_multiply needs each diagonal entry of A stored exactly once; rows {bad.tolist()} "
             "store theirs missing or doubled (quantize and DrivenHamiltonian.at store every one once)"
         )
-    data = A.data.astype(np.result_type(A.dtype, float))
+    return diag
+
+
+def _expm_shifted(work: sp.csr_matrix, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(A) v for A held in `work`, whose data becomes A - mu I; `diag` holds its diagonal slots."""
+    n, data = work.shape[0], work.data
     mu = data[diag].sum() / float(n)
     data[diag] -= mu
-    norm = np.bincount(A.indices, np.abs(data), n).max()
+    norm = np.bincount(work.indices, np.abs(data), n).max()
     if not np.isfinite(norm):
         raise FloatingPointError(f"expm_multiply: 1-norm of A - mu I is {norm}")
     if norm == 0:
@@ -381,14 +447,13 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
         rounds = np.ceil(norm / _THETA)
         best = int(np.argmin(_THETA_M * rounds))  # the first minimum, as scipy takes it
         m_star, s = int(_THETA_M[best]), int(rounds[best])
-    shifted = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
     tol = 2.0**-53
     eta = np.exp(mu / float(s))
     f = b = v
     for _ in range(s):
         c1 = np.abs(b).max()
         for j in range(m_star):
-            b = (1.0 / (s * (j + 1))) * (shifted @ b)
+            b = (1.0 / (s * (j + 1))) * (work @ b)
             c2 = np.abs(b).max()
             f = f + b
             if c1 + c2 <= tol * np.abs(f).max():
@@ -408,26 +473,36 @@ def evolve_schrodinger(
 ) -> tuple[np.ndarray, list[FockState]]:
     """Midpoint-exponential evolution of a Fock state in its basis.
 
-    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied by `expm_multiply`
-    on the stored entries of H.  Returns (recorded times, recorded states);
-    the FockState constructor enforces the 1e-10 norm-drift bound.  A static
-    operator is a `DrivenHamiltonian` with no blocks; a family was validated
-    when built, while any other callable's operator is checked every step.
+    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied by the
+    `expm_multiply` arithmetic on the stored entries of H.  Returns (recorded
+    times, recorded states); the FockState constructor enforces the 1e-10
+    norm-drift bound.  A static operator is a `DrivenHamiltonian` with no
+    blocks.  A family was validated when built, and its pattern work is done
+    once per call: its diagonal slots are found and checked against the
+    kernel's contract, and one CSR holder is built, into whose data each step
+    writes -i dt h(t).  Any other callable's operator is checked every step
+    and goes through `expm_multiply`; both routes write the same bytes.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     if isinstance(hamiltonian, ManyBodyOperator):
         hamiltonian = DrivenHamiltonian(hamiltonian, ())
     if isinstance(hamiltonian, DrivenHamiltonian):
         _on_basis(hamiltonian.h0, state)
-        h_at = hamiltonian.at
+        indices, indptr = hamiltonian.pattern
+        diag = _diagonal_slots(indptr, indices)
+        work = sp.csr_matrix((np.zeros(len(indices), complex), indices, indptr), shape=hamiltonian.h0.matrix.shape)
+
+        def step(t, psi):
+            np.multiply(hamiltonian.data_at(t), -1j * dt, out=work.data)
+            return _expm_shifted(work, diag, psi)
     else:
-        def h_at(t):
-            return _on_basis(hamiltonian(t), state)
+        def step(t, psi):
+            return expm_multiply((-1j * dt) * _on_basis(hamiltonian(t), state), psi)
     psi = state.amplitudes.copy()
     states = [state]
-    for step, t in enumerate(t_mid, 1):
-        psi = expm_multiply((-1j * dt) * h_at(t), psi)
-        if step in kept:
+    for s, t in enumerate(t_mid, 1):
+        psi = step(t, psi)
+        if s in kept:
             states.append(FockState(psi.copy(), state.basis))
     return times, states
 

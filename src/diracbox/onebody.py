@@ -108,6 +108,20 @@ class TimeDerivative:
         return f"TimeDerivative({self.base!r})"
 
 
+class Scaled:
+    """A constant factor times another envelope: a drive's strength carried by its weight."""
+
+    def __init__(self, factor: float, base):
+        self.factor = float(factor)
+        self.base = base
+
+    def value(self, t: float) -> float:
+        return self.factor * self.base.value(t)
+
+    def __repr__(self):
+        return f"Scaled({self.factor}, {self.base!r})"
+
+
 # ---------------------------------------------------------------------------
 # potential and gauge data
 
@@ -389,17 +403,18 @@ class DrivenHamiltonian:
     without a per-step check.  Quantized blocks share the sparsity pattern of
     h0 (`quantize` on one basis gives one pattern); the family keeps only the
     slots that are nonzero in h0 or in some block, so h(t) is one axpy on
-    those values and a CSR matrix on that pattern.  It also keeps every
-    diagonal slot, zero or not, because `fock.expm_multiply` requires each
-    diagonal entry stored exactly once.
+    those values (`data_at`) and a CSR matrix on that `pattern` (`at`);
+    `fock.evolve_schrodinger` writes the values into one CSR holder per
+    evolution.  It also keeps every diagonal slot, zero or not, because the
+    Fock kernel requires each diagonal entry stored exactly once.
     """
 
     h0: object
     blocks: tuple[tuple[object, object], ...]
-    # (h0, *blocks) values at the kept slots (dense: the matrices) and the kept
-    # (indices, indptr) pattern (dense: None)
+    # (h0, *blocks) values at the kept slots (dense: the matrices)
     _values: tuple = field(init=False, repr=False, compare=False)
-    _pattern: tuple | None = field(init=False, repr=False, compare=False)
+    # the kept (indices, indptr) CSR pattern (dense: None)
+    pattern: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -424,18 +439,25 @@ class DrivenHamiltonian:
             pattern = (h0.indices[keep], indptr.astype(h0.indptr.dtype))
             matrices = [m.data[keep] for m in matrices]
         object.__setattr__(self, "_values", tuple(matrices))
-        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "pattern", pattern)
 
-    def at(self, t: float):
-        """h(t) as a matrix of h0's kind (dense or CSR): blocks in order, none where g_b(t) = 0."""
+    def data_at(self, t: float) -> np.ndarray:
+        """The values of h(t): the matrix (dense) or its entries on `pattern` (CSR).
+
+        Blocks are added in order, none where g_b(t) = 0.
+        """
         h, *blocks = self._values
         for (_, env), b in zip(self.blocks, blocks):
             g = env.value(t)
             if g != 0.0:
                 h = h + g * b
-        if self._pattern is None:
-            return h
-        return sp.csr_matrix((h, *self._pattern), shape=self.h0.matrix.shape)
+        return h
+
+    def at(self, t: float):
+        """h(t) as a matrix of h0's kind (dense or CSR)."""
+        if self.pattern is None:
+            return self.data_at(t)
+        return sp.csr_matrix((self.data_at(t), *self.pattern), shape=self.h0.matrix.shape)
 
     def __call__(self, t: float):
         """h(t) as an operator of h0's kind (a quantized one keeps h0's basis)."""

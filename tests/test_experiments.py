@@ -223,7 +223,11 @@ def test_energy_scan_slope_and_intercept():
 
 
 def test_schrodinger_scan_quantizes_h0_once_per_subset(monkeypatch):
-    """h0 is lifted once per subset: the f = 0 run, every family and the energy reading share it."""
+    """h0 and the two f = 1 pure-gauge blocks are lifted once per subset.
+
+    The f = 0 run, every family and the energy reading share h0; every
+    family shares the blocks, with f carried by their envelopes.
+    """
     calls = []
     original = experiments.quantize
 
@@ -234,9 +238,33 @@ def test_schrodinger_scan_quantizes_h0_once_per_subset(monkeypatch):
     monkeypatch.setattr(experiments, "quantize", counted)
     cfg = ScenarioConfig(n_steps=20)  # the default scan; the count does not depend on n_steps
     run_schrodinger_gauge_scan(cfg)
-    n_nonzero_f = sum(f != 0.0 for f in cfg.f_list)
-    # per subset: h0 once, and two pure-gauge blocks per nonzero f
-    assert len(calls) == len(cfg.scan_subsets) * (1 + 2 * n_nonzero_f) == 30
+    # per subset: h0 and the two pure-gauge blocks, whatever the number of f
+    assert len(calls) == len(cfg.scan_subsets) * (1 + 2) == 6
+
+
+def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatch):
+    """omega0 steps in its (N_up, N_down) sector; the N sector of all modes stays the oracle."""
+    dims = []
+    original = experiments.evolve_schrodinger
+
+    def recorded(state, *args, **kwargs):
+        dims.append(state.basis.dim)
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_schrodinger", recorded)
+    cfg = ScenarioConfig(n_steps=40)
+    spin = run_schrodinger_gauge_scan(cfg)
+    assert sorted(set(dims)) == [24, 300]  # of 56 and 792 at M = 8 and 12
+    dims.clear()
+    monkeypatch.setattr(experiments, "_spin_groups", lambda cat: [list(range(cat.size))])
+    one = run_schrodinger_gauge_scan(cfg)
+    assert sorted(set(dims)) == [56, 792]
+    assert spin.passed and one.passed
+    assert [c.name for c in spin.checks] == [c.name for c in one.checks]
+    compared = [k for k in one.metrics if k.endswith(("_measured", "_fit_slope", "_fit_intercept"))]
+    assert len(compared) == 2 * (len(cfg.f_list) + 2)
+    for key in compared:
+        assert abs(spin.metrics[key] - one.metrics[key]) <= 1e-12 * abs(one.metrics[key]), key
 
 
 def test_schrodinger_scan_single_subset():

@@ -20,6 +20,7 @@ from diracbox.experiments import (
     ScenarioConfig,
     _manybody_hamiltonian,
     _pure_gauge,
+    _spin_groups,
     _subset_catalog,
     schrodinger_scan_profile,
 )
@@ -345,6 +346,55 @@ def test_family_steps_without_building_operators(monkeypatch):
     assert built == []
 
 
+def step_by_step(omega, family, t_span, n_steps, record_every):
+    """One package expm_multiply per midpoint step on (-i dt) family(t): the per-step callable route."""
+    t0, t1 = t_span
+    dt = (t1 - t0) / n_steps
+    psi = omega.amplitudes.copy()
+    amps = [psi.copy()]
+    for step in range(n_steps):
+        psi = kernel_expm_multiply((-1j * dt) * family(t0 + (step + 0.5) * dt).matrix, psi)
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            amps.append(psi.copy())
+    return np.array(amps)
+
+
+@pytest.mark.parametrize("route", ["static", "driven-family", "spin-groups"])
+def test_family_route_writes_the_per_step_expm_multiply_bytes(route):
+    """The once-per-evolution CSR holder and a per-step expm_multiply run one arithmetic."""
+    family, omega = scan_family((-1, 0, 1), spin=route == "spin-groups")
+    if route == "static":
+        family = DrivenHamiltonian(family.h0, ())
+    ham = family.h0 if route == "static" else family
+    _, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=17, record_every=4)
+    want = step_by_step(omega, family, (0.0, 1.0), 17, 4)
+    amps = np.array([st.amplitudes for st in states])
+    assert amps.shape == want.shape and (amps == want).all()
+    # and so does the traced benchmark's per-step callable route
+    _, states = evolve_schrodinger(omega, lambda t: family(t), (0.0, 1.0), n_steps=17, record_every=4)
+    assert (np.array([st.amplitudes for st in states]) == want).all()
+
+
+def test_family_route_rejects_a_missing_or_doubled_diagonal():
+    """The family route checks the kernel's diagonal contract once per evolution, as expm_multiply does."""
+    basis = FockBasis(4, 2)
+    h = quantize(random_hermitian(4, seed=3), basis).matrix.tocoo()
+    v = np.zeros(basis.dim, dtype=complex)
+    v[0] = 1.0
+    state = FockState(v, basis)
+    keep = (h.row != 2) | (h.col != 2)
+    missing = unsummed_csr(h.data[keep], h.row[keep], h.col[keep], basis.dim)
+    slot = np.flatnonzero((h.row == 4) & (h.col == 4))[0]
+    data = np.append(h.data, h.data[slot] / 2)
+    data[slot] /= 2
+    doubled = unsummed_csr(data, np.append(h.row, 4), np.append(h.col, 4), basis.dim)
+    for A, row in ((missing, 2), (doubled, 4)):
+        op = ManyBodyOperator(A, basis)
+        for ham in (op, DrivenHamiltonian(op, [(op, CosineRamp(t_final=1.0))])):
+            with pytest.raises(ValueError, match=rf"exactly once; rows \[{row}\] "):
+                evolve_schrodinger(state, ham, (0.0, 1.0), n_steps=2)
+
+
 def test_driven_family_blocks_share_the_pattern_of_h0():
     cat, pure = pure_gauge_m8()
     basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1)).basis
@@ -358,12 +408,15 @@ def test_driven_family_blocks_share_the_pattern_of_h0():
         DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned, basis), env)])
 
 
-def scan_family(momenta):
-    """The quantized driven family of one default gauge-schrodinger subset at f = 1, and omega0."""
+def scan_family(momenta, spin=False):
+    """The quantized driven family of one default gauge-schrodinger subset at f = 1, and omega0.
+
+    Both live in omega0's particle-number sector, or with `spin` in its spin sector.
+    """
     cfg = ScenarioConfig()
     cat = _subset_catalog(cfg, momenta)
     chi = GaugeFunction(schrodinger_scan_profile(cat, cfg), cfg.envelope())
-    omega = omega0_state(cat, cfg.mode1, cfg.mode2)
+    omega = omega0_state(cat, cfg.mode1, cfg.mode2, _spin_groups(cat) if spin else None)
     h0q = quantize(h0_matrix(cat), omega.basis)
     blocks = interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e)
     return _manybody_hamiltonian(h0q, blocks), omega
@@ -630,7 +683,7 @@ def test_operator_on_another_basis_names_both_dimensions():
     cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
     omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
     wide = quantize(h0_matrix(cat), FockBasis(cat.size))
-    msg = r"particles=None\) \(dimension 256\) != state on .*particles=5\) \(dimension 56\)"
+    msg = r"groups=None\) \(dimension 256\) != state on .*, 5\),\)\) \(dimension 56\)"
     with pytest.raises(ValueError, match=msg):
         expectation(omega, wide)
     with pytest.raises(ValueError, match=msg):
@@ -645,7 +698,7 @@ def test_operator_on_a_sector_of_the_same_dimension_is_rejected():
     omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
     other = quantize(h0_matrix(cat), FockBasis(8, 3))
     assert omega.basis == FockBasis(8, 5) and other.basis.dim == omega.basis.dim == 56
-    msg = r"particles=3\) \(dimension 56\) != state on .*particles=5\) \(dimension 56\)"
+    msg = r", 3\),\)\) \(dimension 56\) != state on .*, 5\),\)\) \(dimension 56\)"
     with pytest.raises(ValueError, match=msg):
         expectation(omega, other)
     with pytest.raises(ValueError, match=msg):
@@ -655,3 +708,69 @@ def test_operator_on_a_sector_of_the_same_dimension_is_rejected():
     # on its own sector h0 reads the sea plus (E_0 + E_1) / 2 = -3.62, where the other read -2.62
     own = expectation(omega, quantize(h0_matrix(cat), omega.basis)).real
     assert own == pytest.approx(cat.sea_energy() + (1.0 + np.sqrt(2.0)) / 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spin sectors: mode groups, each with its particle count
+
+
+def test_fock_basis_groups_partition_the_modes_with_counts_in_range():
+    assert FockBasis(4, 2) == FockBasis(4, [((3, 2, 1, 0), 2)])  # the int is one group of all modes
+    spins = FockBasis(4, [((1, 3), 1), ((0, 2), 1)])
+    assert spins == FockBasis(4, [((0, 2), 1), ((3, 1), 1)])  # groups are kept sorted
+    assert spins != FockBasis(4, 2) and spins.groups == (((0, 2), 1), ((1, 3), 1))
+    assert list(spins.states) == [0b0011, 0b0110, 0b1001, 0b1100]
+    assert list(spins.group_of) == [0, 1, 0, 1]
+    for groups in ([((0, 1), 1)], [((0, 1, 2), 1), ((2, 3), 1)], [((0, 1, 2, 3, 4), 1)], [((0, 1, 2, 3), 1), ((), 0)]):
+        with pytest.raises(ValueError, match="do not partition the modes 0..3"):
+            FockBasis(4, groups)
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match=rf"particle number {n} outside 0..2 of the modes \(1, 3\)"):
+            FockBasis(4, [((0, 2), 1), ((1, 3), n)])
+
+
+def test_index_of_occupations_reads_the_spin_sector():
+    spins = FockBasis(4, [((0, 2), 1), ((1, 3), 1)])
+    assert spins.index_of_occupations([2, 1]) == 1
+    for outside in ([0, 2], [1, 3], [0], [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"outside the 1\+1-particle sector"):
+            spins.index_of_occupations(outside)
+
+
+def test_quantize_rejects_a_spin_mixing_entry_naming_the_pair():
+    cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
+    basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), _spin_groups(cat)).basis
+    assert basis.dim == 24
+    quantize(h0_matrix(cat), basis)  # diagonal: keeps every group's count
+    up, down = _spin_groups(cat)
+    i, j = up[1], down[2]
+    h = np.array(h0_matrix(cat).matrix)
+    h[i, j] = h[j, i] = 0.25
+    lo, hi = min(i, j), max(i, j)
+    with pytest.raises(ValueError, match=rf"h\[{lo}, {hi}\] = 0.25\+0j couples modes {lo} and {hi} of different groups"):
+        quantize(OneBodyOperator(h), basis)
+    quantize(OneBodyOperator(h), FockBasis(cat.size, 5))  # one group holds every move
+
+
+def embed(state, basis):
+    """A state of a sector written on the larger sector `basis` that holds it."""
+    amp = np.zeros(basis.dim, dtype=complex)
+    amp[np.searchsorted(basis.states, state.basis.states)] = state.amplitudes
+    return FockState(amp, basis)
+
+
+@pytest.mark.parametrize("momenta", [(0, 1), (-1, 0, 1)], ids=["M8", "M12"])
+def test_spin_sector_readout_matches_the_one_group_readout(momenta):
+    """An evolved spin-sector state reads the one-group correlation; its cross-spin entries are 0."""
+    family, omega = scan_family(momenta, spin=True)
+    wide, omega_wide = scan_family(momenta)
+    assert (omega.basis.dim, omega_wide.basis.dim) in ((24, 56), (300, 792))
+    assert (embed(omega, omega_wide.basis).amplitudes == omega_wide.amplitudes).all()
+    _, [_, final] = evolve_schrodinger(omega, family, (0.0, 1.0), n_steps=20, record_every=20)
+    _, [_, final_wide] = evolve_schrodinger(omega_wide, wide, (0.0, 1.0), n_steps=20, record_every=20)
+    assert np.abs(embed(final, omega_wide.basis).amplitudes - final_wide.amplitudes).max() <= 1e-13
+    C = correlation_from_state(final).matrix
+    assert np.abs(C - correlation_from_state(embed(final, omega_wide.basis)).matrix).max() <= 1e-14
+    assert np.abs(C - correlation_from_state(final_wide).matrix).max() <= 1e-14
+    group = omega.basis.group_of
+    assert (C[group[:, None] != group] == 0).all()
