@@ -15,10 +15,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
 import numpy as np
-import scipy.sparse as sp
 
 from .experiments import (
     BACKENDS,
@@ -34,6 +33,9 @@ from .fock import build_ladders, car_residual, commutator_identity_check, h0_spe
 from .modes import IntVec, ModeLabel, build_catalog, label, restrict_catalog
 from .observables import div_current_oracle, drho_dt_oracle
 from .onebody import OneBodyOperator, StepGuardError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ConfigError(Exception):
@@ -324,7 +326,7 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, NotImplementedError) as exc:
         # NotImplementedError: a setting a scenario does not support, e.g.
-        # equivalence drives beyond d = 1
+        # equivalence or gauge-heisenberg beyond d = 1
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -458,7 +458,15 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
     The one-body propagators themselves differ from the gauge-phase relation
     u_g = e^{-ieX} u_0 only by truncation plus stepping error, reported on a
     fixed momentum window as `unitary_dist`.
+
+    Runs at d = 1 only: the one d = 3 cutoff of practical size, n_max = 1
+    (M = 108), is too truncated for the 1e-6 field checks.
     """
+    if cfg.d != 1:
+        raise NotImplementedError(
+            f"`d` = {cfg.d}: gauge-heisenberg runs at d = 1 only; its one d = 3 cutoff of practical size, "
+            "n_max = 1, is too truncated for the 1e-6 gauge checks"
+        )
     n_steps = cfg.steps(8000)
     chi_map = _default_chi(cfg)
     env = cfg.envelope()
@@ -719,10 +727,9 @@ def random_drive(
     """Random band-limited hermitian drive: a0 and a with the reality pairing."""
     a0: dict[IntVec, complex] = {}
     a: dict[IntVec, np.ndarray] = {}
-    ks = range(1, band + 1) if d == 1 else None
     if d != 1:
         raise NotImplementedError(f"`d` = {d}: random drives are wired for d = 1 scans")
-    for kz in ks:
+    for kz in range(1, band + 1):
         k = (0, 0, kz)
         amp0 = amplitude * complex(rng.normal(), rng.normal())
         a0[k], a0[_neg(k)] = amp0, np.conj(amp0)

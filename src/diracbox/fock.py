@@ -30,20 +30,26 @@ exp(-i H dt) to the state with a truncated Taylor series on the stored
 entries of H (Al-Mohy & Higham 2011).  `evolve_schrodinger` does the work of
 the family's sparsity pattern (its diagonal slots and one CSR holder) once
 per evolution; `expm_multiply` is the same arithmetic for one matrix.
+
+scipy.sparse holds the CSR matrices.  It is imported inside the functions
+that build or check one, so `import diracbox` loads no scipy and only a
+process that does Fock work pays its import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
 from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, h0_matrix, time_grid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FOCK_MODE_CAP = 14
 
@@ -181,6 +187,8 @@ class BilinearTable:
 
 def _annihilator(M: int, i: int) -> sp.csr_matrix:
     """Sparse c_i on all 2^M states with the Jordan-Wigner sign string over modes < i."""
+    import scipy.sparse as sp
+
     dim = 1 << M
     cols = np.arange(dim, dtype=np.int64)
     cols = cols[(cols >> i) & 1 == 1]
@@ -197,6 +205,8 @@ def build_ladders(M: int) -> tuple[sp.csr_matrix, ...]:
 
 def car_residual(ladders: tuple[sp.csr_matrix, ...]) -> float:
     """Max deviation of the annihilators `ladders` from {c_i, c_j^dag} = delta_ij, {c_i, c_j} = 0."""
+    import scipy.sparse as sp
+
     eye = sp.identity(ladders[0].shape[0], dtype=complex, format="csr")
     worst = 0.0
     cds = [c.conj().T.tocsr() for c in ladders]
@@ -238,6 +248,8 @@ class ManyBodyOperator:
     basis: FockBasis
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         m, dim = self.matrix, self.basis.dim
         if not sp.issparse(m) or m.shape != (dim, dim):
             raise ValueError(
@@ -283,6 +295,8 @@ def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
     groups would move a particle out of it, so it raises a ValueError
     naming (i, j).
     """
+    import scipy.sparse as sp
+
     M = basis.n_modes
     if h.size != M:
         raise ValueError(f"matrix size {h.size} != mode count {M}")
@@ -411,6 +425,8 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
     naming the rows whose diagonal entry is missing or doubled, and
     FloatingPointError if the 1-norm of A - mu I is not finite.
     """
+    import scipy.sparse as sp
+
     n = A.shape[0]
     if A.shape != (n, n) or np.shape(v) != (n,):
         raise ValueError(f"expm_multiply needs a square matrix and a vector, got {A.shape} and {np.shape(v)}")
@@ -483,6 +499,8 @@ def evolve_schrodinger(
     writes -i dt h(t).  Any other callable's operator is checked every step
     and goes through `expm_multiply`; both routes write the same bytes.
     """
+    import scipy.sparse as sp
+
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     if isinstance(hamiltonian, ManyBodyOperator):
         hamiltonian = DrivenHamiltonian(hamiltonian, ())

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .modes import ALPHA, BasisCatalog, IntVec, MomentumGrid, as_int_vec
 
@@ -419,7 +418,7 @@ class DrivenHamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         h0 = self.h0.matrix
-        sparse = sp.issparse(h0)
+        sparse = not isinstance(h0, np.ndarray)  # a ManyBodyOperator holds a CSR matrix
         matrices = [h0]
         for op, _ in self.blocks:
             m = _check_hermitian(op, type(self.h0))
@@ -457,6 +456,8 @@ class DrivenHamiltonian:
         """h(t) as a matrix of h0's kind (dense or CSR)."""
         if self.pattern is None:
             return self.data_at(t)
+        import scipy.sparse as sp
+
         return sp.csr_matrix((self.data_at(t), *self.pattern), shape=self.h0.matrix.shape)
 
     def __call__(self, t: float):

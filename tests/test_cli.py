@@ -305,6 +305,7 @@ BAD_CONFIGS = [
     ("equivalence", "scan_subsets = -2 -1 0 1", "`scan_subsets`"),
     ("gauge-heisenberg", "chi = 3:0.001:0, -3:0.001:0", "`chi` band 3 exceeds the smallest of `cutoffs`"),
     ("equivalence", "d = 3", "`d`"),
+    ("gauge-heisenberg", "cutoffs = 1\nd = 3", "`d` = 3: gauge-heisenberg runs at d = 1 only"),
     ("gauge-heisenberg", "omega = 6.283185307179586", "`omega`"),
     ("gauge-schrodinger", "mode2 = 1:-", "`mode2`: the scan profile D of mode1 and mode2 vanishes"),
     ("energy-heisenberg", "mode2 = 1:-", "`mode2`: the scan profile D7 of mode1 and mode2 vanishes"),

@@ -197,6 +197,12 @@ def test_baseline_d3_passes():
     assert rep.metrics["gaussian_drho_dt_rel_err"] <= 1e-6  # 7.1e-7: the dt^2 error at 200 steps
 
 
+def test_energy_scan_d3_passes():
+    rep = run_heisenberg_energy_scan(ScenarioConfig(d=3, n_max=1, n_steps=200))  # M = 108
+    assert rep.passed and len(rep.checks) == 3
+    assert checks_by_name(rep)["slope_rel_err"].value <= 1e-3  # 1.9e-4
+
+
 def test_equivalence_passes_quickly():
     rep = run_picture_equivalence(ScenarioConfig(n_drives=2, n_steps=150))
     assert rep.passed

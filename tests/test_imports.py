@@ -7,11 +7,40 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _run(code: str) -> str:
+    """stdout of `code` in a fresh interpreter with the checkout's src first on sys.path."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.strip()
+
+
+_LOADS_SCIPY = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+
+
 def test_import_does_not_load_scipy_sparse_linalg():
     """The Fock stepper has its own exp(A)v kernel; scipy.sparse.linalg would add import time and memory."""
+    assert _run("import diracbox; print('scipy.sparse.linalg' in sys.modules)") == "False"
+
+
+def test_import_loads_no_scipy():
+    """scipy.sparse costs most of a cold start; only the Fock backend uses it."""
+    assert _run(f"import diracbox, diracbox.cli; {_LOADS_SCIPY}") == "False"
+
+
+def test_gaussian_only_driver_loads_no_scipy():
     code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import diracbox; "
-        "print('scipy.sparse.linalg' in sys.modules)"
+        "from diracbox import ScenarioConfig, run_heisenberg_energy_scan; "
+        "assert run_heisenberg_energy_scan(ScenarioConfig(n_steps=100)).passed; "
+        + _LOADS_SCIPY
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run(code) == "False"
+
+
+def test_fock_work_loads_scipy_sparse():
+    """The control for the two tests above: their check sees scipy once it is loaded."""
+    code = (
+        "from diracbox import FockBasis, ScenarioConfig, h0_matrix, quantize; "
+        "catalog = ScenarioConfig().catalog(1); "
+        f"quantize(h0_matrix(catalog), FockBasis(catalog.size)); {_LOADS_SCIPY}; "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    assert _run(code).split() == ["True", "True"]
