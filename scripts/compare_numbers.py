@@ -65,13 +65,21 @@ def _deviation(a: float, b: float) -> tuple[float, float]:
     return diff, diff / max(abs(a), abs(b))
 
 
-def _compare(values_a: list, values_b: list) -> str | None:
-    """One line for a column or value that moved, None if it did not."""
-    if len(values_a) != len(values_b):
-        return f"{len(values_a)} -> {len(values_b)} values"
+def columns(path: Path) -> dict[str, list]:
+    """A CSV file's columns by header name, or a JSON file's values by dotted path."""
+    if path.suffix == ".csv":
+        return _csv_columns(path)
+    return {k: [v] for k, v in _flatten(json.loads(path.read_text())).items()}
+
+
+def deviation(values_a: list, values_b: list) -> tuple[float, float, list[str]]:
+    """Largest absolute and relative deviation of the numeric pairs, and each other change.
+
+    The two lists must be of one length.
+    """
     worst_abs = worst_rel = 0.0
     changed = []
-    for a, b in zip(values_a, values_b):
+    for a, b in zip(values_a, values_b, strict=True):
         x, y = _number(a), _number(b)
         if x is None or y is None:
             if a != b:
@@ -79,6 +87,14 @@ def _compare(values_a: list, values_b: list) -> str | None:
             continue
         dev_abs, dev_rel = _deviation(x, y)
         worst_abs, worst_rel = max(worst_abs, dev_abs), max(worst_rel, dev_rel)
+    return worst_abs, worst_rel, changed
+
+
+def _compare(values_a: list, values_b: list) -> str | None:
+    """One line for a column or value that moved, None if it did not."""
+    if len(values_a) != len(values_b):
+        return f"{len(values_a)} -> {len(values_b)} values"
+    worst_abs, worst_rel, changed = deviation(values_a, values_b)
     if changed:
         return "changed " + ", ".join(changed[:3]) + (" ..." if len(changed) > 3 else "")
     if worst_abs == 0.0:
@@ -88,11 +104,7 @@ def _compare(values_a: list, values_b: list) -> str | None:
 
 def compare_file(path_a: Path, path_b: Path) -> list[tuple[str, str]]:
     """(column or metric, deviation line) for each that moved."""
-    if path_a.suffix == ".csv":
-        cols_a, cols_b = _csv_columns(path_a), _csv_columns(path_b)
-    else:
-        cols_a = {k: [v] for k, v in _flatten(json.loads(path_a.read_text())).items()}
-        cols_b = {k: [v] for k, v in _flatten(json.loads(path_b.read_text())).items()}
+    cols_a, cols_b = columns(path_a), columns(path_b)
     out = []
     for key in sorted(set(cols_a) | set(cols_b)):
         if key not in cols_a or key not in cols_b:

@@ -188,6 +188,9 @@ class SpinorTables:
 
     delta_n[i, j] = n_i - n_j is the wave vector coupling source j to target
     i; caps[i] = max_a |n_i,a| is mode i's lattice distance from the origin.
+    The bilinear fields carry the wave vectors n_j - n_i of the mode pairs:
+    wave_vectors lists each distinct one, and wave_index[i, j] is the row
+    that holds n_j - n_i.
     """
 
     spinors: np.ndarray  # (M, 4) u_i
@@ -196,6 +199,8 @@ class SpinorTables:
     momenta: np.ndarray  # (M, 3)
     delta_n: np.ndarray  # (M, M, 3) integer
     caps: np.ndarray  # (M,) integer
+    wave_vectors: np.ndarray  # (K, 3) integer
+    wave_index: np.ndarray  # (M, M) integer
 
     def waves(self, points: np.ndarray) -> np.ndarray:
         """(N, M) plane-wave factors e^{i p_i . x}."""
@@ -244,13 +249,17 @@ class BasisCatalog:
         """Spinor contraction tables, built on first use and freed with the catalog."""
         us = np.array([mode.u for mode in self.modes])
         n = np.array([mode.label.n for mode in self.modes])
+        delta_n = n[:, None] - n[None, :]
+        wave_vectors, wave_index = np.unique(-delta_n.reshape(-1, 3), axis=0, return_inverse=True)
         return SpinorTables(
             spinors=us,
             scalar=us.conj() @ us.T,
             alpha=np.einsum("ia,kab,jb->kij", us.conj(), ALPHA, us),
             momenta=np.array([mode.p for mode in self.modes]),
-            delta_n=n[:, None] - n[None, :],
+            delta_n=delta_n,
             caps=np.abs(n).max(axis=1),
+            wave_vectors=wave_vectors,
+            wave_index=wave_index.reshape(delta_n.shape[:2]),
         )
 
     def index_of(self, lbl: ModeLabel) -> int:

@@ -6,6 +6,13 @@ of one-body matrices against a correlation matrix C_ij = <c_i^dag c_j>:
     rho(x) = e/V sum_ij (u_i^dag u_j) e^{i(p_j - p_i).x} C_ij,
     J_a(x) = e/V sum_ij (u_i^dag alpha_a u_j) e^{i(p_j - p_i).x} C_ij.
 
+The fields are band-limited: they hold only the wave vectors k = n_j - n_i
+of the mode pairs (`SpinorTables.wave_vectors`, in units of 2 pi/L), so
+their Fourier coefficients, binned from a frame's C by k, are the fields.
+Every reading goes through those coefficients: sampling sums them with the
+phases e^{i dk k.x}, and `field_fourier` reads them off.  So div J, whose
+coefficients are i dk k.J_k, is exact at any sample grid.
+
 No normal ordering: the filled sea contributes its uniform background.  The
 same contraction serves both pictures, and every entry point reads one type,
 a validated `CorrelationMatrix`: a Heisenberg run conjugates it with the
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import CorrelationMatrix, bilinear_expectation
-from .modes import ALPHA, BasisCatalog, IntVec, SpinorMode, SpinorTables
+from .modes import ALPHA, BasisCatalog, IntVec, SpinorMode
 from .onebody import GaugeFunction, OneBodyOperator, h0_matrix
 
 
@@ -33,8 +40,8 @@ class SpatialGrid:
     """Uniform periodic sampling grid over the box.
 
     points_per_axis defaults to 4 n_max + 1, the minimum that resolves every
-    bilinear harmonic |Delta n| <= 2 n_max exactly (so FFT divergence and
-    mean-value quadrature are exact for band-limited fields).
+    bilinear harmonic |Delta n| <= 2 n_max exactly, so that the mean over the
+    points is the exact volume average of a band-limited field.
     """
 
     catalog_d: int
@@ -99,38 +106,46 @@ def current_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> list[OneBodyOper
     return [OneBodyOperator((e / catalog.volume) * t.alpha[a] * phase) for a in range(3)]
 
 
-def _densities(
-    C: np.ndarray, tables: SpinorTables, w: np.ndarray, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rho (N,), J (N, 3)) at the N points whose plane waves `tables.waves` gave w.
+def _field_coefficients(c: CorrelationMatrix, catalog: BasisCatalog, e: float) -> np.ndarray:
+    """(K, 5) Fourier coefficients of rho, J_x, J_y, J_z and div J at `tables.wave_vectors`.
 
-    One gemm contracts w^* with [S*C | alpha_x*C | alpha_y*C | alpha_z*C]
-    (M x 4M); a row-wise product with w finishes sum_ij w_i^* (T*C)_ij w_j.
+    The coefficient at k of a field with table T sums (e/V) C_ij T_ij over the
+    mode pairs with n_j - n_i = k, in row-major pair order (one bincount per
+    table); (div J)_k = i dk k.J_k.
     """
-    n, m = w.shape
-    blocks = np.stack([tables.scalar, *tables.alpha], axis=1)  # (M, 4, M), scaled in place
-    blocks *= C[:, None, :]
-    left = w.conj() @ blocks.reshape(m, 4 * m)
-    vals = np.einsum("xaj,xj->xa", left.reshape(n, 4, m), w) * scale
-    if np.abs(vals[:, 0].imag).max() > 1e-9:
-        raise FloatingPointError("charge density acquired an imaginary part")
-    if np.abs(vals[:, 1:].imag).max() > 1e-9:
-        raise FloatingPointError("current density acquired an imaginary part")
-    return vals[:, 0].real, vals[:, 1:].real
+    t = catalog.tables
+    w = (e / catalog.volume) * _matrix_of(c).ravel()
+    bins = t.wave_index.ravel()
+    out = np.empty((len(t.wave_vectors), 5), dtype=complex)
+    for a, table in enumerate((t.scalar, *t.alpha)):
+        tw = table.ravel() * w
+        out.real[:, a] = np.bincount(bins, tw.real, len(out))
+        out.imag[:, a] = np.bincount(bins, tw.imag, len(out))
+    out[:, 4] = 1j * (catalog.grid.dk * t.wave_vectors * out[:, 1:4]).sum(axis=1)
+    return out
+
+
+def _phases(catalog: BasisCatalog, points: np.ndarray) -> np.ndarray:
+    """(N, K) plane waves e^{i dk k.x} of the field wave vectors at the points."""
+    return np.exp(1j * points @ (catalog.grid.dk * catalog.tables.wave_vectors).T)
+
+
+def _fields(c: CorrelationMatrix, catalog: BasisCatalog, phases: np.ndarray, e: float) -> np.ndarray:
+    """(N, 5) rho, J_x, J_y, J_z and div J at the points whose `_phases` are given."""
+    vals = phases @ _field_coefficients(c, catalog, e)
+    if np.abs(vals.imag).max() > 1e-9:
+        raise FloatingPointError("bilinear field acquired an imaginary part")
+    return vals.real
 
 
 def charge_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """rho = e <psi^dag psi> at the given points (sea background included)."""
-    C = _matrix_of(c)
-    t = catalog.tables
-    return _densities(C, t, t.waves(_as_points(x)), e / catalog.volume)[0]
+    return _fields(c, catalog, _phases(catalog, _as_points(x)), e)[:, 0]
 
 
 def current_density(c: CorrelationMatrix, catalog: BasisCatalog, x, e: float = 1.0) -> np.ndarray:
     """J = e <psi^dag alpha psi> at the given points, shape (N, 3)."""
-    C = _matrix_of(c)
-    t = catalog.tables
-    return _densities(C, t, t.waves(_as_points(x)), e / catalog.volume)[1]
+    return _fields(c, catalog, _phases(catalog, _as_points(x)), e)[:, 1:4]
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +194,20 @@ def div_current_oracle(
 
 @dataclass(frozen=True)
 class FieldSeries:
-    """rho/J/energy samples on (times x spatial grid)."""
+    """rho/J/div J/energy samples on (times x spatial grid)."""
 
     times: np.ndarray
     spatial: SpatialGrid
     rho: np.ndarray  # (T, N)
     current: np.ndarray  # (T, N, 3)
+    divergence: np.ndarray  # (T, N) div J
     energy: np.ndarray  # (T,) free-Hamiltonian expectation
     points: np.ndarray = field(repr=False)  # (N, 3) the spatial grid's points
 
     def __post_init__(self):
         T, N = len(self.times), self.spatial.n_points
-        if self.rho.shape != (T, N) or self.current.shape != (T, N, 3):
+        shapes = (self.rho.shape, self.current.shape, self.divergence.shape)
+        if shapes != ((T, N), (T, N, 3), (T, N)):
             raise ValueError("series shapes inconsistent with times x grid")
 
 
@@ -201,41 +218,27 @@ def field_series(
     points_per_axis: int | None = None,
     e: float = 1.0,
 ) -> FieldSeries:
-    """Evaluate rho, J, and free energy for a `CorrelationMatrix` trajectory."""
+    """Evaluate rho, J, div J and free energy for a `CorrelationMatrix` per time."""
+    times = np.asarray(times, dtype=float)
+    correlations = list(correlations)
+    if len(correlations) != len(times):
+        raise ValueError(f"field_series got {len(correlations)} correlations for {len(times)} times")
     sgrid = SpatialGrid.for_catalog(catalog, points_per_axis)
     points = sgrid.points()
-    t = catalog.tables
-    w = t.waves(points)  # once per series, shared by every frame
-    scale = e / catalog.volume
+    phases = _phases(catalog, points)  # once per series, shared by every frame
     h0 = h0_matrix(catalog)
-    times = np.asarray(times, dtype=float)
-    rho = np.empty((len(times), sgrid.n_points))
-    cur = np.empty((len(times), sgrid.n_points, 3))
+    fields = np.empty((len(times), sgrid.n_points, 5))
     energy = np.empty(len(times))
     for k, c in enumerate(correlations):
-        rho[k], cur[k] = _densities(_matrix_of(c), t, w, scale)
+        fields[k] = _fields(c, catalog, phases, e)
         energy[k] = bilinear_expectation(c, h0).real
-    return FieldSeries(times, sgrid, rho, cur, energy, points)
+    rho, cur, div = fields[..., 0], fields[..., 1:4], fields[..., 4]
+    return FieldSeries(times, sgrid, rho, cur, div, energy, points)
 
 
 def spectral_divergence(series: FieldSeries) -> np.ndarray:
-    """div J on the sample grid by exact Fourier differentiation, (T, N)."""
-    sg = series.spatial
-    n = sg.points_per_axis
-    k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=sg.length / n)
-    if sg.catalog_d == 1:
-        jz = series.current[:, :, 2]
-        return np.real(np.fft.ifft(1j * k1d[None, :] * np.fft.fft(jz, axis=1), axis=1))
-    shape = (len(series.times), n, n, n)
-    out = np.zeros(shape)
-    for axis, comp in ((1, 0), (2, 1), (3, 2)):
-        j = series.current[:, :, comp].reshape(shape)
-        kshape = [1, 1, 1, 1]
-        kshape[axis] = n
-        out += np.real(
-            np.fft.ifft(1j * k1d.reshape(kshape) * np.fft.fft(j, axis=axis), axis=axis)
-        )
-    return out.reshape(len(series.times), sg.n_points)
+    """div J on the sample grid, (T, N): summed from the Fourier coefficients of J, so exact."""
+    return series.divergence
 
 
 def continuity_residual(series: FieldSeries) -> float:
@@ -265,36 +268,18 @@ def total_charge(series: FieldSeries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fourier data and the energy identity
 
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, unfused like a scalar complex product (SIMD loops may fuse)."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def field_fourier(
     c: CorrelationMatrix, catalog: BasisCatalog, e: float = 1.0
 ) -> tuple[dict[IntVec, complex], dict[IntVec, complex]]:
     """Fourier coefficients {k: rho_k} and {k: (div J)_k} of the bilinear fields.
 
-    rho(x) = sum_k rho_k e^{ik.x} with k on the integer lattice (grid units);
-    exact mode-sum bookkeeping, no sampling involved.
+    rho(x) = sum_k rho_k e^{i dk k.x} with k on the integer lattice, one key
+    per wave vector of the catalog's mode pairs; exact mode-sum bookkeeping,
+    no sampling involved.
     """
-    C = _matrix_of(c)
-    t = catalog.tables
-    i, j = np.nonzero(C != 0.0)  # row-major, so np.add.at sums in (i, j) order
-    keys, group = np.unique(t.delta_n[j, i], axis=0, return_inverse=True)  # n_j - n_i
-    w = (e / catalog.volume) * C[i, j]
-    dp = t.momenta[j] - t.momenta[i]
-    dp_alpha = (
-        dp[:, 0] * t.alpha[0, i, j] + dp[:, 1] * t.alpha[1, i, j] + dp[:, 2] * t.alpha[2, i, j]
-    )
-    rho, divj = np.zeros((2, len(keys)), dtype=complex)
-    np.add.at(rho, group, _cmul(t.scalar[i, j], w))
-    np.add.at(divj, group, _cmul(1j * w, dp_alpha))
-    dns = [tuple(k) for k in keys.tolist()]
-    return dict(zip(dns, rho)), dict(zip(dns, divj))
+    coefficients = _field_coefficients(c, catalog, e)
+    keys = [tuple(k) for k in catalog.tables.wave_vectors.tolist()]
+    return dict(zip(keys, coefficients[:, 0])), dict(zip(keys, coefficients[:, 4]))
 
 
 def delta_xi(mode1: SpinorMode, mode2: SpinorMode) -> float:

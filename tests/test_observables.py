@@ -143,8 +143,10 @@ def test_free_run_density_harmonic_rotates_at_energy_gap():
     assert np.abs(coeff - expected).max() <= 1e-10
 
 
-def test_simulated_free_series_matches_oracles():
-    cat, series = free_series(n_max=2, n_steps=1000)
+@pytest.mark.parametrize("points_per_axis", [None, 1, 2], ids=["default", "1-point", "2-points"])
+def test_simulated_free_series_matches_oracles(points_per_axis):
+    """The divergence is exact at any grid, also one too coarse to resolve the fields."""
+    cat, series = free_series(n_max=2, n_steps=1000, points_per_axis=points_per_axis)
     m1 = cat.modes[cat.index_of(MODE1)]
     m2 = cat.modes[cat.index_of(MODE2)]
     pts = series.points
@@ -170,6 +172,7 @@ def test_continuity_residual_needs_uniform_grid():
         series.spatial,
         series.rho[:3],
         series.current[:3],
+        series.divergence[:3],
         series.energy[:3],
         series.points,
     )
@@ -368,7 +371,15 @@ def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
     [dense] = evolve_correlation(sparse, OneBodyPropagator([0.3], [unitary_step(h + h.conj().T, 0.3)]))
     for C in (sparse, dense):
         got = field_fourier(C, cat, e=1.5)
-        assert got == oracle_field_fourier(C.matrix, cat, e=1.5)
+        want = oracle_field_fourier(C.matrix, cat, e=1.5)
+        for got_k, want_k in zip(got, want):  # rho_k, then (div J)_k
+            assert set(want_k) <= set(got_k)
+            scale = max(abs(v) for v in want_k.values())
+            for k, v in got_k.items():
+                if k in want_k:
+                    assert abs(v - want_k[k]) <= 1e-14 * scale, k
+                else:  # a wave vector of no pair with C_ij != 0
+                    assert v == 0, k
 
 
 def oracle_densities(C, catalog, pts, e=1.0):
@@ -414,6 +425,44 @@ def test_field_series_frames_equal_pointwise_densities(d, n_max):
     for k, c in enumerate(cs):
         assert np.array_equal(series.rho[k], charge_density(c, cat, series.points, e=1.5))
         assert np.array_equal(series.current[k], current_density(c, cat, series.points, e=1.5))
+
+
+@pytest.mark.parametrize("n_frames", [1, 5], ids=["fewer-frames", "more-frames"])
+def test_field_series_needs_one_correlation_per_time(n_frames):
+    cat = catalog1d(n_max=1)
+    frames = [vacuum_correlation(cat)] * n_frames
+    with pytest.raises(ValueError, match=f"got {n_frames} correlations for 4 times"):
+        field_series(cat, [0.0, 0.5, 1.0, 1.5], frames)
+
+
+def fft_divergence(series):
+    """div J of the sampled J by FFT differentiation along each axis, (T, N).
+
+    Exact when the grid resolves every harmonic of J, as the default grid does.
+    """
+    sg = series.spatial
+    n = sg.points_per_axis
+    k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=sg.length / n)
+    shape = (len(series.times),) + (n,) * sg.catalog_d
+    axes = (2,) if sg.catalog_d == 1 else (0, 1, 2)  # the J component along each grid axis
+    out = np.zeros(shape)
+    for axis, comp in enumerate(axes, start=1):
+        j = series.current[:, :, comp].reshape(shape)
+        kshape = [1] * len(shape)
+        kshape[axis] = n
+        out += np.real(np.fft.ifft(1j * k1d.reshape(kshape) * np.fft.fft(j, axis=axis), axis=axis))
+    return out.reshape(len(series.times), sg.n_points)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 2), (3, 1)], ids=["d1-n2", "d3-n1"])
+def test_spectral_divergence_matches_fft_of_sampled_current(d, n_max):
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    times = [0.0, 0.1, 0.2]
+    c0 = random_correlation(cat.size, np.random.default_rng(60 + d))
+    prop = OneBodyPropagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
+    series = field_series(cat, times, evolve_correlation(c0, prop), e=1.5)
+    want = fft_divergence(series)
+    assert np.abs(spectral_divergence(series) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_catalog_is_freed_after_observable_use():
