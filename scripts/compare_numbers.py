@@ -8,7 +8,12 @@ non-numeric value that changed.  The relative deviation of a pair (a, b) is
 |a - b| / max(|a|, |b|).  JSON lists of objects with a "name" (the checks)
 are keyed by that name.
 
-Usage: scripts/compare_numbers.py DIR_A DIR_B
+With --floor PATH (a file written by `relabel_floor.py N --json PATH` on the
+revision of DIR_A) each moved number also shows its floor, the largest
+absolute move that relabelling the modes alone caused, and the ratio
+move/floor.
+
+Usage: scripts/compare_numbers.py DIR_A DIR_B [--floor PATH]
 Exit status: 0, also when numbers moved (the caller decides what counts);
 2 on a usage error.
 """
@@ -90,8 +95,12 @@ def deviation(values_a: list, values_b: list) -> tuple[float, float, list[str]]:
     return worst_abs, worst_rel, changed
 
 
-def _compare(values_a: list, values_b: list) -> str | None:
-    """One line for a column or value that moved, None if it did not."""
+def _compare(values_a: list, values_b: list, floor: dict | None) -> str | None:
+    """One line for a column or value that moved, None if it did not.
+
+    `floor` is the number's entry of a relabelling floor table ({"abs": ..}),
+    None for no floor column; {} marks a number the table lacks.
+    """
     if len(values_a) != len(values_b):
         return f"{len(values_a)} -> {len(values_b)} values"
     worst_abs, worst_rel, changed = deviation(values_a, values_b)
@@ -99,26 +108,37 @@ def _compare(values_a: list, values_b: list) -> str | None:
         return "changed " + ", ".join(changed[:3]) + (" ..." if len(changed) > 3 else "")
     if worst_abs == 0.0:
         return None
-    return f"abs {worst_abs:.3e}  rel {worst_rel:.3e}"
+    line = f"abs {worst_abs:.3e}  rel {worst_rel:.3e}"
+    if floor is None:
+        return line
+    if "abs" not in floor:
+        return f"{line}  floor ?"
+    if floor["abs"] == 0.0:
+        return f"{line}  floor 0"
+    return f"{line}  floor {floor['abs']:.3e}  {worst_abs / floor['abs']:.2f}x"
 
 
-def compare_file(path_a: Path, path_b: Path) -> list[tuple[str, str]]:
-    """(column or metric, deviation line) for each that moved."""
+def compare_file(path_a: Path, path_b: Path, floor: dict | None = None) -> list[tuple[str, str]]:
+    """(column or metric, deviation line) for each that moved; `floor`: the file's floor table."""
     cols_a, cols_b = columns(path_a), columns(path_b)
     out = []
     for key in sorted(set(cols_a) | set(cols_b)):
         if key not in cols_a or key not in cols_b:
             out.append((key, "only in " + ("DIR_A" if key in cols_a else "DIR_B")))
             continue
-        line = _compare(cols_a[key], cols_b[key])
+        line = _compare(cols_a[key], cols_b[key], None if floor is None else floor.get(key, {}))
         if line is not None:
             out.append((key, line))
     return out
 
 
 def main(argv: list[str]) -> int:
+    floors = None
+    if len(argv) == 4 and argv[2] == "--floor":
+        floors = json.loads(Path(argv[3]).read_text())["floor"]
+        argv = argv[:2]
     if len(argv) != 2:
-        print("usage: scripts/compare_numbers.py DIR_A DIR_B", file=sys.stderr)
+        print("usage: scripts/compare_numbers.py DIR_A DIR_B [--floor PATH]", file=sys.stderr)
         return 2
     dir_a, dir_b = map(Path, argv)
     for path_a in sorted(p for p in dir_a.rglob("*") if p.suffix in (".csv", ".json")):
@@ -130,7 +150,7 @@ def main(argv: list[str]) -> int:
         if path_a.read_bytes() == path_b.read_bytes():
             continue
         print(rel)
-        rows = compare_file(path_a, path_b)
+        rows = compare_file(path_a, path_b, None if floors is None else floors.get(rel.as_posix(), {}))
         width = max((len(key) for key, _ in rows), default=0)
         for key, line in rows:
             print(f"  {key:<{width}}  {line}")

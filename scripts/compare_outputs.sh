@@ -6,12 +6,15 @@
 # and on the working tree, each with one BLAS thread, then `diff -r` the two
 # output directories.  The console logs of both runs are part of the outputs.
 # When they differ, scripts/compare_numbers.py then prints how far each
-# number in the differing CSV/JSON files moved.
-# Usage: scripts/compare_outputs.sh REV   (e.g. HEAD~ or a commit SHA)
+# number in the differing CSV/JSON files moved; given FLOOR_JSON (from
+# `scripts/relabel_floor.py N --json FLOOR_JSON`, run on REV), it prints each
+# moved number against its relabelling floor.
+# Usage: scripts/compare_outputs.sh REV [FLOOR_JSON]   (REV e.g. HEAD~ or a commit SHA)
 # Exit status: diff's (0 = byte-identical outputs).
 set -euo pipefail
 
-rev="${1:?usage: scripts/compare_outputs.sh REV}"
+rev="${1:?usage: scripts/compare_outputs.sh REV [FLOOR_JSON]}"
+floor="${2:+$(realpath "$2")}"
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "${tmp}"' EXIT
@@ -41,6 +44,7 @@ diff -r "${tmp}/out-rev" "${tmp}/out-tree" || status=$?
 if [ "${status}" -ne 0 ]; then
     echo
     echo "== how far the numbers moved (${rev} -> working tree) =="
-    python3 "${repo}/scripts/compare_numbers.py" "${tmp}/out-rev" "${tmp}/out-tree" || true
+    python3 "${repo}/scripts/compare_numbers.py" "${tmp}/out-rev" "${tmp}/out-tree" \
+        ${floor:+--floor "${floor}"} || true
 fi
 exit "${status}"

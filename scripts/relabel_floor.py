@@ -19,15 +19,20 @@ of a run; the library has no hook for it.
 
 For each CSV column and JSON number this prints the largest absolute and
 relative move over the N permuted runs, and each non-numeric value that
-changed (a check verdict, say).
+changed (a check verdict, say).  With --json PATH it also saves the floor of
+every number (moved or not) as {"permutations": N, "floor": {file: {key:
+{"abs": .., "rel": ..}}}}, the files by their path in the output layout of
+compare_outputs.sh; `compare_numbers.py --floor PATH` then prints each moved
+number's move against its floor.
 
-Usage: scripts/relabel_floor.py N
+Usage: scripts/relabel_floor.py N [--json PATH]
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -70,7 +75,7 @@ def permuted_modes(seed: int):
 
 def run_set(out: Path, d3_config: Path) -> dict[str, int]:
     """Write the scenario outputs under `out`; the exit status of each run by directory."""
-    runs = {name: [name] for name in SCENARIOS}
+    runs = {f"results/{name}": [name] for name in SCENARIOS}  # the layout of compare_outputs.sh
     runs["baseline-both"] = ["baseline", "--backend", "both"]
     runs["baseline-d3"] = ["baseline", "--config", str(d3_config)]
     status = {}
@@ -81,8 +86,11 @@ def run_set(out: Path, d3_config: Path) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
+    json_path = None
+    if len(argv) == 3 and argv[1] == "--json":
+        argv, json_path = argv[:1], Path(argv[2])
     if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 1:
-        print("usage: scripts/relabel_floor.py N   (N >= 1 permutations)", file=sys.stderr)
+        print("usage: scripts/relabel_floor.py N [--json PATH]   (N >= 1 permutations)", file=sys.stderr)
         return 2
     n = int(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,6 +129,12 @@ def main(argv: list[str]) -> int:
             print(f"  {key:<{width}}  abs {dev_abs:.3e}  rel {dev_rel:.3e}")
             for line in changed[:3]:
                 print(f"  {'':<{width}}  changed {line}")
+    if json_path is not None:
+        table: dict[str, dict] = {}
+        for (rel, key), (dev_abs, dev_rel, _) in floor.items():
+            table.setdefault(rel.as_posix(), {})[key] = {"abs": dev_abs, "rel": dev_rel}
+        json_path.write_text(json.dumps({"permutations": n, "floor": table}, indent=1, sort_keys=True) + "\n")
+        print(f"floor of every number written to {json_path}")
     return 0
 
 

@@ -5,7 +5,9 @@ Report of that config: metrics, tolerance-tagged pass flags, one CSV-able series
 Scenario defaults follow the common design: d = 1 box of length 2*pi, m = e =
 1, the two-electron state built from (p = 0, s = +1/2) and (p = 2*pi/L,
 s = +1/2), a cosine switch-on envelope with g(t_final) = 1, and gauge drives
-whose spatial profile is frozen at the measurement time.
+whose spatial profile is frozen at the measurement time.  The two energy
+scans, one per picture, drive the same chi = f D(x) g(t) (`scan_profile`),
+and every driver reads its bilinears off correlation matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .fock import (
     FockBasis,
     correlation_from_state,
     evolve_schrodinger,
-    expectation,
     omega0_state,
     quantize,
 )
@@ -51,6 +52,7 @@ from .observables import (
     field_fourier,
     field_series,
     free_energy_heisenberg,
+    free_energy_schrodinger,
     spectral_divergence,
 )
 from .onebody import (
@@ -131,6 +133,11 @@ class ScenarioConfig:
             raise ValueError(f"`cutoffs` must strictly increase, got {', '.join(map(str, self.cutoffs))}")
         if not all(self.scan_subsets):
             raise ValueError("`scan_subsets` holds an empty momentum subset")
+        sizes = [len(set(subset)) for subset in self.scan_subsets]  # outputs are tagged M = 4 x size
+        if len(set(sizes)) < len(sizes):
+            raise ValueError(f"`scan_subsets` must differ in their momentum counts, got {', '.join(map(str, sizes))}")
+        if len(set(self.f_list)) < len(self.f_list):
+            raise ValueError(f"`f_list` repeats a value: {', '.join(map(str, self.f_list))}")
         if self.mode1 == self.mode2:
             raise ValueError("`mode2` must differ from `mode1`")
 
@@ -291,8 +298,12 @@ def _neg(k: IntVec) -> IntVec:
     return (-k[0], -k[1], -k[2])
 
 
-def schrodinger_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
-    """Fourier modes of D(x) = d(rho_cross)/dt at t_final (two harmonics)."""
+def scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
+    """Fourier modes of D(x) = d(rho_cross)/dt at t_final (two harmonics), the drive of both energy scans.
+
+    Continuity makes D = -div J_cross: the free spinors satisfy
+    (E2 - E1) u1^dag u2 = (p2 - p1).u1^dag alpha u2.
+    """
     i1, i2 = _mode_indices(catalog, cfg)
     m1, m2 = _modes_of(catalog, cfg)
     dn = _delta_n(cfg)
@@ -302,25 +313,13 @@ def schrodinger_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict
     return {dn: coeff, _neg(dn): np.conj(coeff)}
 
 
-def heisenberg_scan_profile(catalog: BasisCatalog, cfg: ScenarioConfig) -> dict[IntVec, complex]:
-    """Fourier modes of D7(x) = div J_cross at t_final (two harmonics)."""
-    i1, i2 = _mode_indices(catalog, cfg)
-    m1, m2 = _modes_of(catalog, cfg)
-    dn = _delta_n(cfg)
-    de = m2.energy - m1.energy
-    dp = m2.p - m1.p
-    alpha_ov = complex(dp @ catalog.tables.alpha[:, i1, i2])
-    coeff = (cfg.e / (2.0 * catalog.volume)) * 1j * alpha_ov * np.exp(-1j * de * cfg.t_final)
-    return {dn: coeff, _neg(dn): np.conj(coeff)}
-
-
 def profile_square_integral(profile: dict[IntVec, complex], volume: float) -> float:
     """integral of the (real) profile squared: V * sum_k |c_k|^2."""
     return volume * sum(abs(c) ** 2 for c in profile.values())
 
 
-def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog, name: str) -> float:
-    """integral of the scan profile `name` squared; a ValueError naming `mode2` when it is 0.
+def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog) -> float:
+    """integral of the scan profile D squared; a ValueError naming `mode2` when it is 0.
 
     A vanishing profile (mode2 of another spin than mode1, or of its energy)
     gives the linear prediction no slope to check.
@@ -328,7 +327,7 @@ def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog,
     sq = profile_square_integral(profile, catalog.volume)
     if sq == 0:
         raise ValueError(
-            f"`mode2`: the scan profile {name} of mode1 and mode2 vanishes (its square integral is 0); "
+            "`mode2`: the scan profile D of mode1 and mode2 vanishes (its square integral is 0); "
             "pick two modes of one spin and different energy"
         )
     return sq
@@ -342,6 +341,11 @@ def _spin_groups(catalog: BasisCatalog) -> list[list[int]]:
 
 def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
     return gauge_transform(PotentialSpec.zero(), chi, grid)
+
+
+def _unit_gauge_blocks(catalog: BasisCatalog, profile: dict[IntVec, complex], env, e: float):
+    """Blocks of the pure gauge chi = D(x) g(t); linear in chi, so f D g(t) has them on `Scaled(f, ...)` envelopes."""
+    return interaction_term_matrices(catalog, _pure_gauge(GaugeFunction(profile, env), catalog.grid), e)
 
 
 def _free_series(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int):
@@ -558,11 +562,12 @@ def _subset_catalog(cfg: ScenarioConfig, momenta_z: tuple[int, ...]) -> BasisCat
 
 
 def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
-    """Evolve the state under chi(x, t) = f D(x) g(t) and scan f.
+    """Evolve the Fock state under chi(x, t) = f D(x) g(t) and scan f.
 
-    D is the free density-derivative profile at t_final.  The measured
-    free-energy shift tracks the linear prediction Delta_xi - f*integral(D^2)
-    at small f and must respect the finite-model bound (>= vacuum) at all f.
+    D is `scan_profile`, the drive `energy-heisenberg` scans too; <H_0> is
+    read off the final state's correlation matrix.  The measured free-energy
+    shift tracks the linear prediction Delta_xi - f*integral(D^2) at small f
+    and must respect the finite-model bound (>= vacuum) at all f.
     """
     n_steps = cfg.steps(400)
     env = cfg.envelope()
@@ -581,8 +586,8 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         # profile to scan, before any evolution
         _check_fock_cap(catalog, "scan_subsets")
         _mode_indices(catalog, cfg)
-        profile = schrodinger_scan_profile(catalog, cfg)
-        profiles.append((profile, _scan_square_integral(profile, catalog, "D")))
+        profile = scan_profile(catalog, cfg)
+        profiles.append((profile, _scan_square_integral(profile, catalog)))
     for catalog, (profile, d_sq) in zip(catalogs, profiles):
         # the pure-gauge family keeps each spin's particle count: omega0 steps in its spin sector
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2, _spin_groups(catalog))
@@ -592,24 +597,15 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         sea = catalog.sea_energy()
         tag = f"M{catalog.size}"
         f_star = None
-        # the pure-gauge blocks are linear in chi = f D g(t): quantize them at f = 1, f rides on the envelopes
-        unit = GaugeFunction(profile, env)
-        unit_blocks = [
-            (quantize(op, omega.basis), block_env)
-            for op, block_env in interaction_term_matrices(catalog, _pure_gauge(unit, catalog.grid), cfg.e)
-        ]
+        by_f = {}
+        # quantized once per subset; f rides on the envelopes
+        unit_blocks = [(quantize(op, omega.basis), g) for op, g in _unit_gauge_blocks(catalog, profile, env, cfg.e)]
         for f in cfg.f_list:
-            ham = h0q
-            if f != 0.0:
-                ham = DrivenHamiltonian(h0q, [(bq, Scaled(f, block_env)) for bq, block_env in unit_blocks])
+            ham = h0q if f == 0.0 else DrivenHamiltonian(h0q, [(bq, Scaled(f, g)) for bq, g in unit_blocks])
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
-            # <H_0> read directly on the Fock state, the independent route
-            energy = expectation(states[-1], h0q)
-            if abs(energy.imag) > 1e-9:
-                raise FloatingPointError("free energy acquired an imaginary part")
-            measured = float(energy.real) - sea
+            measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), catalog) - sea
             predicted = dxi - f * d_sq
             rel = abs(measured - predicted) / abs(predicted)
             bound_margin = measured  # vacuum is the floor of the free energy
@@ -622,10 +618,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
             if f_star is None and f > 0 and rel > 0.1:
                 f_star = f
         fit_f = [0.0] + small_f
-        fit_vals = [
-            next(r[2] for r in rows if r[0] == tag and r[1] == f) for f in fit_f
-        ]
-        slope, intercept = np.polyfit(fit_f, fit_vals, 1)
+        slope, intercept = np.polyfit(fit_f, [by_f[f] for f in fit_f], 1)
         metrics[f"{tag}_fit_slope"] = float(slope)
         metrics[f"{tag}_fit_intercept"] = float(intercept)
         metrics[f"{tag}_slope_target"] = -d_sq
@@ -647,7 +640,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
 # scenario: Heisenberg-picture energy identity scan
 
 def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
-    """Scan chi = -f D7(x) g(t); measured Heisenberg energy vs identity RHS.
+    """Scan chi = f D(x) g(t) = -f div J_cross g(t) (`gauge-schrodinger`'s drive); energy vs identity RHS.
 
     "Measured" is the excitation energy: the two-mode run minus the vacuum
     run under the same potential (one W-correlation contraction by linearity).
@@ -665,8 +658,9 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     catalog = cfg.catalog(cfg.resolved_n_max("gaussian"))
     m1, m2 = _modes_of(catalog, cfg)
     dxi = delta_xi(m1, m2)
-    profile = heisenberg_scan_profile(catalog, cfg)
-    d7_sq = _scan_square_integral(profile, catalog, "D7")
+    profile = scan_profile(catalog, cfg)
+    d_sq = _scan_square_integral(profile, catalog)
+    unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
     W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
     sea = catalog.sea_energy()
@@ -682,22 +676,18 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     metrics: dict[str, float] = {}
     checks: list[Check] = []
     pairing_err = 0.0
+    by_f = {}
     for f in cfg.f_list:
         u_final = u_free.final
-        predicted = dxi - f * d7_sq
+        predicted = dxi - f * d_sq
         if f != 0.0:
-            chi = GaugeFunction({k: -f * c for k, c in profile.items()}, env)
-            pure = _pure_gauge(chi, catalog.grid)
-            u_final = propagate(
-                _onebody_hamiltonian(catalog, interaction_term_matrices(catalog, pure, cfg.e)),
-                (0.0, cfg.t_final),
-                n_steps,
-                record_every=n_steps,
-            ).final
+            ham = _onebody_hamiltonian(catalog, [(b, Scaled(f, g)) for b, g in unit_blocks])
+            u_final = propagate(ham, (0.0, cfg.t_final), n_steps, record_every=n_steps).final
             if f > 0:
+                chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
                 rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
                 pairing_err = max(pairing_err, abs(rhs - predicted))
-        measured = free_energy_heisenberg(W0, u_final, catalog)
+        measured = by_f[f] = free_energy_heisenberg(W0, u_final, catalog)
         rel = abs(measured - predicted) / abs(predicted)
         rows.append([float(f), measured, predicted, float(rel)])
         metrics[f"f{f}_measured"] = measured
@@ -705,14 +695,13 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
         metrics[f"f{f}_measured_static_sub"] = (
             free_energy_heisenberg(C0, u_final, catalog) - sea
         )
-    fit_vals = [next(r[1] for r in rows if r[0] == f) for f in small_f]
-    slope, intercept = np.polyfit(small_f, fit_vals, 1)
+    slope, intercept = np.polyfit(small_f, [by_f[f] for f in small_f], 1)
     metrics["fit_slope"] = float(slope)
     metrics["fit_intercept"] = float(intercept)
-    metrics["slope_target"] = -d7_sq
+    metrics["slope_target"] = -d_sq
     metrics["intercept_target"] = dxi
     metrics["identity_pairing_err"] = float(pairing_err)
-    checks.append(check_leq("slope_rel_err", abs(slope - (-d7_sq)) / d7_sq, 0.02))
+    checks.append(check_leq("slope_rel_err", abs(slope - (-d_sq)) / d_sq, 0.02))
     checks.append(check_leq("intercept_rel_err", abs(intercept - dxi) / dxi, 0.01))
     checks.append(check_leq("identity_pairing", pairing_err, 1e-10))
     return Report("energy-heisenberg", cfg, metrics, checks, (header, rows))
@@ -753,6 +742,10 @@ def _observable_panel(catalog: BasisCatalog, cfg: ScenarioConfig):
 def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     """Schrodinger (exact Fock) vs Heisenberg (conjugated bilinears).
 
+    Both read the panel (h0, rho and J at the sample points) with
+    `bilinear_expectation`: on the evolved state's correlation matrix, or on
+    the initial one with each operator conjugated.
+
     The Heisenberg reference runs on a heis_refine-times finer time grid, so
     the reported deviation isolates the Schrodinger stepper's O(dt^2) error;
     doubling the Schrodinger step count must shrink it by about 4x.  At
@@ -778,7 +771,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     panel = _observable_panel(catalog, cfg)
     omega_f = omega0_state(catalog, cfg.mode1, cfg.mode2)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-    panel_q = [quantize(op, omega_f.basis) for op in panel]
+    h0q = quantize(panel[0], omega_f.basis)
 
     def heis_values(u):
         return np.array(
@@ -790,7 +783,8 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
 
     def schro_values(steps, ham):
         _, states = evolve_schrodinger(omega_f, ham, (0.0, cfg.t_final), steps, record_every=steps)
-        return np.array([expectation(states[-1], opq).real for opq in panel_q])
+        c = correlation_from_state(states[-1])
+        return np.array([bilinear_expectation(c, op).real for op in panel])
 
     header = ["drive", "n_steps", "deviation", "doubled_deviation", "matched_deviation"]
     rows: list[list] = []
@@ -798,7 +792,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     zero_control = None
     for drive_idx, blocks in enumerate(drive_blocks):
         ham_1b = _onebody_hamiltonian(catalog, blocks)
-        ham_mb = _manybody_hamiltonian(panel_q[0], blocks)
+        ham_mb = _manybody_hamiltonian(h0q, blocks)
         u_ref = propagate(
             ham_1b,
             (0.0, cfg.t_final),

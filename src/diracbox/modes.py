@@ -186,25 +186,20 @@ def dirac_spinor(lbl: ModeLabel, m: float, grid: MomentumGrid) -> SpinorMode:
 class SpinorTables:
     """Spinor contractions of a catalog: the one place they are computed.
 
-    delta_n[i, j] = n_i - n_j is the wave vector coupling source j to target
-    i; caps[i] = max_a |n_i,a| is mode i's lattice distance from the origin.
-    The bilinear fields carry the wave vectors n_j - n_i of the mode pairs:
-    wave_vectors lists each distinct one, and wave_index[i, j] is the row
-    that holds n_j - n_i.
+    caps[i] = max_a |n_i,a| is mode i's lattice distance from the origin.
+    The mode pairs carry the wave vectors n_j - n_i: wave_vectors lists each
+    distinct one, and wave_index[i, j] is the row that holds n_j - n_i.  So
+    a bilinear field couples source j to target i at wave vector
+    -wave_vectors[wave_index[i, j]], and its pair (i, j) carries the phase
+    e^{i dk wave_vectors[wave_index[i, j]].x}.
     """
 
     spinors: np.ndarray  # (M, 4) u_i
     scalar: np.ndarray  # (M, M) u_i^dag u_j
     alpha: np.ndarray  # (3, M, M) u_i^dag alpha_a u_j
-    momenta: np.ndarray  # (M, 3)
-    delta_n: np.ndarray  # (M, M, 3) integer
     caps: np.ndarray  # (M,) integer
     wave_vectors: np.ndarray  # (K, 3) integer
     wave_index: np.ndarray  # (M, M) integer
-
-    def waves(self, points: np.ndarray) -> np.ndarray:
-        """(N, M) plane-wave factors e^{i p_i . x}."""
-        return np.exp(1j * points @ self.momenta.T)
 
     def coupling(self, block: np.ndarray) -> np.ndarray:
         """(M, M) matrix u_i^dag block u_j for a 4 x 4 spinor-space block."""
@@ -249,17 +244,14 @@ class BasisCatalog:
         """Spinor contraction tables, built on first use and freed with the catalog."""
         us = np.array([mode.u for mode in self.modes])
         n = np.array([mode.label.n for mode in self.modes])
-        delta_n = n[:, None] - n[None, :]
-        wave_vectors, wave_index = np.unique(-delta_n.reshape(-1, 3), axis=0, return_inverse=True)
+        wave_vectors, wave_index = np.unique((n[None, :] - n[:, None]).reshape(-1, 3), axis=0, return_inverse=True)
         return SpinorTables(
             spinors=us,
             scalar=us.conj() @ us.T,
             alpha=np.einsum("ia,kab,jb->kij", us.conj(), ALPHA, us),
-            momenta=np.array([mode.p for mode in self.modes]),
-            delta_n=delta_n,
             caps=np.abs(n).max(axis=1),
             wave_vectors=wave_vectors,
-            wave_index=wave_index.reshape(delta_n.shape[:2]),
+            wave_index=wave_index.reshape(self.size, self.size),
         )
 
     def index_of(self, lbl: ModeLabel) -> int:

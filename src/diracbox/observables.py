@@ -94,15 +94,14 @@ def _matrix_of(c: CorrelationMatrix) -> np.ndarray:
 def density_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> OneBodyOperator:
     """One-body matrix of the charge density at a single point x."""
     t = catalog.tables
-    w = t.waves(_as_points(x))[0]
-    return OneBodyOperator((e / catalog.volume) * t.scalar * np.outer(w.conj(), w))
+    phase = _phases(catalog, _as_points(x))[0][t.wave_index]
+    return OneBodyOperator((e / catalog.volume) * t.scalar * phase)
 
 
 def current_matrix(catalog: BasisCatalog, x, e: float = 1.0) -> list[OneBodyOperator]:
     """One-body matrices of the three current components at a point x."""
     t = catalog.tables
-    w = t.waves(_as_points(x))[0]
-    phase = np.outer(w.conj(), w)
+    phase = _phases(catalog, _as_points(x))[0][t.wave_index]
     return [OneBodyOperator((e / catalog.volume) * t.alpha[a] * phase) for a in range(3)]
 
 

@@ -266,8 +266,8 @@ def _coupling_matrix(
         vec = vector.get(k)
         if vec is not None:
             block = block + np.tensordot(vec, ALPHA, axes=(0, 0))
-        # pairs whose target would leave the kept momenta never match k
-        hit = (tables.delta_n == k).all(axis=-1)
+        # pairs (target, source) with n_target - n_source = k; a target off the kept momenta never matches
+        hit = (tables.wave_vectors == np.negative(k)).all(axis=1)[tables.wave_index]
         out[hit] += tables.coupling(block)[hit]
     return out
 

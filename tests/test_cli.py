@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import scipy.sparse as sp
 
-from diracbox import experiments
+from diracbox import experiments, observables
 from diracbox.cli import (
     KNOWN_KEYS,
     ConfigError,
@@ -308,7 +308,11 @@ BAD_CONFIGS = [
     ("gauge-heisenberg", "cutoffs = 1\nd = 3", "`d` = 3: gauge-heisenberg runs at d = 1 only"),
     ("gauge-heisenberg", "omega = 6.283185307179586", "`omega`"),
     ("gauge-schrodinger", "mode2 = 1:-", "`mode2`: the scan profile D of mode1 and mode2 vanishes"),
-    ("energy-heisenberg", "mode2 = 1:-", "`mode2`: the scan profile D7 of mode1 and mode2 vanishes"),
+    ("energy-heisenberg", "mode2 = 1:-", "`mode2`: the scan profile D of mode1 and mode2 vanishes"),
+    ("gauge-schrodinger", "scan_subsets = 0 1 2, -1 0 1", "`scan_subsets` must differ in their momentum counts"),
+    ("equivalence", "scan_subsets = 0 1, 1 0", "`scan_subsets`"),
+    ("energy-heisenberg", "f_list = 0, 0.1, 0.1", "`f_list` repeats a value"),
+    ("gauge-schrodinger", "f_list = 0, 0.05, 0.05, 0.1", "`f_list` repeats a value"),
 ]
 
 
@@ -343,8 +347,8 @@ def test_main_flag_overrides_parse_like_config_values(tmp_path, capsys):
 
 
 def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkeypatch):
-    # a free energy with an imaginary part trips the scan's FloatingPointError guard
-    monkeypatch.setattr(experiments, "expectation", lambda state, op: 1.0 + 1.0j)
+    # a free energy with an imaginary part trips the energy reader's FloatingPointError guard
+    monkeypatch.setattr(observables, "bilinear_expectation", lambda c, h: 1.0 + 1.0j)
     cfg = write_cfg(tmp_path, "scan_subsets = 0 1\nn_steps = 2\n")
     out = tmp_path / "out"
     assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 1

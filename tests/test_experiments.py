@@ -11,10 +11,12 @@ from diracbox.experiments import (
     Check,
     Report,
     ScenarioConfig,
+    _pure_gauge,
+    _subset_catalog,
+    _unit_gauge_blocks,
     check_leq,
     check_monotone,
     config_dict,
-    heisenberg_scan_profile,
     profile_square_integral,
     random_drive,
     run_free_baseline,
@@ -22,9 +24,12 @@ from diracbox.experiments import (
     run_heisenberg_gauge,
     run_picture_equivalence,
     run_schrodinger_gauge_scan,
-    schrodinger_scan_profile,
+    scan_profile,
 )
+from diracbox.fock import expectation, quantize
 from diracbox.gaussian import excitation_correlation, omega0_correlation, vacuum_correlation
+from diracbox.modes import ALPHA
+from diracbox.onebody import DrivenHamiltonian, GaugeFunction, Scaled, h0_matrix, interaction_term_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +105,27 @@ def make_catalog(n_max=2):
 def test_scan_profiles_satisfy_continuity():
     """On-shell spinor identity: (E2-E1) u1.u2 = (p2-p1).(u1,alpha u2).
 
-    It forces d(rho)/dt = -div J for the cross term, i.e. the two profiles
-    are exact negatives of each other, mode by mode.
+    It forces d(rho)/dt = -div J for the cross term: the scan profile D equals
+    minus the closed form of div J_cross at t_final, mode by mode.
     """
     cat = make_catalog()
     cfg = ScenarioConfig()
-    schro = schrodinger_scan_profile(cat, cfg)
-    heis = heisenberg_scan_profile(cat, cfg)
-    assert set(schro) == set(heis) == {(0, 0, 1), (0, 0, -1)}
-    for k in schro:
-        assert schro[k] == pytest.approx(-heis[k], abs=1e-15)
+    m1, m2 = (cat.modes[cat.index_of(mode)] for mode in (cfg.mode1, cfg.mode2))
+    alpha_ov = complex((m2.p - m1.p) @ np.array([np.vdot(m1.u, a @ m2.u) for a in ALPHA]))
+    div_j = (cfg.e / (2.0 * cat.volume)) * 1j * alpha_ov * np.exp(-1j * (m2.energy - m1.energy) * cfg.t_final)
+    profile = scan_profile(cat, cfg)
+    assert set(profile) == {(0, 0, 1), (0, 0, -1)}
+    assert profile[(0, 0, 1)] == pytest.approx(-div_j, abs=1e-15)
+    for k in profile:
         # reality pairing: c(-k) = conj(c(k))
-        assert schro[(-k[0], -k[1], -k[2])] == pytest.approx(np.conj(schro[k]), abs=1e-16)
+        assert profile[(-k[0], -k[1], -k[2])] == pytest.approx(np.conj(profile[k]), abs=1e-16)
 
 
 def test_profile_square_integral_is_phase_invariant():
     cat = make_catalog()
-    base = profile_square_integral(schrodinger_scan_profile(cat, ScenarioConfig()), cat.volume)
+    base = profile_square_integral(scan_profile(cat, ScenarioConfig()), cat.volume)
     late = profile_square_integral(
-        schrodinger_scan_profile(cat, ScenarioConfig(t_final=17.3)), cat.volume
+        scan_profile(cat, ScenarioConfig(t_final=17.3)), cat.volume
     )
     assert base == pytest.approx(late, rel=1e-12)
     # independent closed form: V * 2 * (e/2V)^2 * dE^2 * |u1.u2|^2
@@ -231,8 +238,8 @@ def test_energy_scan_slope_and_intercept():
 def test_schrodinger_scan_quantizes_h0_once_per_subset(monkeypatch):
     """h0 and the two f = 1 pure-gauge blocks are lifted once per subset.
 
-    The f = 0 run, every family and the energy reading share h0; every
-    family shares the blocks, with f carried by their envelopes.
+    The f = 0 run and every family share h0; every family shares the blocks,
+    with f carried by their envelopes.
     """
     calls = []
     original = experiments.quantize
@@ -271,6 +278,47 @@ def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatc
     assert len(compared) == 2 * (len(cfg.f_list) + 2)
     for key in compared:
         assert abs(spin.metrics[key] - one.metrics[key]) <= 1e-12 * abs(one.metrics[key]), key
+
+
+def test_schrodinger_scan_energies_equal_the_direct_fock_reading(monkeypatch):
+    """The scan reads <H_0> off each final state's correlation matrix; <psi|quantized h0|psi> is the oracle."""
+    finals = []
+    original = experiments.evolve_schrodinger
+
+    def recorded(*args, **kwargs):
+        times, states = original(*args, **kwargs)
+        finals.append(states[-1])
+        return times, states
+
+    monkeypatch.setattr(experiments, "evolve_schrodinger", recorded)
+    cfg = ScenarioConfig(n_steps=20)
+    rep = run_schrodinger_gauge_scan(cfg)
+    assert len(finals) == len(cfg.scan_subsets) * len(cfg.f_list) == 16
+    states = iter(finals)
+    for momenta in cfg.scan_subsets:  # M = 8 and 12
+        cat = _subset_catalog(cfg, momenta)
+        for f in cfg.f_list:
+            state = next(states)
+            want = expectation(state, quantize(h0_matrix(cat), state.basis)).real
+            got = rep.metrics[f"M{cat.size}_f{f}_measured"] + cat.sea_energy()
+            assert abs(got - want) <= 1e-14 * abs(want), (cat.size, f)
+
+
+def test_scaled_unit_gauge_family_equals_the_family_rebuilt_at_each_f():
+    """Both energy scans drive chi = f D g(t) as the f = 1 blocks on envelopes scaled by f."""
+    cfg = ScenarioConfig()
+    env = cfg.envelope()
+    for cat in [cfg.catalog(2)] + [_subset_catalog(cfg, momenta) for momenta in cfg.scan_subsets]:
+        profile = scan_profile(cat, cfg)
+        h0 = h0_matrix(cat)
+        unit = _unit_gauge_blocks(cat, profile, env, cfg.e)
+        for f in cfg.f_list:
+            scaled = DrivenHamiltonian(h0, [(block, Scaled(f, g)) for block, g in unit])
+            chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
+            rebuilt = DrivenHamiltonian(h0, interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e))
+            for t in np.linspace(0.0, cfg.t_final, 7):
+                want = rebuilt.at(t)
+                assert np.abs(scaled.at(t) - want).max() <= 1e-15 * np.linalg.norm(want, 2), (cat.size, f, t)
 
 
 def test_schrodinger_scan_single_subset():

@@ -22,7 +22,7 @@ from diracbox.experiments import (
     _pure_gauge,
     _spin_groups,
     _subset_catalog,
-    schrodinger_scan_profile,
+    scan_profile,
 )
 from diracbox.fock import (
     FockBasis,
@@ -415,7 +415,7 @@ def scan_family(momenta, spin=False):
     """
     cfg = ScenarioConfig()
     cat = _subset_catalog(cfg, momenta)
-    chi = GaugeFunction(schrodinger_scan_profile(cat, cfg), cfg.envelope())
+    chi = GaugeFunction(scan_profile(cat, cfg), cfg.envelope())
     omega = omega0_state(cat, cfg.mode1, cfg.mode2, _spin_groups(cat) if spin else None)
     h0q = quantize(h0_matrix(cat), omega.basis)
     blocks = interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e)
@@ -632,7 +632,7 @@ def test_sector_evolution_equals_full_space_on_scan_subsets():
     cfg = ScenarioConfig(n_steps=20)
     for momenta in cfg.scan_subsets:
         cat = _subset_catalog(cfg, momenta)
-        chi = GaugeFunction(schrodinger_scan_profile(cat, cfg), cfg.envelope())
+        chi = GaugeFunction(scan_profile(cat, cfg), cfg.envelope())
         pure = _pure_gauge(chi, cat.grid)
         sector = omega0_state(cat, cfg.mode1, cfg.mode2)
         finals = []

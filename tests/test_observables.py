@@ -383,9 +383,9 @@ def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
 
 
 def oracle_densities(C, catalog, pts, e=1.0):
-    """rho and J by one three-operand einsum per field: sum_ij w_i^* (T*C)_ij w_j."""
+    """rho and J by one three-operand einsum per field: sum_ij w_i^* (T*C)_ij w_j, w_i = e^{i p_i.x}."""
     t = catalog.tables
-    w = t.waves(pts)
+    w = np.exp(1j * pts @ np.array([mode.p for mode in catalog.modes]).T)
     scale = e / catalog.volume
     fields = [t.scalar, *t.alpha]
     vals = [np.einsum("xi,ij,xj->x", w.conj(), T * C, w) * scale for T in fields]
