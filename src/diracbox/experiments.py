@@ -591,7 +591,8 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     for catalog, (profile, d_sq) in zip(catalogs, profiles):
         # the pure-gauge family keeps each spin's particle count: omega0 steps in its spin sector
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2, _spin_groups(catalog))
-        h0q = quantize(h0_matrix(catalog), omega.basis)
+        h0 = h0_matrix(catalog)
+        h0q = quantize(h0, omega.basis)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
         sea = catalog.sea_energy()
@@ -605,7 +606,7 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )
-            measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), catalog) - sea
+            measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), h0) - sea
             predicted = dxi - f * d_sq
             rel = abs(measured - predicted) / abs(predicted)
             bound_margin = measured  # vacuum is the floor of the free energy
@@ -667,7 +668,8 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
 
     # identity RHS cross-check: pair chi with the free-run div J at t_final
     free_steps = max(n_steps // 4, 1)
-    u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), free_steps, record_every=free_steps)
+    h0 = h0_matrix(catalog)
+    u_free = propagate(h0, (0.0, cfg.t_final), free_steps, record_every=free_steps)
     C_free = evolve_correlation(C0, u_free)[-1]
     _, divj_k = field_fourier(C_free, catalog, e=cfg.e)
 
@@ -687,13 +689,13 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
                 chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
                 rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
                 pairing_err = max(pairing_err, abs(rhs - predicted))
-        measured = by_f[f] = free_energy_heisenberg(W0, u_final, catalog)
+        measured = by_f[f] = free_energy_heisenberg(W0, u_final, h0)
         rel = abs(measured - predicted) / abs(predicted)
         rows.append([float(f), measured, predicted, float(rel)])
         metrics[f"f{f}_measured"] = measured
         metrics[f"f{f}_predicted"] = predicted
         metrics[f"f{f}_measured_static_sub"] = (
-            free_energy_heisenberg(C0, u_final, catalog) - sea
+            free_energy_heisenberg(C0, u_final, h0) - sea
         )
     slope, intercept = np.polyfit(small_f, [by_f[f] for f in small_f], 1)
     metrics["fit_slope"] = float(slope)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
-from .onebody import DrivenHamiltonian, OneBodyOperator, _check_hermitian, h0_matrix, time_grid
+from .onebody import _THETA, _THETA_M, DrivenHamiltonian, OneBodyOperator, _check_hermitian, h0_matrix, time_grid
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -392,19 +392,6 @@ def h0_spectrum_check(catalog: BasisCatalog) -> dict[str, float]:
         "gap": gap,
         "lightest_mode_energy": float(catalog.energies().min()),
     }
-
-
-# theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
-# m <= 30 from table A.3 of Higham & Al-Mohy, Acta Numerica 19, 159 (2010),
-# m >= 35 from table 3.1 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-# (2011); the values scipy.sparse.linalg.expm_multiply uses.
-_THETA_M = np.array([*range(1, 31), 35, 40, 45, 50, 55])
-_THETA = np.array([
-    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
-    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
-    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
-    4.7, 6.0, 7.2, 8.5, 9.9,
-])
 
 
 def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:

@@ -311,20 +311,15 @@ def energy_identity_rhs(
 # ---------------------------------------------------------------------------
 # free-Hamiltonian energies
 
-def free_energy_schrodinger(c: CorrelationMatrix, catalog: BasisCatalog) -> float:
-    """<H_0> of an evolved correlation matrix against the fixed free Hamiltonian."""
-    return _real_energy(c, h0_matrix(catalog))
-
-
-def free_energy_heisenberg(c0: CorrelationMatrix, u: np.ndarray, catalog: BasisCatalog) -> float:
-    """<u^dag h0 u> quantized, in the fixed initial correlation matrix."""
-    h0 = h0_matrix(catalog)
-    return _real_energy(c0, OneBodyOperator(u.conj().T @ h0.matrix @ u))
-
-
-def _real_energy(c: CorrelationMatrix, h: OneBodyOperator) -> float:
+def free_energy_schrodinger(c: CorrelationMatrix, h0: OneBodyOperator) -> float:
+    """<H_0> of an evolved correlation matrix against the free Hamiltonian `h0` (`h0_matrix`)."""
     _matrix_of(c)  # the type check
-    val = bilinear_expectation(c, h)
+    val = bilinear_expectation(c, h0)
     if abs(val.imag) > 1e-9:
         raise FloatingPointError("free energy acquired an imaginary part")
     return float(val.real)
+
+
+def free_energy_heisenberg(c0: CorrelationMatrix, u: np.ndarray, h0: OneBodyOperator) -> float:
+    """<u^dag h0 u> quantized, in the fixed initial correlation matrix; `h0` from `h0_matrix`."""
+    return free_energy_schrodinger(c0, OneBodyOperator(u.conj().T @ h0.matrix @ u))

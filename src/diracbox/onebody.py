@@ -18,13 +18,18 @@ Time evolution is the midpoint-exponential stepper
 
     u(t + dt) = exp(-i h(t + dt/2) dt) u(t),
 
-unitary by construction and second-order accurate (the second-order Magnus
-integrator).  The midpoint Hamiltonians never depend on the state, so they
-are diagonalized in batches ahead of the chain of products.  Steps are taken
-on the invariant blocks of the stepped matrices (the connected components of
-their exact nonzero pattern): the spin blocks of a pure-gauge family in
-d = 1, the 1 x 1 blocks of the diagonal h0.  Every route to `propagate`
-finds the blocks from the same stacked matrices, so all share them.
+second-order accurate (the second-order Magnus integrator).  The midpoint
+Hamiltonians never depend on the state, so their exponentials are taken in
+batches of `_STEP_CHUNK` steps ahead of the chain of products.  A chunk
+within the step guard's 1-norm bound steps by a truncated Taylor
+polynomial, its degree read off the theta_m table of Al-Mohy & Higham
+(SIAM J. Sci. Comput. 33, 488 (2011)) that the Fock kernel reads too; it is
+unitary to roundoff.  A chunk past that bound is diagonalized by eigh
+(exactly unitary), which also reads the guard off the eigenvalues.  Steps are taken on the invariant blocks of the stepped
+matrices (the connected components of their exact nonzero pattern): the
+spin blocks of a pure-gauge family in d = 1, the 1 x 1 blocks of the
+diagonal h0, which step as exact phases.  Every route to `propagate` finds
+the blocks from the same stacked matrices, so all share them.
 """
 
 from __future__ import annotations
@@ -498,20 +503,61 @@ class OneBodyPropagator:
         return self.matrices[-1]
 
 
-# midpoint steps per batched eigh; longer chunks cost memory, not time
+# midpoint steps per batch; longer chunks cost memory, not time
 _STEP_CHUNK = 16
 # accuracy guard of `propagate`: the largest ||h(t_mid)||_2 * dt of one step
 MAX_STEP_NORM = 0.1
+# theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
+# m <= 30 from table A.3 of Higham & Al-Mohy, Acta Numerica 19, 159 (2010),
+# m >= 35 from table 3.1 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011); the values scipy.sparse.linalg.expm_multiply uses.  Both pictures
+# pick their Taylor degree from it: `_guarded_steps` and `fock.expm_multiply`.
+_THETA_M = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9,
+])
+
+
+def _taylor_degree(norm: float) -> int:
+    """The least degree m with `norm` <= theta_m: the Taylor degree for a 1-norm of A = -i h dt."""
+    return int(_THETA_M[np.searchsorted(_THETA, norm)])
+
+
+def _exp_taylor(h: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """exp(-i h dt) as the degree-m Taylor polynomial of A = -i h dt; a stack of them broadcasts.
+
+    Horner's rule, I + A (I + A/2 (... (I + A/m))): m - 1 matmuls.
+    """
+    a = (-1j * dt) * h
+    eye = np.eye(h.shape[-1])
+    p = eye + a * (1.0 / m)
+    for j in range(m - 1, 0, -1):
+        p = a @ p
+        p *= 1.0 / j  # a complex division by j costs several times this product
+        p += eye
+    return p
 
 
 def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
     """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]).
 
-    `hs` holds one stack per block group (see `_split`), each diagonalized by
-    one batched eigh.  The step guard reads ||h_n||_2 * dt off the
-    eigenvalues, as the max over blocks of max|w_n| * dt, and raises at the
-    first step (global index `first` + n) over `MAX_STEP_NORM`.
+    `hs` holds one stack per block group (see `_split`).  A chunk whose
+    largest ||h_n||_1 * dt is at most `MAX_STEP_NORM` cannot trip the step
+    guard, since ||h||_2 <= ||h||_1 for hermitian h.  Its 1 x 1 blocks step
+    as exact phases, the others as the Taylor polynomial of the least degree
+    whose theta_m bounds that 1-norm (`_taylor_degree`).  Any other chunk is
+    diagonalized by one batched eigh per group: the guard reads
+    ||h_n||_2 * dt off the eigenvalues, as the max over blocks of
+    max|w_n| * dt, and raises at the first step (global index `first` + n)
+    over `MAX_STEP_NORM`.
     """
+    norm = max(np.abs(h).sum(axis=-2).max() for h in hs) * dt
+    if norm <= MAX_STEP_NORM:
+        m = _taylor_degree(norm)
+        return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
     eig = [np.linalg.eigh(h) for h in hs]
     size = np.max([np.abs(w).reshape(len(w), -1).max(axis=1) for w, _ in eig], axis=0) * dt
     over = np.flatnonzero(size > MAX_STEP_NORM)
@@ -612,16 +658,17 @@ def propagate(
     recorded).  Raises `StepGuardError` if ||h|| * dt exceeds `MAX_STEP_NORM`
     (accuracy guard).
 
-    A static `OneBodyOperator` is diagonalized once; a `DrivenHamiltonian`
+    A static `OneBodyOperator` is exponentiated once; a `DrivenHamiltonian`
     builds each chunk of midpoint Hamiltonians in one array operation; any
-    other callable is called once per step.  Steps are taken on invariant
-    blocks: the connected components of the exact nonzero pattern of each
-    chunk, joined with those of the chunks before (so the partition only
-    coarsens, and u stays block-diagonal in it).  Each block is
-    diagonalized, exponentiated and chain-multiplied on its own; once the
-    partition is one block, u is stepped as a whole.  The blocks are read
-    off the stacked matrices, so all three routes find the same blocks and
-    give the same bytes for the same h(t).
+    other callable is called once per step.  A chunk steps by the Taylor
+    polynomial of `_guarded_steps`, or by eigh past its 1-norm bound.
+    Steps are taken on invariant blocks: the connected components of the
+    exact nonzero pattern of each chunk, joined with those of the chunks
+    before (so the partition only coarsens, and u stays block-diagonal in
+    it).  Each block is exponentiated and chain-multiplied on its own; once
+    the partition is one block, u is stepped as a whole.  The blocks are
+    read off the stacked matrices, so all three routes find the same blocks
+    and give the same bytes for the same h(t).
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []

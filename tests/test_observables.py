@@ -244,26 +244,26 @@ def test_free_energies_agree_between_pictures_at_all_times():
     C0 = omega0_correlation(cat, MODE1, MODE2)
     prop = propagate(h0_matrix(cat), (0.0, 1.0), 100, record_every=25)
     e_sea = cat.sea_energy()
+    h0 = h0_matrix(cat)
     for u, C_t in zip(prop.matrices, evolve_correlation(C0, prop)):
-        heis = free_energy_heisenberg(C0, u, cat)
-        schro = free_energy_schrodinger(C_t, cat)
+        heis = free_energy_heisenberg(C0, u, h0)
+        schro = free_energy_schrodinger(C_t, h0)
         assert heis == pytest.approx(schro, abs=1e-11)
         # free evolution: energy pinned at sea + (E1 + E2)/2
         assert heis == pytest.approx(e_sea + 1.2071067811865475, abs=1e-10)
     # the Fock state read through the bridge agrees with the Fock-space expectations
     omega = omega0_state(cat, MODE1, MODE2)
     C_fock = correlation_from_state(omega)
-    h0 = h0_matrix(cat)
     u = prop.final
     h0_u = OneBodyOperator(u.conj().T @ h0.matrix @ u)
-    assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
+    assert free_energy_schrodinger(C_fock, h0) == pytest.approx(
         expectation(omega, quantize(h0, omega.basis)).real, abs=1e-11
     )
-    assert free_energy_heisenberg(C_fock, u, cat) == pytest.approx(
+    assert free_energy_heisenberg(C_fock, u, h0) == pytest.approx(
         expectation(omega, quantize(h0_u, omega.basis)).real, abs=1e-11
     )
-    assert free_energy_schrodinger(C_fock, cat) == pytest.approx(
-        free_energy_schrodinger(C0, cat), abs=1e-11
+    assert free_energy_schrodinger(C_fock, h0) == pytest.approx(
+        free_energy_schrodinger(C0, h0), abs=1e-11
     )
 
 
@@ -313,8 +313,8 @@ def test_fock_state_without_ladders_rejected():
         lambda c: charge_density(c, cat, x),
         lambda c: current_density(c, cat, x),
         lambda c: field_fourier(c, cat),
-        lambda c: free_energy_schrodinger(c, cat),
-        lambda c: free_energy_heisenberg(c, u, cat),
+        lambda c: free_energy_schrodinger(c, h0_matrix(cat)),
+        lambda c: free_energy_heisenberg(c, u, h0_matrix(cat)),
         lambda c: field_series(cat, [0.0], [c]),
     ]
     for read in entry_points:

@@ -19,9 +19,17 @@ from diracbox.fock import (
     vacuum_state,
 )
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
+from diracbox.experiments import ScenarioConfig, _default_chi, _onebody_hamiltonian, _pure_gauge
 from diracbox.onebody import (
+    _STEP_CHUNK,
+    _THETA,
+    _THETA_M,
+    MAX_STEP_NORM,
     _components,
     _coupling_matrix,
+    _exp_eigh,
+    _exp_taylor,
+    _taylor_degree,
     Constant,
     CosineRamp,
     DrivenHamiltonian,
@@ -445,12 +453,15 @@ def test_coupling_matrix_equals_mode_pair_loop(d, n_max, keep, ks):
 # batched stepping against the one-step-at-a-time loop
 
 
-def reference_propagate(hamiltonian, t_span, n_steps, record_every=1, max_step_norm=0.1, blocks=None):
-    """Midpoint loop one step at a time: an eigh and an SVD norm guard per step.
+def reference_propagate(
+    hamiltonian, t_span, n_steps, record_every=1, max_step_norm=0.1, blocks=None, step=None
+):
+    """Midpoint loop one step at a time: an SVD norm guard and an eigh per step.
 
     With `blocks` (index arrays of an invariant partition of every h(t)) each
-    block is diagonalized and chain-multiplied on its own; without, the
-    whole matrix is.
+    block is stepped and chain-multiplied on its own; without, the whole
+    matrix is.  With `step`, a function of (h, dt, step index), each block
+    steps as step(h_block, dt, index) in place of its eigh exponential.
     """
     t0, t1 = map(float, t_span)
     h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
@@ -468,19 +479,36 @@ def reference_propagate(hamiltonian, t_span, n_steps, record_every=1, max_step_n
         return u
 
     times, mats = [t0], [joined()]
-    for step in range(n_steps):
-        t_mid = t0 + (step + 0.5) * dt
+    for n in range(n_steps):
+        t_mid = t0 + (n + 0.5) * dt
         h = h_of_t(t_mid).matrix
         norm = np.linalg.norm(h, 2)
         if norm * dt > max_step_norm:
-            raise StepGuardError(step, t_mid, norm * dt, max_step_norm)
+            raise StepGuardError(n, t_mid, norm * dt, max_step_norm)
         for i, b in enumerate(blocks):
-            w, v = np.linalg.eigh(h[np.ix_(b, b)])
-            ub[i] = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ ub[i]
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            times.append(t0 + (step + 1) * dt)
+            if step is None:
+                w, v = np.linalg.eigh(h[np.ix_(b, b)])
+                ub[i] = ((v * np.exp(-1j * w * dt)) @ v.conj().T) @ ub[i]
+            else:
+                ub[i] = step(h[np.ix_(b, b)], dt, n) @ ub[i]
+        if (n + 1) % record_every == 0 or n + 1 == n_steps:
+            times.append(t0 + (n + 1) * dt)
             mats.append(joined())
     return np.array(times), np.array(mats)
+
+
+def chunk_taylor_step(h_of_t, t_span, n_steps):
+    """The step `propagate` takes on a driven family within the guard's 1-norm bound.
+
+    Each `_STEP_CHUNK`-step chunk takes the Taylor degree of its largest
+    ||h dt||_1, read here one step at a time.
+    """
+    t0, t1 = map(float, t_span)
+    dt = (t1 - t0) / n_steps
+    norms = [np.abs(h_of_t(t0 + (n + 0.5) * dt).matrix).sum(axis=0).max() * dt for n in range(n_steps)]
+    assert max(norms) <= MAX_STEP_NORM  # no chunk falls back to eigh
+    degrees = [_taylor_degree(max(norms[c : c + _STEP_CHUNK])) for c in range(0, n_steps, _STEP_CHUNK)]
+    return lambda h, dt, n: _exp_taylor(h, dt, degrees[n // _STEP_CHUNK])
 
 
 def spin_blocks(catalog):
@@ -557,18 +585,101 @@ def test_batched_propagate_equals_per_step_loop(route):
     times, mats = reference_propagate(ref, (0.0, 1.0), n_steps=203, record_every=every)
     assert prop.times.shape == times.shape and (prop.times == times).all()
     assert prop.matrices.shape == mats.shape
-    if blocks is None:
-        # a diagonal h0 (1 x 1 blocks) and a spin-mixing family (one block)
-        # keep the whole-matrix arithmetic bit for bit
+    if route == "static":
+        # the diagonal h0 steps its 1 x 1 blocks as exact phases: the loop's
+        # eigh arithmetic bit for bit
         assert (prop.matrices == mats).all()
     else:
-        # the spin blocks are stepped on their own: the same arithmetic
-        # block by block, and the whole-matrix loop as the oracle
-        _, by_block = reference_propagate(
-            ref, (0.0, 1.0), n_steps=203, record_every=every, blocks=blocks
+        # driven chunks step by the Taylor polynomial of their degree, on the
+        # spin blocks where there are two: the same arithmetic step by step,
+        # and the whole-matrix eigh loop as the oracle (it agrees within
+        # 3.3e-14, 2.3e-14 and 2.2e-14 on these three routes)
+        _, same_step = reference_propagate(
+            ref, (0.0, 1.0), n_steps=203, record_every=every, blocks=blocks,
+            step=chunk_taylor_step(ref, (0.0, 1.0), 203),
         )
-        assert (prop.matrices == by_block).all()
+        assert (prop.matrices == same_step).all()
         assert np.abs(prop.matrices - mats).max() <= 1e-12
+
+
+def test_step_over_the_one_norm_bound_takes_the_eigh_path():
+    # ||h||_1 * dt over MAX_STEP_NORM with ||h||_2 * dt under it: the chunk
+    # cannot take the Taylor step, and the guard must not trip
+    cat = catalog1d(n_max=1)
+    j = np.arange(cat.size)
+    wide = OneBodyOperator(np.cos(2 * np.pi * np.outer(j, j) / cat.size))
+    family = DrivenHamiltonian(h0_matrix(cat), [(wide, Constant(1.0))])
+    n_steps = 60
+    h = family.at(0.0)
+    assert np.linalg.norm(h, 2) / n_steps < MAX_STEP_NORM < np.abs(h).sum(axis=0).max() / n_steps
+    prop = propagate(family, (0.0, 1.0), n_steps=n_steps, record_every=7)
+    times, mats = reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=n_steps, record_every=7)
+    assert (prop.times == times).all()
+    assert (prop.matrices == mats).all()
+
+
+def test_diagonal_operator_steps_as_the_eigh_phases():
+    # 1 x 1 blocks step as exact phases: a diagonal operator, static or as a
+    # family, writes the bytes of the per-step eigh loop (40 distinct
+    # energies; a Taylor step would differ from the phase in the last bit
+    # of some of them)
+    h0 = OneBodyOperator(np.diag(np.random.default_rng(1).uniform(-3.0, 3.0, 40)))
+    _, mats = reference_propagate(h0, (0.0, 1.0), n_steps=60, record_every=7)
+    for ham in (h0, DrivenHamiltonian(h0, [])):
+        assert (propagate(ham, (0.0, 1.0), n_steps=60, record_every=7).matrices == mats).all()
+
+
+def test_taylor_degree_at_theta_m_and_just_above():
+    for theta, m, above in zip(_THETA, _THETA_M, _THETA_M[1:]):
+        assert _taylor_degree(theta) == m
+        assert _taylor_degree(np.nextafter(theta, np.inf)) == above
+    assert _taylor_degree(0.0) == 1
+    # the step guard's bound lies between theta_9 and theta_10
+    assert _taylor_degree(MAX_STEP_NORM) == 10
+
+
+def default_gauge_family(n_max=4):
+    """`gauge-heisenberg`'s pure-gauge family at its default config (M = 36 at n_max = 4)."""
+    cfg = ScenarioConfig()
+    cat = cfg.catalog(n_max)
+    pure = _pure_gauge(GaugeFunction(_default_chi(cfg), cfg.envelope()), cat.grid)
+    return cfg, cat, _onebody_hamiltonian(cat, interaction_term_matrices(cat, pure, cfg.e))
+
+
+def exact_exp(h, dt, terms=12):
+    """exp(-i h dt) as a Taylor series summed in long double: the reference for both steps."""
+    a = (-1j * np.clongdouble(dt)) * h.astype(np.clongdouble)
+    term = np.broadcast_to(np.eye(h.shape[-1], dtype=np.clongdouble), a.shape)
+    out = term.copy()
+    for j in range(1, terms):
+        term = np.einsum("...ij,...jk->...ik", a, term) / j
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["spin-blocks", "whole"])
+def test_taylor_step_agrees_with_eigh_on_pure_gauge_chunks(split):
+    cfg, cat, family = default_gauge_family()
+    dt = cfg.t_final / 8000
+    rows = spin_blocks(cat)[0] if split else np.arange(cat.size)
+    for first in (0, 4000, 8000 - _STEP_CHUNK):
+        h = family.stack([(first + n + 0.5) * dt for n in range(_STEP_CHUNK)])
+        m = _taylor_degree(np.abs(h).sum(axis=-2).max() * dt)
+        h = h[:, rows[:, None], rows[None, :]]
+        assert h.shape == ((_STEP_CHUNK, 18, 18) if split else (_STEP_CHUNK, 36, 36))
+        taylor = _exp_taylor(h, dt, m)
+        exact = exact_exp(h, dt)
+        # the Taylor step is within 1e-15 of the exponential (5.5e-17
+        # measured); eigh's own roundoff at this size is 3-4e-15, so the two
+        # steps agree within 1e-14
+        assert np.abs(taylor - exact).max() <= 1e-15
+        assert np.abs(taylor - _exp_eigh(*np.linalg.eigh(h), dt)).max() <= 1e-14
+
+
+def test_default_gauge_run_stays_unitary():
+    cfg, cat, family = default_gauge_family()
+    u = propagate(family, (0.0, cfg.t_final), 8000, record_every=8000).final
+    assert np.abs(u.conj().T @ u - np.eye(cat.size)).max() <= 1e-11
 
 
 def test_components_of_a_hand_made_pattern():
