@@ -26,7 +26,6 @@ from .fock import (
     quantize,
 )
 from .gaussian import (
-    bilinear_expectation,
     evolve_correlation,
     excitation_correlation,
     omega0_correlation,
@@ -41,11 +40,8 @@ from .modes import (
     restrict_catalog,
 )
 from .observables import (
-    SpatialGrid,
     continuity_residual,
-    current_matrix,
     delta_xi,
-    density_matrix,
     div_current_oracle,
     drho_dt_oracle,
     energy_identity_rhs,
@@ -59,7 +55,6 @@ from .onebody import (
     CosineRamp,
     DrivenHamiltonian,
     GaugeFunction,
-    OneBodyOperator,
     PotentialSpec,
     Scaled,
     chi_matrix,
@@ -348,16 +343,28 @@ def _unit_gauge_blocks(catalog: BasisCatalog, profile: dict[IntVec, complex], en
     return interaction_term_matrices(catalog, _pure_gauge(GaugeFunction(profile, env), catalog.grid), e)
 
 
-def _free_series(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int):
-    """The field series of omega0 under h0 on `catalog`, evolved in `backend`."""
+def _evolved_series(
+    backend: str, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int, blocks=(), record_every: int = 1
+):
+    """The field series of omega0 on `catalog` under h0 plus the drive `blocks`, evolved in `backend`.
+
+    "gaussian" is the Heisenberg picture: the one-body propagator u conjugates
+    C0, so each frame holds the bilinears of the evolved field operators in the
+    initial state.  "fock" is the Schrodinger picture: omega0 evolves in its
+    Fock basis and each frame is the evolved state's correlation matrix.  With
+    no blocks both step the static h0 (quantized for Fock).
+    """
     h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
     if backend == "gaussian":
-        prop = propagate(h0, t_span, n_steps)
+        ham = _onebody_hamiltonian(catalog, blocks) if blocks else h0
+        prop = propagate(ham, t_span, n_steps, record_every)
         c0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
         times, cs = prop.times, evolve_correlation(c0, prop)
     else:
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
-        times, states = evolve_schrodinger(omega, quantize(h0, omega.basis), t_span, n_steps)
+        h0q = quantize(h0, omega.basis)
+        ham = _manybody_hamiltonian(h0q, blocks) if blocks else h0q
+        times, states = evolve_schrodinger(omega, ham, t_span, n_steps, record_every)
         cs = [correlation_from_state(s) for s in states]
     return field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
 
@@ -382,7 +389,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             _check_fock_cap(catalog, "n_max")
     for be, catalog in catalogs.items():
         m1, m2 = _modes_of(catalog, cfg)
-        series = _free_series(be, catalog, cfg, n_steps)
+        series = _evolved_series(be, catalog, cfg, n_steps)
         results[be] = (catalog, series)
 
         times, pts = series.times, series.points
@@ -429,7 +436,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     if len(backends) == 2:
         # the comparison needs a shared catalog: rerun the gaussian backend on the fock one
         catalog, fock_series = results["fock"]
-        gauss_series = _free_series("gaussian", catalog, cfg, n_steps)
+        gauss_series = _evolved_series("gaussian", catalog, cfg, n_steps)
         dev = max(
             float(np.abs(gauss_series.rho - fock_series.rho).max()),
             float(np.abs(gauss_series.current - fock_series.current).max()),
@@ -731,27 +738,24 @@ def random_drive(
     return PotentialSpec.single(a0=a0, a=a, envelope=envelope)
 
 
-def _observable_panel(catalog: BasisCatalog, cfg: ScenarioConfig):
-    sgrid = SpatialGrid.for_catalog(catalog, cfg.points_per_axis)
-    pts = sgrid.points()
-    ops = [h0_matrix(catalog)]
-    for xi in range(pts.shape[0]):
-        ops.append(density_matrix(catalog, pts[xi], cfg.e))
-        ops.extend(current_matrix(catalog, pts[xi], cfg.e))
-    return ops
+def _final_panel(series) -> np.ndarray:
+    """<H0>, then rho and J at every sample point, at the last recorded time of `series`."""
+    return np.concatenate([series.energy[-1:], series.rho[-1], series.current[-1].ravel()])
 
 
 def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
-    """Schrodinger (exact Fock) vs Heisenberg (conjugated bilinears).
+    """Schrodinger (exact Fock) vs Heisenberg (conjugated correlation) under random drives.
 
-    Both read the panel (h0, rho and J at the sample points) with
-    `bilinear_expectation`: on the evolved state's correlation matrix, or on
-    the initial one with each operator conjugated.
+    Each picture evolves omega0 through `_evolved_series` and reads the panel
+    (<H0>, and rho and J at the sample points at t_final) off its last frame
+    with `field_series`: the Fock state's correlation matrix, or the initial
+    one conjugated by the one-body propagator, conj(u) C0 u^T, which holds
+    every <u^dag O u> in C0.
 
     The Heisenberg reference runs on a heis_refine-times finer time grid, so
     the reported deviation isolates the Schrodinger stepper's O(dt^2) error;
     doubling the Schrodinger step count must shrink it by about 4x.  At
-    matched step counts the two picture are the same discrete evolution, which
+    matched step counts the two pictures are the same discrete evolution, which
     the matched-deviation metric pins at roundoff level.
     """
     env = cfg.envelope()
@@ -770,43 +774,20 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
     except ValueError as exc:
         raise ValueError(f"`drive_band` = {cfg.drive_band}: {exc}") from None
     n_steps = cfg.steps(200)
-    panel = _observable_panel(catalog, cfg)
-    omega_f = omega0_state(catalog, cfg.mode1, cfg.mode2)
-    C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-    h0q = quantize(panel[0], omega_f.basis)
 
-    def heis_values(u):
-        return np.array(
-            [
-                bilinear_expectation(C0, OneBodyOperator(u.conj().T @ op.matrix @ u)).real
-                for op in panel
-            ]
-        )
-
-    def schro_values(steps, ham):
-        _, states = evolve_schrodinger(omega_f, ham, (0.0, cfg.t_final), steps, record_every=steps)
-        c = correlation_from_state(states[-1])
-        return np.array([bilinear_expectation(c, op).real for op in panel])
+    def panel(backend, steps, blocks):
+        return _final_panel(_evolved_series(backend, catalog, cfg, steps, blocks, record_every=steps))
 
     header = ["drive", "n_steps", "deviation", "doubled_deviation", "matched_deviation"]
     rows: list[list] = []
     deviations, doubled, matched = [], [], []
     zero_control = None
     for drive_idx, blocks in enumerate(drive_blocks):
-        ham_1b = _onebody_hamiltonian(catalog, blocks)
-        ham_mb = _manybody_hamiltonian(h0q, blocks)
-        u_ref = propagate(
-            ham_1b,
-            (0.0, cfg.t_final),
-            n_steps * cfg.heis_refine,
-            record_every=n_steps * cfg.heis_refine,
-        ).final
-        ref_vals = heis_values(u_ref)
-        schro_base = schro_values(n_steps, ham_mb)
+        ref_vals = panel("gaussian", n_steps * cfg.heis_refine, blocks)
+        schro_base = panel("fock", n_steps, blocks)
         dev = float(np.abs(schro_base - ref_vals).max())
-        dev2 = float(np.abs(schro_values(2 * n_steps, ham_mb) - ref_vals).max())
-        u_same = propagate(ham_1b, (0.0, cfg.t_final), n_steps, record_every=n_steps).final
-        dev_same = float(np.abs(schro_base - heis_values(u_same)).max())
+        dev2 = float(np.abs(panel("fock", 2 * n_steps, blocks) - ref_vals).max())
+        dev_same = float(np.abs(schro_base - panel("gaussian", n_steps, blocks)).max())
         if drive_idx == 0:
             zero_control = dev
         else:

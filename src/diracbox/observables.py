@@ -217,7 +217,11 @@ def field_series(
     points_per_axis: int | None = None,
     e: float = 1.0,
 ) -> FieldSeries:
-    """Evaluate rho, J, div J and free energy for a `CorrelationMatrix` per time."""
+    """Evaluate rho, J, div J and free energy for a `CorrelationMatrix` per time.
+
+    Each frame's fields and <H0> (`free_energy_schrodinger`) raise
+    `FloatingPointError` on an imaginary part above 1e-9.
+    """
     times = np.asarray(times, dtype=float)
     correlations = list(correlations)
     if len(correlations) != len(times):
@@ -230,7 +234,7 @@ def field_series(
     energy = np.empty(len(times))
     for k, c in enumerate(correlations):
         fields[k] = _fields(c, catalog, phases, e)
-        energy[k] = bilinear_expectation(c, h0).real
+        energy[k] = free_energy_schrodinger(c, h0)
     rho, cur, div = fields[..., 0], fields[..., 1:4], fields[..., 4]
     return FieldSeries(times, sgrid, rho, cur, div, energy, points)
 

@@ -20,16 +20,17 @@ Time evolution is the midpoint-exponential stepper
 
 second-order accurate (the second-order Magnus integrator).  The midpoint
 Hamiltonians never depend on the state, so their exponentials are taken in
-batches of `_STEP_CHUNK` steps ahead of the chain of products.  A chunk
-within the step guard's 1-norm bound steps by a truncated Taylor
-polynomial, its degree read off the theta_m table of Al-Mohy & Higham
-(SIAM J. Sci. Comput. 33, 488 (2011)) that the Fock kernel reads too; it is
-unitary to roundoff.  A chunk past that bound is diagonalized by eigh
-(exactly unitary), which also reads the guard off the eigenvalues.  Steps are taken on the invariant blocks of the stepped
-matrices (the connected components of their exact nonzero pattern): the
-spin blocks of a pure-gauge family in d = 1, the 1 x 1 blocks of the
-diagonal h0, which step as exact phases.  Every route to `propagate` finds
-the blocks from the same stacked matrices, so all share them.
+batches of `_STEP_CHUNK` steps ahead of the chain of products.  Every
+chunk that passes the step guard steps by a truncated Taylor polynomial,
+its degree read off the theta_m table of Al-Mohy & Higham (SIAM J. Sci.
+Comput. 33, 488 (2011)) that the Fock kernel reads too; it is unitary to
+roundoff.  The guard bounds ||h||_2 * dt; a chunk is metered by eigvalsh
+only when its 1-norm, an upper bound, exceeds that.  Steps are taken on the
+invariant blocks of the stepped matrices (the connected components of their
+exact nonzero pattern): the spin blocks of a pure-gauge family in d = 1,
+the 1 x 1 blocks of the diagonal h0, which step as exact phases.  Every
+route to `propagate` finds the blocks from the same stacked matrices, so all
+share them.
 """
 
 from __future__ import annotations
@@ -544,27 +545,26 @@ def _exp_taylor(h: np.ndarray, dt: float, m: int) -> np.ndarray:
 def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
     """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]).
 
-    `hs` holds one stack per block group (see `_split`).  A chunk whose
-    largest ||h_n||_1 * dt is at most `MAX_STEP_NORM` cannot trip the step
-    guard, since ||h||_2 <= ||h||_1 for hermitian h.  Its 1 x 1 blocks step
-    as exact phases, the others as the Taylor polynomial of the least degree
-    whose theta_m bounds that 1-norm (`_taylor_degree`).  Any other chunk is
-    diagonalized by one batched eigh per group: the guard reads
-    ||h_n||_2 * dt off the eigenvalues, as the max over blocks of
+    `hs` holds one stack per block group (see `_split`).  The guard bounds
+    ||h_n||_2 * dt by `MAX_STEP_NORM`.  Since ||h||_2 <= ||h||_1 for hermitian
+    h, a chunk whose largest ||h_n||_1 * dt is within that bound passes as it
+    stands; any other chunk is metered by eigvalsh, as the max over blocks of
     max|w_n| * dt, and raises at the first step (global index `first` + n)
-    over `MAX_STEP_NORM`.
+    over the bound.  A passing chunk's 1 x 1 blocks step as exact phases, the
+    others as the Taylor polynomial of the least degree whose theta_m bounds
+    its largest 1-norm (`_taylor_degree`).  The lookup needs that 1-norm
+    within theta_max = 9.9: a passing step has ||h||_1 * dt <= sqrt(n) * 0.1
+    for its largest block size n <= M, which holds for M <= 9 801.
     """
     norm = max(np.abs(h).sum(axis=-2).max() for h in hs) * dt
-    if norm <= MAX_STEP_NORM:
-        m = _taylor_degree(norm)
-        return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
-    eig = [np.linalg.eigh(h) for h in hs]
-    size = np.max([np.abs(w).reshape(len(w), -1).max(axis=1) for w, _ in eig], axis=0) * dt
-    over = np.flatnonzero(size > MAX_STEP_NORM)
-    if over.size:
-        n = int(over[0])
-        raise StepGuardError(first + n, t_mid[n], float(size[n]), MAX_STEP_NORM)
-    return [_exp_eigh(w, v, dt) for w, v in eig]
+    if norm > MAX_STEP_NORM:
+        size = np.max([np.abs(np.linalg.eigvalsh(h)).reshape(len(h), -1).max(axis=1) for h in hs], axis=0) * dt
+        over = np.flatnonzero(size > MAX_STEP_NORM)
+        if over.size:
+            n = int(over[0])
+            raise StepGuardError(first + n, t_mid[n], float(size[n]), MAX_STEP_NORM)
+    m = _taylor_degree(norm)
+    return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
 
 
 def _step_chunks(hamiltonian, t_mid: list[float]):
@@ -655,13 +655,13 @@ def propagate(
     """Midpoint-exponential propagation of i du/dt = h(t) u, u(t0) = 1.
 
     Records u at every `record_every`-th grid time (the final time is always
-    recorded).  Raises `StepGuardError` if ||h|| * dt exceeds `MAX_STEP_NORM`
+    recorded).  Raises `StepGuardError` if ||h||_2 * dt exceeds `MAX_STEP_NORM`
     (accuracy guard).
 
     A static `OneBodyOperator` is exponentiated once; a `DrivenHamiltonian`
     builds each chunk of midpoint Hamiltonians in one array operation; any
-    other callable is called once per step.  A chunk steps by the Taylor
-    polynomial of `_guarded_steps`, or by eigh past its 1-norm bound.
+    other callable is called once per step.  Every chunk steps by the phases
+    or Taylor polynomials of `_guarded_steps`.
     Steps are taken on invariant blocks: the connected components of the
     exact nonzero pattern of each chunk, joined with those of the chunks
     before (so the partition only coarsens, and u stays block-diagonal in

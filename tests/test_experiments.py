@@ -11,6 +11,8 @@ from diracbox.experiments import (
     Check,
     Report,
     ScenarioConfig,
+    _evolved_series,
+    _final_panel,
     _pure_gauge,
     _subset_catalog,
     _unit_gauge_blocks,
@@ -26,10 +28,25 @@ from diracbox.experiments import (
     run_schrodinger_gauge_scan,
     scan_profile,
 )
-from diracbox.fock import expectation, quantize
-from diracbox.gaussian import excitation_correlation, omega0_correlation, vacuum_correlation
+from diracbox.fock import correlation_from_state, evolve_schrodinger, expectation, omega0_state, quantize
+from diracbox.gaussian import (
+    bilinear_expectation,
+    excitation_correlation,
+    omega0_correlation,
+    vacuum_correlation,
+)
 from diracbox.modes import ALPHA
-from diracbox.onebody import DrivenHamiltonian, GaugeFunction, Scaled, h0_matrix, interaction_term_matrices
+from diracbox.observables import SpatialGrid, current_matrix, density_matrix
+from diracbox.onebody import (
+    DrivenHamiltonian,
+    GaugeFunction,
+    OneBodyOperator,
+    PotentialSpec,
+    Scaled,
+    h0_matrix,
+    interaction_term_matrices,
+    propagate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +233,45 @@ def test_equivalence_passes_quickly():
     assert rep.metrics["max_deviation"] <= 1e-8
     assert rep.metrics["step_doubling_ratio"] >= 3.5
     assert rep.metrics["max_matched_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "fock"])
+@pytest.mark.parametrize("drive", ["zero", "random"])
+def test_equivalence_panel_equals_the_operator_panel(backend, drive):
+    """The panel read off `field_series` equals each point operator read directly.
+
+    The oracle is the operator form: h0, `density_matrix` and `current_matrix`
+    at every sample point, conjugated as u^dag O u and read in C0 (Heisenberg),
+    or read in the final Fock state's correlation matrix (Schrodinger).
+    """
+    cfg = ScenarioConfig()
+    cat = _subset_catalog(cfg, cfg.scan_subsets[0])  # M = 8
+    pot = PotentialSpec.zero()
+    if drive == "random":
+        rng = np.random.default_rng(cfg.seed)
+        pot = random_drive(rng, cfg.drive_band, cfg.drive_amplitude, cfg.envelope(), cfg.d)
+    blocks = interaction_term_matrices(cat, pot, cfg.e)
+    pts = SpatialGrid.for_catalog(cat, cfg.points_per_axis).points()
+    # in the panel's order: <H0>, rho at every point, then J_x, J_y, J_z point by point
+    ops = [h0_matrix(cat)] + [density_matrix(cat, x, cfg.e) for x in pts]
+    ops += [op for x in pts for op in current_matrix(cat, x, cfg.e)]
+    c0 = omega0_correlation(cat, cfg.mode1, cfg.mode2)
+    t_span = (0.0, cfg.t_final)
+    for steps in (cfg.steps(200), cfg.steps(200) * cfg.heis_refine):  # matched and refined
+        if backend == "gaussian":
+            u = propagate(DrivenHamiltonian(h0_matrix(cat), blocks), t_span, steps, record_every=steps).final
+            want = [bilinear_expectation(c0, OneBodyOperator(u.conj().T @ op.matrix @ u)).real for op in ops]
+        else:
+            omega = omega0_state(cat, cfg.mode1, cfg.mode2)
+            h0q = quantize(h0_matrix(cat), omega.basis)
+            ham = DrivenHamiltonian(h0q, [(quantize(op, omega.basis), env) for op, env in blocks])
+            _, states = evolve_schrodinger(omega, ham, t_span, steps, record_every=steps)
+            c = correlation_from_state(states[-1])
+            want = [bilinear_expectation(c, op).real for op in ops]
+        series = _evolved_series(backend, cat, cfg, steps, blocks, record_every=steps)
+        got = _final_panel(series)
+        assert len(got) == len(ops) == 1 + 4 * len(pts)
+        assert np.abs(got - np.array(want)).max() <= 1e-13, steps
 
 
 def test_gauge_heisenberg_two_cutoffs():

@@ -435,6 +435,18 @@ def test_field_series_needs_one_correlation_per_time(n_frames):
         field_series(cat, [0.0, 0.5, 1.0, 1.5], frames)
 
 
+def test_field_series_energy_guards_its_imaginary_part():
+    # a valid correlation (hermitian within 1e-10, occupations 1/2) whose
+    # <H0> carries 4.9e-11 i sum E, about 4.5e-9 i at n_max = 4, while its
+    # fields stay real: the energy column must raise as free_energy_schrodinger does
+    cat = catalog1d(n_max=4)
+    c = CorrelationMatrix(np.diag(0.5 + 4.9e-11j * cat.signs()))
+    with pytest.raises(FloatingPointError, match="free energy"):
+        free_energy_schrodinger(c, h0_matrix(cat))
+    with pytest.raises(FloatingPointError, match="free energy"):
+        field_series(cat, [0.0], [c])
+
+
 def fft_divergence(series):
     """div J of the sampled J by FFT differentiation along each axis, (T, N).
 
