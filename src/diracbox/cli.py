@@ -156,8 +156,13 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"{path}: not UTF-8 text (byte {byte:#04x} at offset {exc.start})") from None
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -170,6 +175,14 @@ def parse_config(path) -> RunConfig:
         values[_FIELD_OF[key]] = _convert(key, value)
     run_values = {name: values.pop(name) for name in _RUN_FIELDS if name in values}
     return RunConfig(_scenario(ScenarioConfig(), values), **run_values)
+
+
+def _check_out_dir(out_dir: str):
+    """ConfigError if `out_dir` is, or lies under, an existing non-directory; nothing is created."""
+    path = Path(out_dir)
+    for p in (path, *path.parents):
+        if p.exists() and not p.is_dir():
+            raise ConfigError(f"`out_dir` {out_dir!r}: {p} exists and is not a directory")
 
 
 def serialize_config(rc: RunConfig) -> str:
@@ -313,6 +326,8 @@ def main(argv=None) -> int:
         rc = replace(rc, scenario=_scenario(rc.scenario, overrides))
         if args.out_dir is not None:
             rc = replace(rc, out_dir=args.out_dir)
+        if args.command != "check":
+            _check_out_dir(rc.out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -253,6 +253,7 @@ class Report:
 # ---------------------------------------------------------------------------
 # shared machinery
 
+# No driver calls these two factories; perfbench/tracing.py still names them.
 def _onebody_hamiltonian(catalog: BasisCatalog, blocks):
     """The one-body family h0 + sum_b g_b(t) B_b of `catalog` with the drive `blocks`."""
     return DrivenHamiltonian(h0_matrix(catalog), blocks)
@@ -356,14 +357,15 @@ def _evolved_series(
     """
     h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
     if backend == "gaussian":
-        ham = _onebody_hamiltonian(catalog, blocks) if blocks else h0
+        ham = DrivenHamiltonian(h0, blocks) if blocks else h0
         prop = propagate(ham, t_span, n_steps, record_every)
         c0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
         times, cs = prop.times, evolve_correlation(c0, prop)
     else:
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
         h0q = quantize(h0, omega.basis)
-        ham = _manybody_hamiltonian(h0q, blocks) if blocks else h0q
+        blocks = [(quantize(op, omega.basis), env) for op, env in blocks]
+        ham = DrivenHamiltonian(h0q, blocks) if blocks else h0q
         times, states = evolve_schrodinger(omega, ham, t_span, n_steps, record_every)
         cs = [correlation_from_state(s) for s in states]
     return field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
@@ -494,9 +496,10 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
     for n_max, catalog in zip(cfg.cutoffs, catalogs):
         pure = _pure_gauge(chi, catalog.grid)
         record = max(1, n_steps // 20)
-        u_free = propagate(h0_matrix(catalog), (0.0, cfg.t_final), n_steps, record_every=record)
+        h0 = h0_matrix(catalog)
+        u_free = propagate(h0, (0.0, cfg.t_final), n_steps, record_every=record)
         u_gauge = propagate(
-            _onebody_hamiltonian(catalog, interaction_term_matrices(catalog, pure, cfg.e)),
+            DrivenHamiltonian(h0, interaction_term_matrices(catalog, pure, cfg.e)),
             (0.0, cfg.t_final),
             n_steps,
             record_every=record,
@@ -690,7 +693,7 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
         u_final = u_free.final
         predicted = dxi - f * d_sq
         if f != 0.0:
-            ham = _onebody_hamiltonian(catalog, [(b, Scaled(f, g)) for b, g in unit_blocks])
+            ham = DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
             u_final = propagate(ham, (0.0, cfg.t_final), n_steps, record_every=n_steps).final
             if f > 0:
                 chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)

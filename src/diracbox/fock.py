@@ -27,9 +27,11 @@ A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept).  Time evolution uses the same
 midpoint-exponential rule as the one-body layer; each step applies
 exp(-i H dt) to the state with a truncated Taylor series on the stored
-entries of H (Al-Mohy & Higham 2011).  `evolve_schrodinger` does the work of
-the family's sparsity pattern (its diagonal slots and one CSR holder) once
-per evolution; `expm_multiply` is the same arithmetic for one matrix.
+entries of H (Al-Mohy & Higham 2011).  `evolve_schrodinger` steps a static
+operator or the driven family of `onebody.DrivenHamiltonian`, the one family
+both pictures step, and does the work of its sparsity pattern (its diagonal
+slots and one CSR holder) once per evolution; `expm_multiply` is the same
+arithmetic for one matrix.
 
 scipy.sparse holds the CSR matrices.  It is imported inside the functions
 that build or check one, so `import diracbox` loads no scipy and only a
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -408,9 +410,9 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
 
     Contract: A stores each diagonal entry exactly once (an explicit zero
     counts), so the shift is one subtraction per diagonal slot.  `quantize`
-    and `DrivenHamiltonian.at` produce such matrices.  Raises ValueError
-    naming the rows whose diagonal entry is missing or doubled, and
-    FloatingPointError if the 1-norm of A - mu I is not finite.
+    and a `DrivenHamiltonian`'s `pattern` store such matrices.  Raises
+    ValueError naming the rows whose diagonal entry is missing or doubled,
+    and FloatingPointError if the 1-norm of A - mu I is not finite.
     """
     import scipy.sparse as sp
 
@@ -431,7 +433,7 @@ def _diagonal_slots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(
             f"expm_multiply needs each diagonal entry of A stored exactly once; rows {bad.tolist()} "
-            "store theirs missing or doubled (quantize and DrivenHamiltonian.at store every one once)"
+            "store theirs missing or doubled (quantize and a DrivenHamiltonian's pattern store each once)"
         )
     return diag
 
@@ -469,7 +471,7 @@ def _expm_shifted(work: sp.csr_matrix, diag: np.ndarray, v: np.ndarray) -> np.nd
 
 def evolve_schrodinger(
     state: FockState,
-    hamiltonian: DrivenHamiltonian | Callable[[float], ManyBodyOperator] | ManyBodyOperator,
+    hamiltonian: ManyBodyOperator | DrivenHamiltonian,
     t_span: tuple[float, float],
     n_steps: int,
     record_every: int = 1,
@@ -479,34 +481,29 @@ def evolve_schrodinger(
     psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied by the
     `expm_multiply` arithmetic on the stored entries of H.  Returns (recorded
     times, recorded states); the FockState constructor enforces the 1e-10
-    norm-drift bound.  A static operator is a `DrivenHamiltonian` with no
-    blocks.  A family was validated when built, and its pattern work is done
-    once per call: its diagonal slots are found and checked against the
-    kernel's contract, and one CSR holder is built, into whose data each step
-    writes -i dt h(t).  Any other callable's operator is checked every step
-    and goes through `expm_multiply`; both routes write the same bytes.
+    norm-drift bound.  `hamiltonian` is a static `ManyBodyOperator`, stepped
+    as a `DrivenHamiltonian` with no blocks, or a `DrivenHamiltonian` of
+    them; anything else raises a ValueError.  A family was validated when
+    built, and its pattern work is done once per call: its diagonal slots are
+    found and checked against the kernel's contract, and one CSR holder is
+    built, into whose data each step writes -i dt h(t).
     """
     import scipy.sparse as sp
 
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     if isinstance(hamiltonian, ManyBodyOperator):
         hamiltonian = DrivenHamiltonian(hamiltonian, ())
-    if isinstance(hamiltonian, DrivenHamiltonian):
-        _on_basis(hamiltonian.h0, state)
-        indices, indptr = hamiltonian.pattern
-        diag = _diagonal_slots(indptr, indices)
-        work = sp.csr_matrix((np.zeros(len(indices), complex), indices, indptr), shape=hamiltonian.h0.matrix.shape)
-
-        def step(t, psi):
-            np.multiply(hamiltonian.data_at(t), -1j * dt, out=work.data)
-            return _expm_shifted(work, diag, psi)
-    else:
-        def step(t, psi):
-            return expm_multiply((-1j * dt) * _on_basis(hamiltonian(t), state), psi)
+    if not (isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, ManyBodyOperator)):
+        raise ValueError("hamiltonian must be a ManyBodyOperator or a DrivenHamiltonian of ManyBodyOperators")
+    _on_basis(hamiltonian.h0, state)
+    indices, indptr = hamiltonian.pattern
+    diag = _diagonal_slots(indptr, indices)
+    work = sp.csr_matrix((np.zeros(len(indices), complex), indices, indptr), shape=hamiltonian.h0.matrix.shape)
     psi = state.amplitudes.copy()
     states = [state]
     for s, t in enumerate(t_mid, 1):
-        psi = step(t, psi)
+        np.multiply(hamiltonian.data_at(t), -1j * dt, out=work.data)
+        psi = _expm_shifted(work, diag, psi)
         if s in kept:
             states.append(FockState(psi.copy(), state.basis))
     return times, states

@@ -28,15 +28,15 @@ roundoff.  The guard bounds ||h||_2 * dt; a chunk is metered by eigvalsh
 only when its 1-norm, an upper bound, exceeds that.  Steps are taken on the
 invariant blocks of the stepped matrices (the connected components of their
 exact nonzero pattern): the spin blocks of a pure-gauge family in d = 1,
-the 1 x 1 blocks of the diagonal h0, which step as exact phases.  Every
-route to `propagate` finds the blocks from the same stacked matrices, so all
-share them.
+the 1 x 1 blocks of the diagonal h0, which step as exact phases.
+`propagate` steps a static operator or a `DrivenHamiltonian` family, the
+one family both pictures step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -367,12 +367,8 @@ def bfield_coefficients(pot: PotentialSpec, grid: MomentumGrid, t: float) -> dic
 # propagation
 
 def unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for hermitian h via eigendecomposition (exactly unitary)."""
-    return _exp_eigh(*np.linalg.eigh(h), dt)
-
-
-def _exp_eigh(w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) from eigh(h) = (w, v); a stack of them broadcasts."""
+    """exp(-i h dt) for hermitian h via eigendecomposition (exactly unitary); a stack of them broadcasts."""
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * dt)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -393,7 +389,7 @@ class StepGuardError(ValueError):
 def _check_hermitian(op, kind=OneBodyOperator) -> np.ndarray:
     """The matrix of `op`; an instance of `kind` was checked hermitian when built."""
     if not isinstance(op, kind):
-        raise ValueError(f"hamiltonian must yield hermitian {kind.__name__}")
+        raise ValueError(f"expected a hermitian {kind.__name__}, got {type(op).__name__}")
     return op.matrix
 
 
@@ -401,17 +397,18 @@ def _check_hermitian(op, kind=OneBodyOperator) -> np.ndarray:
 class DrivenHamiltonian:
     """h(t) = h0 + sum_b g_b(t) B_b with static hermitian blocks B_b.
 
-    One family for both pictures: h0 and the blocks are `OneBodyOperator`s
-    (the blocks of `interaction_term_matrices`) or their quantized
-    `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
-    blocks with real weights is hermitian, so `at` and `stack` build h(t)
-    without a per-step check.  Quantized blocks share the sparsity pattern of
-    h0 (`quantize` on one basis gives one pattern); the family keeps only the
-    slots that are nonzero in h0 or in some block, so h(t) is one axpy on
-    those values (`data_at`) and a CSR matrix on that `pattern` (`at`);
-    `fock.evolve_schrodinger` writes the values into one CSR holder per
-    evolution.  It also keeps every diagonal slot, zero or not, because the
-    Fock kernel requires each diagonal entry stored exactly once.
+    One family for both pictures, and the only time-dependent Hamiltonian
+    `propagate` and `fock.evolve_schrodinger` step: h0 and the blocks are
+    `OneBodyOperator`s (the blocks of `interaction_term_matrices`) or their
+    quantized `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
+    blocks with real weights is hermitian, so `data_at` and `stack` build
+    h(t) without a per-step check.  Quantized blocks share the sparsity
+    pattern of h0 (`quantize` on one basis gives one pattern); the family
+    keeps only the slots that are nonzero in h0 or in some block (its CSR
+    `pattern`), so h(t) is one axpy on their values (`data_at`), which
+    `fock.evolve_schrodinger` writes into one CSR holder per evolution.  It
+    also keeps every diagonal slot, zero or not, because the Fock kernel
+    requires each diagonal entry stored exactly once.
     """
 
     h0: object
@@ -458,21 +455,9 @@ class DrivenHamiltonian:
                 h = h + g * b
         return h
 
-    def at(self, t: float):
-        """h(t) as a matrix of h0's kind (dense or CSR)."""
-        if self.pattern is None:
-            return self.data_at(t)
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data_at(t), *self.pattern), shape=self.h0.matrix.shape)
-
-    def __call__(self, t: float):
-        """h(t) as an operator of h0's kind (a quantized one keeps h0's basis)."""
-        return replace(self.h0, matrix=self.at(t))
-
     def stack(self, times) -> np.ndarray:
         """One-body h(t) at every t in `times`, one (n, M, M) array."""
-        return np.stack([self.at(t) for t in times])
+        return np.stack([self.data_at(t) for t in times])
 
 
 @dataclass(frozen=True)
@@ -570,21 +555,17 @@ def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: i
 def _step_chunks(hamiltonian, t_mid: list[float]):
     """Yield (first step, its chunk of t_mid, stacked h(t_mid)) in step order.
 
-    A static operator yields one matrix that serves every step.
+    A static operator yields one matrix that serves every step; a one-body
+    family yields its `stack` of each `_STEP_CHUNK` midpoint times.
     """
     if isinstance(hamiltonian, OneBodyOperator):
         yield 0, t_mid, hamiltonian.matrix[None]
         return
-    if isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator):
-        stack = hamiltonian.stack
-    elif callable(hamiltonian):
-        def stack(times):
-            return np.stack([_check_hermitian(hamiltonian(t)) for t in times])
-    else:
-        raise ValueError("hamiltonian must yield hermitian OneBodyOperator")
+    if not (isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator)):
+        raise ValueError("hamiltonian must be a OneBodyOperator or a DrivenHamiltonian of OneBodyOperators")
     for start in range(0, len(t_mid), _STEP_CHUNK):
         chunk = t_mid[start : start + _STEP_CHUNK]
-        yield start, chunk, stack(chunk)
+        yield start, chunk, hamiltonian.stack(chunk)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
@@ -647,7 +628,7 @@ def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
 
 
 def propagate(
-    hamiltonian: Callable[[float], OneBodyOperator] | OneBodyOperator,
+    hamiltonian: OneBodyOperator | DrivenHamiltonian,
     t_span: tuple[float, float],
     n_steps: int,
     record_every: int = 1,
@@ -658,17 +639,15 @@ def propagate(
     recorded).  Raises `StepGuardError` if ||h||_2 * dt exceeds `MAX_STEP_NORM`
     (accuracy guard).
 
-    A static `OneBodyOperator` is exponentiated once; a `DrivenHamiltonian`
-    builds each chunk of midpoint Hamiltonians in one array operation; any
-    other callable is called once per step.  Every chunk steps by the phases
-    or Taylor polynomials of `_guarded_steps`.
+    `hamiltonian` is a static `OneBodyOperator`, exponentiated once, or a
+    `DrivenHamiltonian` of them, whose midpoint Hamiltonians are stacked a
+    chunk at a time (`_step_chunks`); anything else raises a ValueError.
+    Every chunk steps by the phases or Taylor polynomials of `_guarded_steps`.
     Steps are taken on invariant blocks: the connected components of the
     exact nonzero pattern of each chunk, joined with those of the chunks
     before (so the partition only coarsens, and u stays block-diagonal in
     it).  Each block is exponentiated and chain-multiplied on its own; once
-    the partition is one block, u is stepped as a whole.  The blocks are
-    read off the stacked matrices, so all three routes find the same blocks
-    and give the same bytes for the same h(t).
+    the partition is one block, u is stepped as a whole.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []

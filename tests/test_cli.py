@@ -63,6 +63,18 @@ def test_parse_missing_file_is_config_error(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
+def test_non_utf8_config_is_one_config_error_line(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xffseed = 1\n")
+    with pytest.raises(ConfigError, match=r"latin\.cfg: not UTF-8 text \(byte 0xff at offset 0\)"):
+        parse_config(path)
+    assert main(["baseline", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_special_forms(tmp_path):
     rc = parse_config(
         write_cfg(
@@ -330,6 +342,25 @@ def test_main_bad_config_exits_two_before_any_evolution(
     assert err.startswith("config error:") and err.count("\n") == 1
     assert key in err and "Traceback" not in err
     assert not out.exists()
+    assert evolutions == []
+
+
+@pytest.mark.parametrize(
+    "flag, text", [("afile/sub", ""), ("afile", ""), (None, "out_dir = afile/sub\n")],
+    ids=["under-a-file", "a-file", "config-key"],
+)
+def test_main_out_dir_on_a_file_exits_two_before_any_evolution(tmp_path, capsys, monkeypatch, flag, text):
+    evolutions = _count_evolutions(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("kept\n")
+    cfg = write_cfg(tmp_path, text)
+    argv = ["baseline", "--config", str(cfg)] + (["--out-dir", flag] if flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: `out_dir`") and err.count("\n") == 1
+    assert "afile exists and is not a directory" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+    assert Path("afile").read_text() == "kept\n"
     assert evolutions == []
 
 

@@ -373,8 +373,8 @@ def test_scaled_unit_gauge_family_equals_the_family_rebuilt_at_each_f():
             chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
             rebuilt = DrivenHamiltonian(h0, interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e))
             for t in np.linspace(0.0, cfg.t_final, 7):
-                want = rebuilt.at(t)
-                assert np.abs(scaled.at(t) - want).max() <= 1e-15 * np.linalg.norm(want, 2), (cat.size, f, t)
+                want = rebuilt.data_at(t)
+                assert np.abs(scaled.data_at(t) - want).max() <= 1e-15 * np.linalg.norm(want, 2), (cat.size, f, t)
 
 
 def test_schrodinger_scan_single_subset():

@@ -19,7 +19,7 @@ from diracbox.fock import (
     vacuum_state,
 )
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
-from diracbox.experiments import ScenarioConfig, _default_chi, _onebody_hamiltonian, _pure_gauge
+from diracbox.experiments import ScenarioConfig, _default_chi, _pure_gauge
 from diracbox.onebody import (
     _STEP_CHUNK,
     _THETA,
@@ -27,7 +27,6 @@ from diracbox.onebody import (
     MAX_STEP_NORM,
     _components,
     _coupling_matrix,
-    _exp_eigh,
     _exp_taylor,
     _taylor_degree,
     Constant,
@@ -68,7 +67,7 @@ def catalog1d(n_max=1, m=1.0, L=2 * np.pi):
 def interaction_at(catalog, pot, t, e=1.0):
     """v(t) = -e alpha.A(t) + e A_0(t): the potential's blocks as a family on a zero h0."""
     zero = OneBodyOperator(np.zeros((catalog.size, catalog.size)))
-    return DrivenHamiltonian(zero, interaction_term_matrices(catalog, pot, e)).at(t)
+    return DrivenHamiltonian(zero, interaction_term_matrices(catalog, pot, e)).data_at(t)
 
 
 def quadrature_interaction(catalog, pot, t, e=1.0, n_quad=128):
@@ -538,15 +537,15 @@ def per_t_sum(family):
     return ham
 
 
-def driven_potential_callable(n_max=2):
+def driven_potential_family(n_max=2):
+    """A driven a0 + a_z potential: no transverse a, so the family keeps the spin blocks."""
     cat = catalog1d(n_max=n_max)
-    h0 = h0_matrix(cat)
     pot = PotentialSpec.single(
         a0={1: 0.3, -1: 0.3},
         a={1: (0, 0, 0.2), -1: (0, 0, 0.2)},
         envelope=CosineRamp(t_final=1.0),
     )
-    return lambda t: OneBodyOperator(h0.matrix + interaction_at(cat, pot, t))
+    return DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pot))
 
 
 def spin_mixing_family(n_max=2):
@@ -562,7 +561,7 @@ def spin_mixing_family(n_max=2):
 
 @pytest.mark.parametrize(
     "route",
-    ["static", "driven-family", "lambda", "spin-mixing"],
+    ["static", "driven-family", "potential-family", "spin-mixing"],
 )
 def test_batched_propagate_equals_per_step_loop(route):
     blocks = None
@@ -572,15 +571,16 @@ def test_batched_propagate_equals_per_step_loop(route):
         ham = pure_gauge_family()
         ref = per_t_sum(ham)
         blocks = spin_blocks(catalog1d(n_max=2))
-    elif route == "lambda":
-        ham = ref = driven_potential_callable()
+    elif route == "potential-family":
+        ham = driven_potential_family()
+        ref = per_t_sum(ham)
         blocks = spin_blocks(catalog1d(n_max=2))
     else:
         ham = spin_mixing_family()
         ref = per_t_sum(ham)
     # 203 steps is no multiple of the 16-step chunk; recording every step
     # would also show a step taken past the end of the run
-    every = 1 if route == "lambda" else 7
+    every = 1 if route == "potential-family" else 7
     prop = propagate(ham, (0.0, 1.0), n_steps=203, record_every=every)
     times, mats = reference_propagate(ref, (0.0, 1.0), n_steps=203, record_every=every)
     assert prop.times.shape == times.shape and (prop.times == times).all()
@@ -611,7 +611,7 @@ def test_step_over_the_one_norm_bound_passes_the_guard_and_steps_by_taylor():
     wide = OneBodyOperator(np.cos(2 * np.pi * np.outer(j, j) / cat.size))
     family = DrivenHamiltonian(h0_matrix(cat), [(wide, Constant(1.0))])
     n_steps = 60
-    h = family.at(0.0)
+    h = family.data_at(0.0)
     assert np.linalg.norm(h, 2) / n_steps < MAX_STEP_NORM < np.abs(h).sum(axis=0).max() / n_steps
     prop = propagate(family, (0.0, 1.0), n_steps=n_steps, record_every=7)
     times, mats = reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=n_steps, record_every=7)
@@ -644,7 +644,7 @@ def default_gauge_family(n_max=4):
     cfg = ScenarioConfig()
     cat = cfg.catalog(n_max)
     pure = _pure_gauge(GaugeFunction(_default_chi(cfg), cfg.envelope()), cat.grid)
-    return cfg, cat, _onebody_hamiltonian(cat, interaction_term_matrices(cat, pure, cfg.e))
+    return cfg, cat, DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure, cfg.e))
 
 
 def exact_exp(h, dt, terms=12):
@@ -674,7 +674,7 @@ def test_taylor_step_agrees_with_eigh_on_pure_gauge_chunks(split):
         # measured); eigh's own roundoff at this size is 3-4e-15, so the two
         # steps agree within 1e-14
         assert np.abs(taylor - exact).max() <= 1e-15
-        assert np.abs(taylor - _exp_eigh(*np.linalg.eigh(h), dt)).max() <= 1e-14
+        assert np.abs(taylor - unitary_step(h, dt)).max() <= 1e-14
 
 
 def test_default_gauge_run_stays_unitary():
@@ -728,16 +728,6 @@ def test_partition_coarsens_mid_run():
     assert max(np.abs(u.conj().T @ u - eye).max() for u in prop.matrices) <= 1e-12
     # before the gauge coupling starts, u is exactly the diagonal free phase
     assert (prop.matrices[1] == mats[1]).all()
-    # the callable route finds the same blocks and writes the same bytes
-    assert (propagate(per_t_sum(family), (0.0, 1.0), n_steps=203, record_every=7).matrices == prop.matrices).all()
-
-
-def test_split_family_callable_route_writes_the_family_bytes():
-    family = pure_gauge_family()
-    prop = propagate(family, (0.0, 1.0), n_steps=203, record_every=7)
-    called = propagate(lambda t: family(t), (0.0, 1.0), n_steps=203, record_every=7)
-    assert (called.times == prop.times).all()
-    assert (called.matrices == prop.matrices).all()
 
 
 def test_driven_family_stack_equals_per_t_call():
@@ -751,8 +741,7 @@ def test_driven_family_stack_equals_per_t_call():
     assert stack.shape == (len(times), cat.size, cat.size)
     for t, h in zip(times, stack):
         want = per_t_sum(family)(t).matrix
-        assert (h == want).all() and (family.at(t) == want).all()
-        assert (family(t).matrix == want).all()
+        assert (h == want).all() and (family.data_at(t) == want).all()
 
 
 def test_driven_family_validates_blocks_once():
@@ -763,8 +752,8 @@ def test_driven_family_validates_blocks_once():
         OneBodyOperator(skew)  # no operator skips the check
     with pytest.raises(ValueError, match="hermitian OneBodyOperator"):
         DrivenHamiltonian(h0, [(skew, Constant(1.0))])  # a raw matrix is not a checked block
-    with pytest.raises(ValueError, match="hermitian OneBodyOperator"):
-        propagate(lambda t: skew, (0.0, 1.0), n_steps=20)
+    with pytest.raises(ValueError, match="must be a OneBodyOperator or a DrivenHamiltonian"):
+        propagate(lambda t: skew, (0.0, 1.0), n_steps=20)  # a bare callable is no family
     with pytest.raises(ValueError, match="shape"):
         DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
     # the quantized family of the Fock backend: same checks, same place
@@ -776,7 +765,7 @@ def test_driven_family_validates_blocks_once():
         ManyBodyOperator(skew_q, vac.basis)
     with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
         DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
-    with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
+    with pytest.raises(ValueError, match="must be a ManyBodyOperator or a DrivenHamiltonian"):
         evolve_schrodinger(vac, lambda t: skew_q, (0.0, 1.0), n_steps=20)
     pair = restrict_catalog(cat, [0, 1])
     wide_q = quantize(h0_matrix(pair), vacuum_state(pair).basis)
@@ -790,16 +779,14 @@ def test_driven_family_validates_blocks_once():
         evolve_schrodinger(vac, DrivenHamiltonian(h0_matrix(small), []), (0.0, 1.0), n_steps=20)
 
 
-@pytest.mark.parametrize("route", ["driven-family", "lambda"])
-def test_step_guard_trips_at_the_reference_step(route):
+def test_step_guard_trips_at_the_reference_step():
     cat = catalog1d(n_max=1)  # ||h0|| = sqrt(2)
     ramp = interaction_term_matrices(cat, PotentialSpec.single(a0={0: 5.0}, envelope=CosineRamp(1.0)))
     family = DrivenHamiltonian(h0_matrix(cat), ramp)
-    ham = family if route == "driven-family" else (lambda t: family(t))
     with pytest.raises(StepGuardError) as ref:
         reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=40)
     with pytest.raises(StepGuardError, match=r"^step too coarse") as got:
-        propagate(ham, (0.0, 1.0), n_steps=40)
+        propagate(family, (0.0, 1.0), n_steps=40)
     # the ramp's norm crosses 0.1 / dt in the second chunk of steps
     assert 16 < ref.value.step < 39
     assert got.value.step == ref.value.step
@@ -816,15 +803,14 @@ def test_step_guard_of_a_split_family_trips_at_the_reference_step():
     )
     with pytest.raises(StepGuardError) as ref:
         reference_propagate(per_t_sum(strong), (0.0, 1.0), n_steps=40)
-    for ham in (strong, per_t_sum(strong)):
-        with pytest.raises(StepGuardError) as got:
-            propagate(ham, (0.0, 1.0), n_steps=40)
-        # the guard reads max|w| over the spin blocks: the same ||h||_2 * dt
-        assert 0 < ref.value.step < 39
-        assert got.value.step == ref.value.step
-        assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
-        assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
-        assert str(got.value) == str(ref.value)
+    with pytest.raises(StepGuardError) as got:
+        propagate(strong, (0.0, 1.0), n_steps=40)
+    # the guard reads max|w| over the spin blocks: the same ||h||_2 * dt
+    assert 0 < ref.value.step < 39
+    assert got.value.step == ref.value.step
+    assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
+    assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("stepper", ["propagate", "evolve_schrodinger"])
