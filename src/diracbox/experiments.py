@@ -6,8 +6,9 @@ Scenario defaults follow the common design: d = 1 box of length 2*pi, m = e =
 1, the two-electron state built from (p = 0, s = +1/2) and (p = 2*pi/L,
 s = +1/2), a cosine switch-on envelope with g(t_final) = 1, and gauge drives
 whose spatial profile is frozen at the measurement time.  The two energy
-scans, one per picture, drive the same chi = f D(x) g(t) (`scan_profile`),
-and every driver reads its bilinears off correlation matrices.
+scans, one per picture, drive the same chi = f D(x) g(t) (`scan_profile`).
+Both pictures step one-body operators and families, and every driver reads
+its bilinears off correlation matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .fock import (
     correlation_from_state,
     evolve_schrodinger,
     omega0_state,
-    quantize,
 )
 from .gaussian import (
     evolve_correlation,
@@ -259,9 +259,9 @@ def _onebody_hamiltonian(catalog: BasisCatalog, blocks):
     return DrivenHamiltonian(h0_matrix(catalog), blocks)
 
 
-def _manybody_hamiltonian(h0q, blocks):
-    """The family h0q + sum_b g_b(t) B_b, each one-body block of `blocks` quantized on `h0q`'s basis."""
-    return DrivenHamiltonian(h0q, [(quantize(op, h0q.basis), env) for op, env in blocks])
+def _manybody_hamiltonian(catalog: BasisCatalog, blocks):
+    """The family the Fock picture steps: the one-body family of `_onebody_hamiltonian`."""
+    return _onebody_hamiltonian(catalog, blocks)
 
 
 def _mode_indices(catalog: BasisCatalog, cfg: ScenarioConfig) -> tuple[int, int]:
@@ -352,20 +352,17 @@ def _evolved_series(
     "gaussian" is the Heisenberg picture: the one-body propagator u conjugates
     C0, so each frame holds the bilinears of the evolved field operators in the
     initial state.  "fock" is the Schrodinger picture: omega0 evolves in its
-    Fock basis and each frame is the evolved state's correlation matrix.  With
-    no blocks both step the static h0 (quantized for Fock).
+    Fock basis and each frame is the evolved state's correlation matrix.  Both
+    step one family; with no blocks, the static h0.
     """
     h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
+    ham = DrivenHamiltonian(h0, blocks) if blocks else h0
     if backend == "gaussian":
-        ham = DrivenHamiltonian(h0, blocks) if blocks else h0
         prop = propagate(ham, t_span, n_steps, record_every)
         c0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
         times, cs = prop.times, evolve_correlation(c0, prop)
     else:
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
-        h0q = quantize(h0, omega.basis)
-        blocks = [(quantize(op, omega.basis), env) for op, env in blocks]
-        ham = DrivenHamiltonian(h0q, blocks) if blocks else h0q
         times, states = evolve_schrodinger(omega, ham, t_span, n_steps, record_every)
         cs = [correlation_from_state(s) for s in states]
     return field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
@@ -602,17 +599,15 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         # the pure-gauge family keeps each spin's particle count: omega0 steps in its spin sector
         omega = omega0_state(catalog, cfg.mode1, cfg.mode2, _spin_groups(catalog))
         h0 = h0_matrix(catalog)
-        h0q = quantize(h0, omega.basis)
         m1, m2 = _modes_of(catalog, cfg)
         dxi = delta_xi(m1, m2)
         sea = catalog.sea_energy()
         tag = f"M{catalog.size}"
         f_star = None
         by_f = {}
-        # quantized once per subset; f rides on the envelopes
-        unit_blocks = [(quantize(op, omega.basis), g) for op, g in _unit_gauge_blocks(catalog, profile, env, cfg.e)]
+        unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
         for f in cfg.f_list:
-            ham = h0q if f == 0.0 else DrivenHamiltonian(h0q, [(bq, Scaled(f, g)) for bq, g in unit_blocks])
+            ham = h0 if f == 0.0 else DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
             _, states = evolve_schrodinger(
                 omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
             )

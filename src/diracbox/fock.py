@@ -18,19 +18,19 @@ drive) also keeps the particle count of each group.  A `FockBasis` is such a
 sector, given by its mode groups and their counts (one group of all modes is
 the N-particle sector), or the whole space.  Its `BilinearTable` holds every
 c_i^dag c_j within a group on one sparse pattern, built once by bit
-arithmetic: `quantize`, the driven family and `correlation_from_state` all
-read it.  The annihilators of the whole space, a tuple from `build_ladders`,
-serve the anticommutator and commutator checks and the tests' oracle; the
-spectrum check reads the full `FockBasis` of a catalog.
+arithmetic: `quantize`, `evolve_schrodinger` and `correlation_from_state`
+all read it.  The annihilators of the whole space, a tuple from
+`build_ladders`, serve the anticommutator and commutator checks and the
+tests' oracle; the spectrum check reads the full `FockBasis` of a catalog.
 
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
-ordering; the sea energy is kept).  Time evolution uses the same
-midpoint-exponential rule as the one-body layer; each step applies
-exp(-i H dt) to the state with a truncated Taylor series on the stored
-entries of H (Al-Mohy & Higham 2011).  `evolve_schrodinger` steps a static
-operator or the driven family of `onebody.DrivenHamiltonian`, the one family
-both pictures step, and does the work of its sparsity pattern (its diagonal
-slots and one CSR holder) once per evolution; `expm_multiply` is the same
+ordering; the sea energy is kept), one gather on the table (`_lift`).  Time
+evolution uses the same midpoint-exponential rule, time grid and step guard
+as the one-body layer: `evolve_schrodinger` steps what `onebody.propagate`
+steps, a static `OneBodyOperator` or a `DrivenHamiltonian`, the one family
+of both pictures, and lifts each midpoint h(t) onto the state's basis.  Each
+step applies exp(-i H dt) to the state with a truncated Taylor series on the
+stored entries of H (Al-Mohy & Higham 2011); `expm_multiply` is the same
 arithmetic for one matrix.
 
 scipy.sparse holds the CSR matrices.  It is imported inside the functions
@@ -48,7 +48,17 @@ import numpy as np
 
 from .gaussian import CorrelationMatrix
 from .modes import BasisCatalog, ModeLabel
-from .onebody import _THETA, _THETA_M, DrivenHamiltonian, OneBodyOperator, _check_hermitian, h0_matrix, time_grid
+from .onebody import (
+    _THETA,
+    _THETA_M,
+    DrivenHamiltonian,
+    OneBodyOperator,
+    _check_hermitian,
+    _step_chunks,
+    _step_guard,
+    h0_matrix,
+    time_grid,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -290,29 +300,40 @@ def vacuum_state(catalog: BasisCatalog) -> FockState:
     return FockState(amp, basis)
 
 
-def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
-    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j, gathered onto the basis' table.
+def _check_sector(h: np.ndarray, basis: FockBasis):
+    """ValueError unless the M x M matrix h keeps the particle count of each mode group of `basis`.
 
-    The basis' sector must be invariant: an entry h_ij between two mode
-    groups would move a particle out of it, so it raises a ValueError
-    naming (i, j).
+    An entry h_ij between two groups would move a particle out of the
+    sector; the error names (i, j).
     """
-    import scipy.sparse as sp
-
     M = basis.n_modes
-    if h.size != M:
-        raise ValueError(f"matrix size {h.size} != mode count {M}")
+    if len(h) != M:
+        raise ValueError(f"matrix size {len(h)} != mode count {M}")
     group = basis.group_of
-    leaks = np.argwhere((group[:, None] != group) & (h.matrix != 0))
+    leaks = np.argwhere((group[:, None] != group) & (h != 0))
     if len(leaks):
         i, j = leaks[0]
         raise ValueError(
-            f"h[{i}, {j}] = {h.matrix[i, j]:.3g} couples modes {i} and {j} of different groups "
+            f"h[{i}, {j}] = {h[i, j]:.3g} couples modes {i} and {j} of different groups "
             f"of {basis}; the sector is not invariant"
         )
+
+
+def _lift(h: np.ndarray, occupation: np.ndarray, gather: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The entries of sum_ij h_ij c_i^dag c_j at the table slots whose `gather` and `sign` are given."""
+    return sign * np.concatenate([h.ravel(), occupation @ np.diag(h)])[gather]
+
+
+def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
+    """Lift an M x M matrix to sum_ij h_ij c_i^dag c_j, gathered onto the basis' table.
+
+    The basis' sector must be invariant (`_check_sector`).
+    """
+    import scipy.sparse as sp
+
+    _check_sector(h.matrix, basis)
     table = basis.table
-    values = np.concatenate([h.matrix.ravel(), table.occupation @ np.diag(h.matrix)])
-    data = table.sign * values[table.gather]
+    data = _lift(h.matrix, table.occupation, table.gather, table.sign)
     return ManyBodyOperator(
         sp.csr_matrix((data, table.indices, table.indptr), shape=(basis.dim, basis.dim)), basis
     )
@@ -410,7 +431,7 @@ def expm_multiply(A: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
 
     Contract: A stores each diagonal entry exactly once (an explicit zero
     counts), so the shift is one subtraction per diagonal slot.  `quantize`
-    and a `DrivenHamiltonian`'s `pattern` store such matrices.  Raises
+    stores such matrices, as `evolve_schrodinger` does.  Raises
     ValueError naming the rows whose diagonal entry is missing or doubled,
     and FloatingPointError if the 1-norm of A - mu I is not finite.
     """
@@ -433,7 +454,7 @@ def _diagonal_slots(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(
             f"expm_multiply needs each diagonal entry of A stored exactly once; rows {bad.tolist()} "
-            "store theirs missing or doubled (quantize and a DrivenHamiltonian's pattern store each once)"
+            "store theirs missing or doubled (quantize stores each once)"
         )
     return diag
 
@@ -471,41 +492,59 @@ def _expm_shifted(work: sp.csr_matrix, diag: np.ndarray, v: np.ndarray) -> np.nd
 
 def evolve_schrodinger(
     state: FockState,
-    hamiltonian: ManyBodyOperator | DrivenHamiltonian,
+    hamiltonian: OneBodyOperator | DrivenHamiltonian,
     t_span: tuple[float, float],
     n_steps: int,
     record_every: int = 1,
 ) -> tuple[np.ndarray, list[FockState]]:
     """Midpoint-exponential evolution of a Fock state in its basis.
 
-    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), applied by the
-    `expm_multiply` arithmetic on the stored entries of H.  Returns (recorded
-    times, recorded states); the FockState constructor enforces the 1e-10
-    norm-drift bound.  `hamiltonian` is a static `ManyBodyOperator`, stepped
-    as a `DrivenHamiltonian` with no blocks, or a `DrivenHamiltonian` of
-    them; anything else raises a ValueError.  A family was validated when
-    built, and its pattern work is done once per call: its diagonal slots are
-    found and checked against the kernel's contract, and one CSR holder is
-    built, into whose data each step writes -i dt h(t).
+    psi(t + dt) = exp(-i H(t + dt/2) dt) psi(t), with H the lift of the
+    one-body h(t + dt/2), applied by the `expm_multiply` arithmetic on the
+    stored entries of H.  Returns (recorded times, recorded states); the
+    FockState constructor enforces the 1e-10 norm-drift bound.
+
+    `hamiltonian` is what `onebody.propagate` steps, a static
+    `OneBodyOperator` or a `DrivenHamiltonian` of them, walked by the same
+    `_step_chunks` and checked by the same `_step_guard` (a StepGuardError at
+    the step `propagate` raises at); anything else raises a ValueError.  Each
+    operator must keep the state's sector (`_check_sector`).  H is stored on
+    one CSR holder per evolution: the table slots nonzero in h0 or some
+    block, and every diagonal slot, as the kernel needs each stored once.
+    Each step lifts h(t) onto them with `quantize`'s arithmetic (`_lift`).
     """
     import scipy.sparse as sp
 
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
-    if isinstance(hamiltonian, ManyBodyOperator):
-        hamiltonian = DrivenHamiltonian(hamiltonian, ())
-    if not (isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, ManyBodyOperator)):
-        raise ValueError("hamiltonian must be a ManyBodyOperator or a DrivenHamiltonian of ManyBodyOperators")
-    _on_basis(hamiltonian.h0, state)
-    indices, indptr = hamiltonian.pattern
-    diag = _diagonal_slots(indptr, indices)
-    work = sp.csr_matrix((np.zeros(len(indices), complex), indices, indptr), shape=hamiltonian.h0.matrix.shape)
+    chunks = _step_chunks(hamiltonian, t_mid)
+    if isinstance(hamiltonian, OneBodyOperator):
+        ops = (hamiltonian,)
+    else:
+        ops = (hamiltonian.h0, *(op for op, _ in hamiltonian.blocks))
+    basis, table = state.basis, state.basis.table
+    for op in ops:
+        _check_sector(op.matrix, basis)
+    support = np.any([op.matrix != 0 for op in ops], axis=0)
+    slots = np.flatnonzero(np.concatenate([support.ravel(), np.ones(basis.dim, dtype=bool)])[table.gather])
+    gather, sign = table.gather[slots], table.sign[slots]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(table.rows[slots], minlength=basis.dim))])
+    work = sp.csr_matrix(
+        (np.zeros(len(slots), complex), table.indices[slots], indptr.astype(table.indptr.dtype)),
+        shape=(basis.dim, basis.dim),
+    )
+    diag = np.flatnonzero(gather >= basis.n_modes**2)
+    occupation = table.occupation.astype(complex)  # the cast quantize's matmul makes on every call
     psi = state.amplitudes.copy()
     states = [state]
-    for s, t in enumerate(t_mid, 1):
-        np.multiply(hamiltonian.data_at(t), -1j * dt, out=work.data)
-        psi = _expm_shifted(work, diag, psi)
-        if s in kept:
-            states.append(FockState(psi.copy(), state.basis))
+    for first, chunk, hs in chunks:
+        _step_guard([hs], dt, chunk, first)
+        for n in range(len(chunk)):
+            if n < len(hs):  # a static operator's one matrix is lifted once
+                values = _lift(hs[n], occupation, gather, sign)
+            np.multiply(values, -1j * dt, out=work.data)
+            psi = _expm_shifted(work, diag, psi)
+            if first + n + 1 in kept:
+                states.append(FockState(psi.copy(), basis))
     return times, states
 
 

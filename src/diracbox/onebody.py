@@ -24,13 +24,15 @@ batches of `_STEP_CHUNK` steps ahead of the chain of products.  Every
 chunk that passes the step guard steps by a truncated Taylor polynomial,
 its degree read off the theta_m table of Al-Mohy & Higham (SIAM J. Sci.
 Comput. 33, 488 (2011)) that the Fock kernel reads too; it is unitary to
-roundoff.  The guard bounds ||h||_2 * dt; a chunk is metered by eigvalsh
-only when its 1-norm, an upper bound, exceeds that.  Steps are taken on the
-invariant blocks of the stepped matrices (the connected components of their
-exact nonzero pattern): the spin blocks of a pure-gauge family in d = 1,
-the 1 x 1 blocks of the diagonal h0, which step as exact phases.
+roundoff.  The guard (`_step_guard`, which the Fock stepper runs on the same
+chunks) bounds ||h||_2 * dt; a chunk is metered by eigvalsh only when its
+1-norm, an upper bound, exceeds that.  Steps are taken on the invariant
+blocks of the stepped matrices (the connected components of their exact
+nonzero pattern): the spin blocks of a pure-gauge family in d = 1, the
+1 x 1 blocks of the diagonal h0, which step as exact phases.
 `propagate` steps a static operator or a `DrivenHamiltonian` family, the
-one family both pictures step.
+one family both pictures step: `fock.evolve_schrodinger` walks it by the
+same `_step_chunks` and lifts each h(t) onto its Fock basis.
 """
 
 from __future__ import annotations
@@ -283,8 +285,8 @@ def interaction_term_matrices(
 ) -> list[tuple[OneBodyOperator, object]]:
     """Static matrix of each potential block, paired with its envelope.
 
-    The full interaction at time t is the envelope-weighted sum; splitting it
-    this way lets many-body drivers quantize each block once.
+    The full interaction at time t is the envelope-weighted sum: the blocks
+    of a `DrivenHamiltonian`.
     """
     out = []
     for term in pot.terms:
@@ -399,65 +401,40 @@ class DrivenHamiltonian:
 
     One family for both pictures, and the only time-dependent Hamiltonian
     `propagate` and `fock.evolve_schrodinger` step: h0 and the blocks are
-    `OneBodyOperator`s (the blocks of `interaction_term_matrices`) or their
-    quantized `ManyBodyOperator`s.  Each is validated once, here.  A sum of hermitian
-    blocks with real weights is hermitian, so `data_at` and `stack` build
-    h(t) without a per-step check.  Quantized blocks share the sparsity
-    pattern of h0 (`quantize` on one basis gives one pattern); the family
-    keeps only the slots that are nonzero in h0 or in some block (its CSR
-    `pattern`), so h(t) is one axpy on their values (`data_at`), which
-    `fock.evolve_schrodinger` writes into one CSR holder per evolution.  It
-    also keeps every diagonal slot, zero or not, because the Fock kernel
-    requires each diagonal entry stored exactly once.
+    `OneBodyOperator`s (the blocks of `interaction_term_matrices`), each
+    validated once, here.  A sum of hermitian blocks with real weights is
+    hermitian, so `data_at` and `stack` build h(t) without a per-step check.
     """
 
-    h0: object
-    blocks: tuple[tuple[object, object], ...]
-    # (h0, *blocks) values at the kept slots (dense: the matrices)
-    _values: tuple = field(init=False, repr=False, compare=False)
-    # the kept (indices, indptr) CSR pattern (dense: None)
-    pattern: tuple | None = field(init=False, repr=False, compare=False)
+    h0: OneBodyOperator
+    blocks: tuple[tuple[OneBodyOperator, object], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        h0 = self.h0.matrix
-        sparse = not isinstance(h0, np.ndarray)  # a ManyBodyOperator holds a CSR matrix
-        matrices = [h0]
+        h0 = _check_hermitian(self.h0)
         for op, _ in self.blocks:
-            m = _check_hermitian(op, type(self.h0))
-            if m.shape != h0.shape:
+            if _check_hermitian(op).shape != h0.shape:
                 raise ValueError("driven blocks must match the shape of h0")
-            if sparse and not (
-                np.array_equal(m.indptr, h0.indptr) and np.array_equal(m.indices, h0.indices)
-            ):
-                raise ValueError("driven blocks must share the sparsity pattern of h0")
-            matrices.append(m)
-        pattern = None
-        if sparse:
-            n = h0.shape[0]
-            rows = np.repeat(np.arange(n), np.diff(h0.indptr))
-            keep = np.flatnonzero((h0.indices == rows) | np.any([m.data != 0 for m in matrices], axis=0))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
-            pattern = (h0.indices[keep], indptr.astype(h0.indptr.dtype))
-            matrices = [m.data[keep] for m in matrices]
-        object.__setattr__(self, "_values", tuple(matrices))
-        object.__setattr__(self, "pattern", pattern)
 
     def data_at(self, t: float) -> np.ndarray:
-        """The values of h(t): the matrix (dense) or its entries on `pattern` (CSR).
-
-        Blocks are added in order, none where g_b(t) = 0.
-        """
-        h, *blocks = self._values
-        for (_, env), b in zip(self.blocks, blocks):
-            g = env.value(t)
-            if g != 0.0:
-                h = h + g * b
-        return h
+        """The matrix h(t)."""
+        return self.stack([t])[0]
 
     def stack(self, times) -> np.ndarray:
-        """One-body h(t) at every t in `times`, one (n, M, M) array."""
-        return np.stack([self.data_at(t) for t in times])
+        """h(t) at every t in `times`, one (n, M, M) array.
+
+        Each h(t) is h0 with g_b(t) B_b added in block order, none where
+        g_b(t) = 0.  The sums run in place, one t at a time, so that every
+        temporary stays M x M.
+        """
+        h = np.empty((len(times),) + self.h0.matrix.shape, dtype=complex)
+        h[:] = self.h0.matrix
+        for op, env in self.blocks:
+            for h_t, t in zip(h, times):
+                g = env.value(t)
+                if g != 0.0:
+                    h_t += g * op.matrix
+        return h
 
 
 @dataclass(frozen=True)
@@ -491,7 +468,7 @@ class OneBodyPropagator:
 
 # midpoint steps per batch; longer chunks cost memory, not time
 _STEP_CHUNK = 16
-# accuracy guard of `propagate`: the largest ||h(t_mid)||_2 * dt of one step
+# accuracy guard of both steppers: the largest ||h(t_mid)||_2 * dt of one step
 MAX_STEP_NORM = 0.1
 # theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
 # m <= 30 from table A.3 of Higham & Al-Mohy, Acta Numerica 19, 159 (2010),
@@ -527,19 +504,16 @@ def _exp_taylor(h: np.ndarray, dt: float, m: int) -> np.ndarray:
     return p
 
 
-def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
-    """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]).
+def _step_guard(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int) -> float:
+    """The step guard of both pictures; returns the chunk's largest ||h_n||_1 * dt.
 
-    `hs` holds one stack per block group (see `_split`).  The guard bounds
-    ||h_n||_2 * dt by `MAX_STEP_NORM`.  Since ||h||_2 <= ||h||_1 for hermitian
-    h, a chunk whose largest ||h_n||_1 * dt is within that bound passes as it
-    stands; any other chunk is metered by eigvalsh, as the max over blocks of
+    `hs` holds stacks of hermitian h_n = h(t_mid[n]), or of their invariant
+    blocks (see `_split`).  The guard bounds ||h_n||_2 * dt by
+    `MAX_STEP_NORM`.  Since ||h||_2 <= ||h||_1 for hermitian h, a chunk
+    whose largest ||h_n||_1 * dt is within that bound passes as it stands;
+    any other chunk is metered by eigvalsh, as the max over blocks of
     max|w_n| * dt, and raises at the first step (global index `first` + n)
-    over the bound.  A passing chunk's 1 x 1 blocks step as exact phases, the
-    others as the Taylor polynomial of the least degree whose theta_m bounds
-    its largest 1-norm (`_taylor_degree`).  The lookup needs that 1-norm
-    within theta_max = 9.9: a passing step has ||h||_1 * dt <= sqrt(n) * 0.1
-    for its largest block size n <= M, which holds for M <= 9 801.
+    over the bound.
     """
     norm = max(np.abs(h).sum(axis=-2).max() for h in hs) * dt
     if norm > MAX_STEP_NORM:
@@ -548,24 +522,35 @@ def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: i
         if over.size:
             n = int(over[0])
             raise StepGuardError(first + n, t_mid[n], float(size[n]), MAX_STEP_NORM)
-    m = _taylor_degree(norm)
+    return norm
+
+
+def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
+    """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]), past `_step_guard`.
+
+    A passing chunk's 1 x 1 blocks step as exact phases, the others as the
+    Taylor polynomial of the least degree whose theta_m bounds its largest
+    1-norm (`_taylor_degree`).  The lookup needs that 1-norm within
+    theta_max = 9.9: a passing step has ||h||_1 * dt <= sqrt(n) * 0.1 for
+    its largest block size n <= M, which holds for M <= 9 801.
+    """
+    m = _taylor_degree(_step_guard(hs, dt, t_mid, first))
     return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
 
 
 def _step_chunks(hamiltonian, t_mid: list[float]):
-    """Yield (first step, its chunk of t_mid, stacked h(t_mid)) in step order.
+    """(first step, its chunk of t_mid, stacked h(t_mid)) in step order, the route of both steppers.
 
-    A static operator yields one matrix that serves every step; a one-body
-    family yields its `stack` of each `_STEP_CHUNK` midpoint times.
+    A static operator gives one matrix that serves every step; a one-body
+    family gives its `stack` of each `_STEP_CHUNK` midpoint times.  Anything
+    else raises a ValueError here, before any step.
     """
     if isinstance(hamiltonian, OneBodyOperator):
-        yield 0, t_mid, hamiltonian.matrix[None]
-        return
-    if not (isinstance(hamiltonian, DrivenHamiltonian) and isinstance(hamiltonian.h0, OneBodyOperator)):
+        return [(0, t_mid, hamiltonian.matrix[None])]
+    if not isinstance(hamiltonian, DrivenHamiltonian):
         raise ValueError("hamiltonian must be a OneBodyOperator or a DrivenHamiltonian of OneBodyOperators")
-    for start in range(0, len(t_mid), _STEP_CHUNK):
-        chunk = t_mid[start : start + _STEP_CHUNK]
-        yield start, chunk, hamiltonian.stack(chunk)
+    chunks = ((start, t_mid[start : start + _STEP_CHUNK]) for start in range(0, len(t_mid), _STEP_CHUNK))
+    return ((start, chunk, hamiltonian.stack(chunk)) for start, chunk in chunks)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,30 @@ def test_main_step_guard_exits_one_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_coarse_fock_steps_exit_one_at_step_zero(tmp_path):
+    """At length 0.01, ||h0|| * dt = 1.571 at the default 400 steps: the Fock stepper refuses at once.
+
+    Run in a subprocess with a deadline, because a stepper without the guard
+    takes as many Taylor rounds as such a step asks for, for hours.  The
+    guarded run takes well under a second; the 60 s deadline leaves room for
+    a loaded machine and still tells it apart from the stall.
+    """
+    cfg = write_cfg(tmp_path, "length = 0.01\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracbox.cli", "gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical guard: step too coarse: ||h||*dt = 1.571 > 0.1 at step 0 ")
+    assert not out.exists()
+
+
 def test_main_rejects_equivalence_beyond_one_dimension(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "d = 3\nn_max = 1\n")
     out = tmp_path / "d3"
@@ -380,7 +407,8 @@ def test_main_flag_overrides_parse_like_config_values(tmp_path, capsys):
 def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkeypatch):
     # a free energy with an imaginary part trips the energy reader's FloatingPointError guard
     monkeypatch.setattr(observables, "bilinear_expectation", lambda c, h: 1.0 + 1.0j)
-    cfg = write_cfg(tmp_path, "scan_subsets = 0 1\nn_steps = 2\n")
+    # 20 steps: within the step guard, which 2 steps (||h0|| * dt = 0.71) would trip first
+    cfg = write_cfg(tmp_path, "scan_subsets = 0 1\nn_steps = 20\n")
     out = tmp_path / "out"
     assert main(["gauge-schrodinger", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err

@@ -28,7 +28,15 @@ from diracbox.experiments import (
     run_schrodinger_gauge_scan,
     scan_profile,
 )
-from diracbox.fock import correlation_from_state, evolve_schrodinger, expectation, omega0_state, quantize
+from diracbox import fock
+from diracbox.fock import (
+    ManyBodyOperator,
+    correlation_from_state,
+    evolve_schrodinger,
+    expectation,
+    omega0_state,
+    quantize,
+)
 from diracbox.gaussian import (
     bilinear_expectation,
     excitation_correlation,
@@ -263,8 +271,7 @@ def test_equivalence_panel_equals_the_operator_panel(backend, drive):
             want = [bilinear_expectation(c0, OneBodyOperator(u.conj().T @ op.matrix @ u)).real for op in ops]
         else:
             omega = omega0_state(cat, cfg.mode1, cfg.mode2)
-            h0q = quantize(h0_matrix(cat), omega.basis)
-            ham = DrivenHamiltonian(h0q, [(quantize(op, omega.basis), env) for op, env in blocks])
+            ham = DrivenHamiltonian(h0_matrix(cat), blocks)
             _, states = evolve_schrodinger(omega, ham, t_span, steps, record_every=steps)
             c = correlation_from_state(states[-1])
             want = [bilinear_expectation(c, op).real for op in ops]
@@ -291,24 +298,22 @@ def test_energy_scan_slope_and_intercept():
     assert header == "f,measured_minus_vac,predicted_minus_vac,rel_dev"
 
 
-def test_schrodinger_scan_quantizes_h0_once_per_subset(monkeypatch):
-    """h0 and the two f = 1 pure-gauge blocks are lifted once per subset.
-
-    The f = 0 run and every family share h0; every family shares the blocks,
-    with f carried by their envelopes.
-    """
+@pytest.mark.parametrize(
+    "driver", [run_schrodinger_gauge_scan, run_picture_equivalence], ids=["gauge-schrodinger", "equivalence"]
+)
+def test_schrodinger_picture_drivers_quantize_nothing(monkeypatch, driver):
+    """The Fock picture steps the one-body family itself: no `quantize` call, no ManyBodyOperator."""
     calls = []
-    original = experiments.quantize
+    monkeypatch.setattr(fock, "quantize", lambda *args: calls.append("quantize"))
+    original = ManyBodyOperator.__post_init__
 
-    def counted(h, ladders):
-        calls.append(ladders.n_modes)
-        return original(h, ladders)
+    def counted(self):
+        calls.append("ManyBodyOperator")
+        original(self)
 
-    monkeypatch.setattr(experiments, "quantize", counted)
-    cfg = ScenarioConfig(n_steps=20)  # the default scan; the count does not depend on n_steps
-    run_schrodinger_gauge_scan(cfg)
-    # per subset: h0 and the two pure-gauge blocks, whatever the number of f
-    assert len(calls) == len(cfg.scan_subsets) * (1 + 2) == 6
+    monkeypatch.setattr(ManyBodyOperator, "__post_init__", counted)
+    driver(ScenarioConfig(n_drives=1, n_steps=20))  # the counts do not depend on n_steps
+    assert calls == []
 
 
 def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatch):

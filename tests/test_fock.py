@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+from diracbox import fock
 from diracbox.experiments import (
     ScenarioConfig,
     _pure_gauge,
@@ -79,14 +80,9 @@ def on_all_states(state):
     return FockState(amp, full)
 
 
-def quantized_family(h0q, blocks):
-    """The family h0q + sum_b g_b(t) B_b, each one-body block of `blocks` quantized on h0q's basis."""
-    return DrivenHamiltonian(h0q, [(quantize(op, h0q.basis), env) for op, env in blocks])
-
-
-def family_csr(family, t):
-    """h(t) of a quantized family as a CSR matrix on the family's kept pattern."""
-    return sp.csr_matrix((family.data_at(t), *family.pattern), shape=family.h0.matrix.shape)
+def quantized_at(family, basis, t):
+    """h(t) of a one-body family, quantized on `basis` as one CSR matrix on the basis' table."""
+    return quantize(OneBodyOperator(family.data_at(t)), basis).matrix
 
 
 def random_hermitian(M, seed):
@@ -201,9 +197,9 @@ def test_free_evolution_matches_closed_form_phases():
     ladders = build_ladders(cat.size)
     m1, m2 = label(+1, 0.5, 0), label(+1, 0.5, 1)
     omega = on_all_states(omega0_state(cat, m1, m2))
-    h0q = quantize(h0_matrix(cat), omega.basis)
     t_final = 1.3
-    times, states = evolve_schrodinger(omega, h0q, (0.0, t_final), n_steps=13)
+    # 19 steps: ||h0|| * dt = sqrt(2) * 1.3 / 19 = 0.097 is within the step guard
+    times, states = evolve_schrodinger(omega, h0_matrix(cat), (0.0, t_final), n_steps=19)
     e_sea = cat.sea_energy()
     e1, e2 = 1.0, np.sqrt(2.0)
     vac = on_all_states(vacuum_state(cat)).amplitudes
@@ -230,9 +226,8 @@ def test_vacuum_stationary_under_driven_evolution_norm_preserved():
     pot = PotentialSpec.single(
         a0={(0, 0, 1): 0.1 + 0.05j, (0, 0, -1): 0.1 - 0.05j}, envelope=Constant(1.0)
     )
-    h0q = quantize(h0_matrix(cat), omega.basis)
     [(v, _)] = interaction_term_matrices(cat, pot)
-    family = quantized_family(h0q, [(v, Cosine())])
+    family = DrivenHamiltonian(h0_matrix(cat), [(v, Cosine())])
     times, states = evolve_schrodinger(omega, family, (0.0, 1.0), n_steps=1000, record_every=100)
     # FockState construction enforces the norm bound; assert the final drift anyway
     assert abs(np.linalg.norm(states[-1].amplitudes) - 1.0) <= 1e-10
@@ -266,17 +261,19 @@ def test_correlation_from_state_vacuum_projector():
 def test_evolution_rejects_non_hermitian_generator():
     cat = catalog1d(n_max=0)
     vac = vacuum_state(cat)
-    skew = 1j * quantize(h0_matrix(cat), vac.basis).matrix
+    skew = 1j * h0_matrix(cat).matrix
     with pytest.raises(ValueError, match="hermiticity"):
-        ManyBodyOperator(skew, vac.basis)  # no operator skips the check
-    # a raw matrix, or a bare callable yielding one, is no operator or family
-    for ham in (skew, lambda t: skew):
-        with pytest.raises(ValueError, match="must be a ManyBodyOperator or a DrivenHamiltonian"):
-            evolve_schrodinger(vac, ham, (0.0, 1.0), n_steps=2)
+        OneBodyOperator(skew)  # no operator skips the check
+    with pytest.raises(ValueError, match="hermiticity"):
+        ManyBodyOperator(1j * quantize(h0_matrix(cat), vac.basis).matrix, vac.basis)
+    # a raw matrix, a bare callable yielding one, or a quantized operator is no one-body operator or family
+    for ham in (skew, lambda t: skew, quantize(h0_matrix(cat), vac.basis)):
+        with pytest.raises(ValueError, match="must be a OneBodyOperator or a DrivenHamiltonian"):
+            evolve_schrodinger(vac, ham, (0.0, 1.0), n_steps=20)
 
 
 # ---------------------------------------------------------------------------
-# the quantized Hamiltonian family against the per-step closure
+# the Fock route of the one-body family against the per-step quantized closure
 
 
 def per_step_closure(catalog, basis, pot, e=1.0):
@@ -325,11 +322,11 @@ def test_evolve_schrodinger_equals_per_step_loop(route):
     sector = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
     for omega in (sector, on_all_states(sector)):
         if route == "static":
-            ham = quantize(h0_matrix(cat), omega.basis)
-            ref = lambda t: ham  # noqa: E731
+            ham = h0_matrix(cat)
+            h0q = quantize(ham, omega.basis)
+            ref = lambda t: h0q  # noqa: E731
         else:
-            h0q = quantize(h0_matrix(cat), omega.basis)
-            ham = quantized_family(h0q, interaction_term_matrices(cat, pure))
+            ham = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure))
             ref = per_step_closure(cat, omega.basis, pure)
         times, states = evolve_schrodinger(omega, ham, (0.0, 1.0), n_steps=23, record_every=5)
         want_t, want_amps = reference_evolve(omega, ref, (0.0, 1.0), 23, 5)
@@ -339,30 +336,30 @@ def test_evolve_schrodinger_equals_per_step_loop(route):
 
 
 def test_family_steps_without_building_operators(monkeypatch):
+    """Each step lifts h(t) onto the state's table: no operator of either kind is built."""
     cat, pure = pure_gauge_m8()
     omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
-    h0q = quantize(h0_matrix(cat), omega.basis)
-    family = quantized_family(h0q, interaction_term_matrices(cat, pure))
+    family = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure))
     built = []
-    original = ManyBodyOperator.__post_init__
+    for cls in (OneBodyOperator, ManyBodyOperator):
 
-    def counted(self):
-        built.append(self)
-        original(self)
+        def counted(self, _original=cls.__post_init__):
+            built.append(self)
+            _original(self)
 
-    monkeypatch.setattr(ManyBodyOperator, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     evolve_schrodinger(omega, family, (0.0, 1.0), n_steps=20)
     assert built == []
 
 
 def step_by_step(omega, family, t_span, n_steps, record_every):
-    """One package expm_multiply per midpoint step on (-i dt) h(t), each h(t) a CSR on the family's pattern."""
+    """One package expm_multiply per midpoint step on (-i dt) H(t), each H(t) = quantize(h(t))."""
     t0, t1 = t_span
     dt = (t1 - t0) / n_steps
     psi = omega.amplitudes.copy()
     amps = [psi.copy()]
     for step in range(n_steps):
-        psi = kernel_expm_multiply((-1j * dt) * family_csr(family, t0 + (step + 0.5) * dt), psi)
+        psi = kernel_expm_multiply((-1j * dt) * quantized_at(family, omega.basis, t0 + (step + 0.5) * dt), psi)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             amps.append(psi.copy())
     return np.array(amps)
@@ -381,55 +378,21 @@ def test_family_route_writes_the_per_step_expm_multiply_bytes(route):
     assert amps.shape == want.shape and (amps == want).all()
 
 
-def test_family_route_rejects_a_missing_or_doubled_diagonal():
-    """The family route checks the kernel's diagonal contract once per evolution, as expm_multiply does."""
-    basis = FockBasis(4, 2)
-    h = quantize(random_hermitian(4, seed=3), basis).matrix.tocoo()
-    v = np.zeros(basis.dim, dtype=complex)
-    v[0] = 1.0
-    state = FockState(v, basis)
-    keep = (h.row != 2) | (h.col != 2)
-    missing = unsummed_csr(h.data[keep], h.row[keep], h.col[keep], basis.dim)
-    slot = np.flatnonzero((h.row == 4) & (h.col == 4))[0]
-    data = np.append(h.data, h.data[slot] / 2)
-    data[slot] /= 2
-    doubled = unsummed_csr(data, np.append(h.row, 4), np.append(h.col, 4), basis.dim)
-    for A, row in ((missing, 2), (doubled, 4)):
-        op = ManyBodyOperator(A, basis)
-        for ham in (op, DrivenHamiltonian(op, [(op, CosineRamp(t_final=1.0))])):
-            with pytest.raises(ValueError, match=rf"exactly once; rows \[{row}\] "):
-                evolve_schrodinger(state, ham, (0.0, 1.0), n_steps=2)
-
-
-def test_driven_family_blocks_share_the_pattern_of_h0():
-    cat, pure = pure_gauge_m8()
-    basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1)).basis
-    h0q = quantize(h0_matrix(cat), basis)
-    [(block, env), *_] = quantized_family(h0q, interaction_term_matrices(cat, pure)).blocks
-    # a column holds its diagonal entry and one entry per move of one of N = 5 particles to M - N = 3 holes
-    assert block.matrix.nnz == h0q.matrix.nnz == basis.dim * (1 + 5 * 3)
-    pruned = block.matrix.copy()
-    pruned.eliminate_zeros()
-    with pytest.raises(ValueError, match="sparsity pattern"):
-        DrivenHamiltonian(h0q, [(ManyBodyOperator(pruned, basis), env)])
-
-
 def scan_family(momenta, spin=False):
-    """The quantized driven family of one default gauge-schrodinger subset at f = 1, and omega0.
+    """The one-body driven family of one default gauge-schrodinger subset at f = 1, and omega0.
 
-    Both live in omega0's particle-number sector, or with `spin` in its spin sector.
+    omega0 lives in its particle-number sector, or with `spin` in its spin sector.
     """
     cfg = ScenarioConfig()
     cat = _subset_catalog(cfg, momenta)
     chi = GaugeFunction(scan_profile(cat, cfg), cfg.envelope())
     omega = omega0_state(cat, cfg.mode1, cfg.mode2, _spin_groups(cat) if spin else None)
-    h0q = quantize(h0_matrix(cat), omega.basis)
     blocks = interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e)
-    return quantized_family(h0q, blocks), omega
+    return DrivenHamiltonian(h0_matrix(cat), blocks), omega
 
 
 def zero_diagonal_family():
-    """Two quantized blocks with zero one-body diagonal and a common zero at (0, 3), on 2 of 4 modes.
+    """Two blocks with zero diagonal and a common zero at (0, 3), and a state on 2 of their 4 modes.
 
     c_0^dag c_3 and c_3^dag c_0 each act on 2 of the 6 states: 4 of the 30 table slots are zero.
     """
@@ -439,43 +402,56 @@ def zero_diagonal_family():
         h = random_hermitian(4, seed).matrix.copy()
         np.fill_diagonal(h, 0.0)
         h[0, 3] = h[3, 0] = 0.0
-        ops.append(quantize(OneBodyOperator(h), basis))
-    return DrivenHamiltonian(ops[0], [(ops[1], CosineRamp(t_final=1.0))])
+        ops.append(OneBodyOperator(h))
+    v = np.zeros(basis.dim, dtype=complex)
+    v[0] = 1.0
+    return DrivenHamiltonian(ops[0], [(ops[1], CosineRamp(t_final=1.0))]), FockState(v, basis)
 
 
 FAMILIES = {
-    "M8": (lambda: scan_family((0, 1))[0], 296, 896),
-    "M12": (lambda: scan_family((-1, 0, 1))[0], 7512, 28512),
+    "M8": (lambda: scan_family((0, 1)), 296, 896),
+    "M12": (lambda: scan_family((-1, 0, 1)), 7512, 28512),
     "zero-diagonal": (zero_diagonal_family, 6 * (1 + 2 * 2) - 4, 6 * (1 + 2 * 2)),
 }
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
-def test_driven_family_keeps_the_nonzero_and_diagonal_slots(name):
+def test_driven_family_keeps_the_nonzero_and_diagonal_slots(name, monkeypatch):
+    """Each step stores -i dt H(t) on the table slots nonzero in h0 or some block, and every diagonal slot."""
     make, kept_nnz, table_nnz = FAMILIES[name]
-    family = make()
-    h0 = family.h0.matrix
-    blocks = [op.matrix for op, _ in family.blocks]
+    family, state = make()
+    held = []
+    original = fock._expm_shifted
+
+    def recorded(work, diag, v):
+        held.append(work.copy())
+        return original(work, diag, v)
+
+    monkeypatch.setattr(fock, "_expm_shifted", recorded)
+    n_steps = 50  # within the step guard for every family here
+    evolve_schrodinger(state, family, (0.0, 1.0), n_steps)
+    h0 = quantize(family.h0, state.basis).matrix
+    blocks = [quantize(op, state.basis).matrix for op, _ in family.blocks]
     assert h0.nnz == table_nnz and all(b.nnz == table_nnz for b in blocks)
     rows = np.repeat(np.arange(h0.shape[0]), np.diff(h0.indptr))
     nonzero = (h0.data != 0) | np.any([b.data != 0 for b in blocks], axis=0)
-    for t in (0.0, 0.3, 0.75):
-        h = family_csr(family, t)
+    # exactly the slots nonzero in h0 or some block, plus every diagonal slot
+    want = nonzero | (rows == h0.indices)
+    want_slots = set(zip(rows[want].tolist(), h0.indices[want].tolist()))
+    assert len(held) == n_steps
+    dt = 1.0 / n_steps
+    for step, h in enumerate(held):
         assert h.nnz == kept_nnz
         assert h.has_canonical_format
         kept_rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-        kept = set(zip(kept_rows.tolist(), h.indices.tolist()))
-        # exactly the slots nonzero in h0 or some block, plus every diagonal slot
-        want = nonzero | (rows == h0.indices)
-        assert kept == set(zip(rows[want].tolist(), h0.indices[want].tolist()))
-        assert all((i, i) in kept for i in range(h.shape[0]))
+        assert set(zip(kept_rows.tolist(), h.indices.tolist())) == want_slots
         full = h0.data.copy()
         for b, (_, env) in zip(blocks, family.blocks):
-            g = env.value(t)
+            g = env.value((step + 0.5) * dt)
             if g != 0.0:
                 full = full + g * b.data
-        unpruned = sp.csr_matrix((full, h0.indices, h0.indptr), shape=h0.shape)
-        assert (h.toarray() == unpruned.toarray()).all()
+        unpruned = sp.csr_matrix((full * (-1j * dt), h0.indices, h0.indptr), shape=h0.shape)
+        assert (h != unpruned).nnz == 0
 
 
 def hermitian_with_gaps():
@@ -503,7 +479,7 @@ def kernel_cases():
     for momenta, tag in (((0, 1), "M8"), ((-1, 0, 1), "M12")):
         family, omega = scan_family(momenta)
         for dt in (0.0025, 0.05, 1.0):
-            steps = [((-1j * dt) * family_csr(family, t), omega.amplitudes) for t in (0.1, 0.5, 0.9)]
+            steps = [((-1j * dt) * quantized_at(family, omega.basis, t), omega.amplitudes) for t in (0.1, 0.5, 0.9)]
             yield f"{tag}-dt{dt}", steps
     rng = np.random.default_rng(5)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -644,7 +620,7 @@ def test_sector_evolution_equals_full_space_on_scan_subsets():
         finals = []
         for omega in (sector, on_all_states(sector)):
             h0q = quantize(h0_matrix(cat), omega.basis)
-            family = quantized_family(h0q, interaction_term_matrices(cat, pure, cfg.e))
+            family = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, pure, cfg.e))
             _, states = evolve_schrodinger(omega, family, (0.0, cfg.t_final), 20, record_every=20)
             finals.append((states[-1], expectation(states[-1], h0q)))
         (in_sector, e_sector), (full, e_full) = finals
@@ -692,8 +668,11 @@ def test_operator_on_another_basis_names_both_dimensions():
     msg = r"groups=None\) \(dimension 256\) != state on .*, 5\),\)\) \(dimension 56\)"
     with pytest.raises(ValueError, match=msg):
         expectation(omega, wide)
-    with pytest.raises(ValueError, match=msg):
-        evolve_schrodinger(omega, wide, (0.0, 1.0), n_steps=2)
+    # the stepper takes one-body operators, lifted onto the state's own basis; their size is the mode count
+    with pytest.raises(ValueError, match="must be a OneBodyOperator"):
+        evolve_schrodinger(omega, wide, (0.0, 1.0), n_steps=20)
+    with pytest.raises(ValueError, match="matrix size 12 != mode count 8"):
+        evolve_schrodinger(omega, h0_matrix(catalog1d(n_max=1)), (0.0, 1.0), n_steps=20)
 
 
 def test_operator_on_a_sector_of_the_same_dimension_is_rejected():
@@ -705,8 +684,8 @@ def test_operator_on_a_sector_of_the_same_dimension_is_rejected():
     msg = r", 3\),\)\) \(dimension 56\) != state on .*, 5\),\)\) \(dimension 56\)"
     with pytest.raises(ValueError, match=msg):
         expectation(omega, other)
-    with pytest.raises(ValueError, match=msg):
-        evolve_schrodinger(omega, other, (0.0, 1.0), n_steps=2)
+    with pytest.raises(ValueError, match="must be a OneBodyOperator"):
+        evolve_schrodinger(omega, other, (0.0, 1.0), n_steps=20)
     # on its own sector h0 reads the sea plus (E_0 + E_1) / 2 = -3.62, where the other read -2.62
     own = expectation(omega, quantize(h0_matrix(cat), omega.basis)).real
     assert own == pytest.approx(cat.sea_energy() + (1.0 + np.sqrt(2.0)) / 2, abs=1e-12)
@@ -749,8 +728,15 @@ def test_quantize_rejects_a_spin_mixing_entry_naming_the_pair():
     h = np.array(h0_matrix(cat).matrix)
     h[i, j] = h[j, i] = 0.25
     lo, hi = min(i, j), max(i, j)
-    with pytest.raises(ValueError, match=rf"h\[{lo}, {hi}\] = 0.25\+0j couples modes {lo} and {hi} of different groups"):
+    msg = rf"h\[{lo}, {hi}\] = 0.25\+0j couples modes {lo} and {hi} of different groups"
+    with pytest.raises(ValueError, match=msg):
         quantize(OneBodyOperator(h), basis)
+    # the stepper checks each operator of a family once, before any step
+    state = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), _spin_groups(cat))
+    mixing = DrivenHamiltonian(h0_matrix(cat), [(OneBodyOperator(h - h0_matrix(cat).matrix), Constant(1.0))])
+    for ham in (OneBodyOperator(h), mixing):
+        with pytest.raises(ValueError, match=msg):
+            evolve_schrodinger(state, ham, (0.0, 1.0), n_steps=20)
     quantize(OneBodyOperator(h), FockBasis(cat.size, 5))  # one group holds every move
 
 

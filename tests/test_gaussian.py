@@ -100,15 +100,11 @@ def test_evolution_convention_frozen_against_fock():
     omega = omega0_state(cat, MODE1, MODE2)
     h0 = h0_matrix(cat)
     blocks = interaction_term_matrices(cat, drive_potential())
-    # one family, in both pictures
-    one_body = DrivenHamiltonian(h0, blocks)
-    many_body = DrivenHamiltonian(
-        quantize(h0, omega.basis), [(quantize(op, omega.basis), env) for op, env in blocks]
-    )
+    family = DrivenHamiltonian(h0, blocks)  # one family, stepped in both pictures
 
     n_steps = 60
-    times, states = evolve_schrodinger(omega, many_body, (0.0, 1.0), n_steps, record_every=20)
-    prop = propagate(one_body, (0.0, 1.0), n_steps, record_every=20)
+    times, states = evolve_schrodinger(omega, family, (0.0, 1.0), n_steps, record_every=20)
+    prop = propagate(family, (0.0, 1.0), n_steps, record_every=20)
     C0 = omega0_correlation(cat, MODE1, MODE2)
     for t, state, C_gauss in zip(times, states, evolve_correlation(C0, prop)):
         C_fock = correlation_from_state(state).matrix

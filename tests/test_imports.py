@@ -1,5 +1,6 @@
-"""What `import diracbox` loads."""
+"""What `import diracbox` loads, and what the scenario drivers import."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,11 @@ def test_fock_work_loads_scipy_sparse():
         "print('scipy.sparse' in sys.modules)"
     )
     assert _run(code).split() == ["True", "True"]
+
+
+def test_drivers_import_no_quantized_operator():
+    """Both pictures step the one-body family: the drivers never quantize or build a many-body operator."""
+    tree = ast.parse((SRC / "diracbox" / "experiments.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "evolve_schrodinger" in imported  # the control: the walk sees the Fock imports
+    assert imported.isdisjoint({"quantize", "ManyBodyOperator"})

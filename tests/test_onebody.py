@@ -752,65 +752,83 @@ def test_driven_family_validates_blocks_once():
         OneBodyOperator(skew)  # no operator skips the check
     with pytest.raises(ValueError, match="hermitian OneBodyOperator"):
         DrivenHamiltonian(h0, [(skew, Constant(1.0))])  # a raw matrix is not a checked block
-    with pytest.raises(ValueError, match="must be a OneBodyOperator or a DrivenHamiltonian"):
-        propagate(lambda t: skew, (0.0, 1.0), n_steps=20)  # a bare callable is no family
     with pytest.raises(ValueError, match="shape"):
         DrivenHamiltonian(h0, [(h0_matrix(catalog1d(n_max=2)), Constant(1.0))])
-    # the quantized family of the Fock backend: same checks, same place
+    # one family for both pictures: a quantized operator is neither its h0 nor a block
     small = restrict_catalog(cat, [0])
     vac = vacuum_state(small)
     h0q = quantize(h0_matrix(small), vac.basis)
-    skew_q = 1j * h0q.matrix
     with pytest.raises(ValueError, match="hermiticity"):
-        ManyBodyOperator(skew_q, vac.basis)
-    with pytest.raises(ValueError, match="hermitian ManyBodyOperator"):
-        DrivenHamiltonian(h0q, [(skew_q, Constant(1.0))])
-    with pytest.raises(ValueError, match="must be a ManyBodyOperator or a DrivenHamiltonian"):
-        evolve_schrodinger(vac, lambda t: skew_q, (0.0, 1.0), n_steps=20)
-    pair = restrict_catalog(cat, [0, 1])
-    wide_q = quantize(h0_matrix(pair), vacuum_state(pair).basis)
-    with pytest.raises(ValueError, match="shape"):
-        DrivenHamiltonian(h0q, [(wide_q, Constant(1.0))])
-    with pytest.raises(ValueError, match="hermitian"):
-        DrivenHamiltonian(h0q, [(h0_matrix(small), Constant(1.0))])  # a one-body block
-    with pytest.raises(ValueError, match="OneBodyOperator"):
-        propagate(DrivenHamiltonian(h0q, []), (0.0, 1.0), n_steps=20)  # the other picture
-    with pytest.raises(ValueError, match="ManyBodyOperator"):
-        evolve_schrodinger(vac, DrivenHamiltonian(h0_matrix(small), []), (0.0, 1.0), n_steps=20)
+        ManyBodyOperator(1j * h0q.matrix, vac.basis)  # nor does a quantized one
+    with pytest.raises(ValueError, match="hermitian OneBodyOperator, got ManyBodyOperator"):
+        DrivenHamiltonian(h0q, [])
+    with pytest.raises(ValueError, match="hermitian OneBodyOperator, got ManyBodyOperator"):
+        DrivenHamiltonian(h0_matrix(small), [(h0q, Constant(1.0))])
+    # both steppers take the same two kinds and nothing else: no bare callable, no quantized operator
+    steppers = (
+        lambda ham: propagate(ham, (0.0, 1.0), n_steps=20),
+        lambda ham: evolve_schrodinger(vac, ham, (0.0, 1.0), n_steps=20),
+    )
+    for step in steppers:
+        for ham in (lambda t: skew, h0q):
+            with pytest.raises(ValueError, match="must be a OneBodyOperator or a DrivenHamiltonian"):
+                step(ham)
+
+
+def stepper_guard_errors(cat, family, n_steps):
+    """The StepGuardError of each picture on `family`: propagate's, then evolve_schrodinger's on the vacuum."""
+    errors = []
+    for step in (
+        lambda: propagate(family, (0.0, 1.0), n_steps),
+        lambda: evolve_schrodinger(vacuum_state(cat), family, (0.0, 1.0), n_steps),
+    ):
+        with pytest.raises(StepGuardError, match=r"^step too coarse") as got:
+            step()
+        errors.append(got.value)
+    return errors
 
 
 def test_step_guard_trips_at_the_reference_step():
+    """Both pictures trip at the reference loop's step, with its time and, within 1e-12, its value."""
     cat = catalog1d(n_max=1)  # ||h0|| = sqrt(2)
     ramp = interaction_term_matrices(cat, PotentialSpec.single(a0={0: 5.0}, envelope=CosineRamp(1.0)))
     family = DrivenHamiltonian(h0_matrix(cat), ramp)
     with pytest.raises(StepGuardError) as ref:
         reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=40)
-    with pytest.raises(StepGuardError, match=r"^step too coarse") as got:
-        propagate(family, (0.0, 1.0), n_steps=40)
     # the ramp's norm crosses 0.1 / dt in the second chunk of steps
     assert 16 < ref.value.step < 39
-    assert got.value.step == ref.value.step
-    assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
-    assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
-    assert got.value.bound == 0.1
-    assert f"at step {ref.value.step}" in str(got.value)
+    got, fock_got = stepper_guard_errors(cat, family, 40)
+    for err in (got, fock_got):
+        assert err.step == ref.value.step
+        assert err.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
+        assert err.value == pytest.approx(ref.value.value, rel=1e-12)
+        assert err.bound == 0.1
+        assert f"at step {ref.value.step}" in str(err)
+    assert str(fock_got) == str(got)
 
 
 def test_step_guard_of_a_split_family_trips_at_the_reference_step():
-    family = pure_gauge_family()
-    strong = DrivenHamiltonian(
-        family.h0, [(OneBodyOperator(60.0 * op.matrix), env) for op, env in family.blocks]
-    )
-    with pytest.raises(StepGuardError) as ref:
-        reference_propagate(per_t_sum(strong), (0.0, 1.0), n_steps=40)
-    with pytest.raises(StepGuardError) as got:
-        propagate(strong, (0.0, 1.0), n_steps=40)
-    # the guard reads max|w| over the spin blocks: the same ||h||_2 * dt
-    assert 0 < ref.value.step < 39
-    assert got.value.step == ref.value.step
-    assert got.value.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
-    assert got.value.value == pytest.approx(ref.value.value, rel=1e-12)
-    assert str(got.value) == str(ref.value)
+    """propagate at M = 20 and M = 12; evolve_schrodinger at M = 12, a Fock space within the mode cap."""
+    for n_max in (2, 1):
+        family = pure_gauge_family(n_max)
+        strong = DrivenHamiltonian(
+            family.h0, [(OneBodyOperator(60.0 * op.matrix), env) for op, env in family.blocks]
+        )
+        with pytest.raises(StepGuardError) as ref:
+            reference_propagate(per_t_sum(strong), (0.0, 1.0), n_steps=40)
+        assert 0 < ref.value.step < 39
+        if n_max == 1:
+            errors = stepper_guard_errors(catalog1d(n_max=1), strong, 40)
+        else:
+            with pytest.raises(StepGuardError) as got:
+                propagate(strong, (0.0, 1.0), n_steps=40)
+            errors = [got.value]
+        # propagate reads max|w| over the spin blocks, evolve_schrodinger over the whole h: the same ||h||_2 * dt
+        for err in errors:
+            assert err.step == ref.value.step
+            assert err.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
+            assert err.value == pytest.approx(ref.value.value, rel=1e-12)
+            assert str(err) == str(ref.value)
 
 
 @pytest.mark.parametrize("stepper", ["propagate", "evolve_schrodinger"])
@@ -821,10 +839,9 @@ def test_steppers_share_one_time_grid(stepper):
             return propagate(h0_matrix(cat), t_span, n_steps, record_every).times
     else:
         vac = vacuum_state(cat)
-        h0q = quantize(h0_matrix(cat), vac.basis)
 
         def run(t_span, n_steps, record_every):
-            return evolve_schrodinger(vac, h0q, t_span, n_steps, record_every)[0]
+            return evolve_schrodinger(vac, h0_matrix(cat), t_span, n_steps, record_every)[0]
 
     for t_span, n_steps, record_every, what in (
         ((0.0, 1.0), 0, 1, "n_steps"),
