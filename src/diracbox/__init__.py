@@ -26,6 +26,7 @@ from .fock import (
     commutator_identity_check,
     correlation_from_state,
     evolve_schrodinger,
+    evolve_schrodinger_batch,
     expectation,
     h0_spectrum_check,
     omega0_state,

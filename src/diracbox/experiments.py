@@ -21,8 +21,9 @@ import numpy as np
 
 from .fock import (
     FockBasis,
+    FockState,
     correlation_from_state,
-    evolve_schrodinger,
+    evolve_schrodinger_batch,
     omega0_state,
 )
 from .gaussian import (
@@ -344,28 +345,31 @@ def _unit_gauge_blocks(catalog: BasisCatalog, profile: dict[IntVec, complex], en
     return interaction_term_matrices(catalog, _pure_gauge(GaugeFunction(profile, env), catalog.grid), e)
 
 
-def _evolved_series(
-    backend: str, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int, blocks=(), record_every: int = 1
-):
-    """The field series of omega0 on `catalog` under h0 plus the drive `blocks`, evolved in `backend`.
+def _omega0(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig):
+    """omega0 on `catalog` as `backend` evolves it: its correlation matrix ("gaussian") or its Fock state ("fock")."""
+    build = omega0_correlation if backend == "gaussian" else omega0_state
+    return build(catalog, cfg.mode1, cfg.mode2)
 
-    "gaussian" is the Heisenberg picture: the one-body propagator u conjugates
-    C0, so each frame holds the bilinears of the evolved field operators in the
-    initial state.  "fock" is the Schrodinger picture: omega0 evolves in its
-    Fock basis and each frame is the evolved state's correlation matrix.  Both
-    step one family; with no blocks, the static h0.
+
+def _evolved_series(start, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int, drives=((),), record_every=1):
+    """The field series of omega0 (`start`, from `_omega0`) on `catalog` under h0 plus each drive's blocks.
+
+    A correlation matrix evolves in the Heisenberg picture: the one-body
+    propagator u conjugates it, so each frame holds the bilinears of the
+    evolved field operators in the initial state.  A Fock state evolves in
+    the Schrodinger picture, every drive in one batch, and each frame is the
+    evolved state's correlation matrix.  Both step one family per drive;
+    with no blocks, the static h0.
     """
     h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
-    ham = DrivenHamiltonian(h0, blocks) if blocks else h0
-    if backend == "gaussian":
-        prop = propagate(ham, t_span, n_steps, record_every)
-        c0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
-        times, cs = prop.times, evolve_correlation(c0, prop)
+    hams = [DrivenHamiltonian(h0, blocks) if blocks else h0 for blocks in drives]
+    if isinstance(start, FockState):
+        times, runs = evolve_schrodinger_batch(start, hams, t_span, n_steps, record_every)
+        frames = [[correlation_from_state(state) for state in states] for states in runs]
     else:
-        omega = omega0_state(catalog, cfg.mode1, cfg.mode2)
-        times, states = evolve_schrodinger(omega, ham, t_span, n_steps, record_every)
-        cs = [correlation_from_state(s) for s in states]
-    return field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e)
+        props = [propagate(ham, t_span, n_steps, record_every) for ham in hams]
+        times, frames = props[0].times, [evolve_correlation(start, prop) for prop in props]
+    return [field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e) for cs in frames]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +392,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             _check_fock_cap(catalog, "n_max")
     for be, catalog in catalogs.items():
         m1, m2 = _modes_of(catalog, cfg)
-        series = _evolved_series(be, catalog, cfg, n_steps)
+        [series] = _evolved_series(_omega0(be, catalog, cfg), catalog, cfg, n_steps)
         results[be] = (catalog, series)
 
         times, pts = series.times, series.points
@@ -435,7 +439,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     if len(backends) == 2:
         # the comparison needs a shared catalog: rerun the gaussian backend on the fock one
         catalog, fock_series = results["fock"]
-        gauss_series = _evolved_series("gaussian", catalog, cfg, n_steps)
+        [gauss_series] = _evolved_series(_omega0("gaussian", catalog, cfg), catalog, cfg, n_steps)
         dev = max(
             float(np.abs(gauss_series.rho - fock_series.rho).max()),
             float(np.abs(gauss_series.current - fock_series.current).max()),
@@ -606,11 +610,12 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
         f_star = None
         by_f = {}
         unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
-        for f in cfg.f_list:
-            ham = h0 if f == 0.0 else DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
-            _, states = evolve_schrodinger(
-                omega, ham, (0.0, cfg.t_final), n_steps, record_every=n_steps
-            )
+        hams = [
+            h0 if f == 0.0 else DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
+            for f in cfg.f_list
+        ]
+        _, runs = evolve_schrodinger_batch(omega, hams, (0.0, cfg.t_final), n_steps, record_every=n_steps)
+        for f, states in zip(cfg.f_list, runs):
             measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), h0) - sea
             predicted = dxi - f * d_sq
             rel = abs(measured - predicted) / abs(predicted)
@@ -773,19 +778,23 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
         raise ValueError(f"`drive_band` = {cfg.drive_band}: {exc}") from None
     n_steps = cfg.steps(200)
 
-    def panel(backend, steps, blocks):
-        return _final_panel(_evolved_series(backend, catalog, cfg, steps, blocks, record_every=steps))
+    starts = {backend: _omega0(backend, catalog, cfg) for backend in ("gaussian", "fock")}
+
+    def panels(backend, steps):
+        """The final panel of every drive; the Fock picture steps all drives in one batch."""
+        series = _evolved_series(starts[backend], catalog, cfg, steps, drive_blocks, record_every=steps)
+        return [_final_panel(s) for s in series]
 
     header = ["drive", "n_steps", "deviation", "doubled_deviation", "matched_deviation"]
     rows: list[list] = []
     deviations, doubled, matched = [], [], []
     zero_control = None
-    for drive_idx, blocks in enumerate(drive_blocks):
-        ref_vals = panel("gaussian", n_steps * cfg.heis_refine, blocks)
-        schro_base = panel("fock", n_steps, blocks)
+    refs = panels("gaussian", n_steps * cfg.heis_refine)
+    runs = zip(refs, panels("fock", n_steps), panels("fock", 2 * n_steps), panels("gaussian", n_steps))
+    for drive_idx, (ref_vals, schro_base, schro_doubled, heis_same) in enumerate(runs):
         dev = float(np.abs(schro_base - ref_vals).max())
-        dev2 = float(np.abs(panel("fock", 2 * n_steps, blocks) - ref_vals).max())
-        dev_same = float(np.abs(schro_base - panel("gaussian", n_steps, blocks)).max())
+        dev2 = float(np.abs(schro_doubled - ref_vals).max())
+        dev_same = float(np.abs(schro_base - heis_same).max())
         if drive_idx == 0:
             zero_control = dev
         else:

@@ -275,13 +275,13 @@ def test_main_rejects_equivalence_beyond_one_dimension(tmp_path, capsys):
 
 def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
     evolutions = []
-    original = experiments.evolve_schrodinger
+    original = experiments.evolve_schrodinger_batch
 
     def counted(*args, **kwargs):
         evolutions.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "evolve_schrodinger", counted)
+    monkeypatch.setattr(experiments, "evolve_schrodinger_batch", counted)
     # M = 20 alone, and after an M = 8 subset that is within the cap
     for k, subsets in enumerate(("-2 -1 0 1 2", "0 1, -2 -1 0 1 2")):
         cfg = write_cfg(tmp_path, f"scan_subsets = {subsets}\n")
@@ -296,9 +296,9 @@ def test_main_fock_mode_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 
 def _count_evolutions(monkeypatch) -> list:
-    """Record every propagate / evolve_schrodinger call the drivers make."""
+    """Record every propagate / evolve_schrodinger_batch call the drivers make."""
     calls = []
-    for name in ("propagate", "evolve_schrodinger"):
+    for name in ("propagate", "evolve_schrodinger_batch"):
         original = getattr(experiments, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):

@@ -13,6 +13,7 @@ from diracbox.experiments import (
     ScenarioConfig,
     _evolved_series,
     _final_panel,
+    _omega0,
     _pure_gauge,
     _subset_catalog,
     _unit_gauge_blocks,
@@ -275,7 +276,7 @@ def test_equivalence_panel_equals_the_operator_panel(backend, drive):
             _, states = evolve_schrodinger(omega, ham, t_span, steps, record_every=steps)
             c = correlation_from_state(states[-1])
             want = [bilinear_expectation(c, op).real for op in ops]
-        series = _evolved_series(backend, cat, cfg, steps, blocks, record_every=steps)
+        [series] = _evolved_series(_omega0(backend, cat, cfg), cat, cfg, steps, [blocks], record_every=steps)
         got = _final_panel(series)
         assert len(got) == len(ops) == 1 + 4 * len(pts)
         assert np.abs(got - np.array(want)).max() <= 1e-13, steps
@@ -316,16 +317,51 @@ def test_schrodinger_picture_drivers_quantize_nothing(monkeypatch, driver):
     assert calls == []
 
 
+def counted_kernel_calls(monkeypatch) -> list:
+    """The shape of the state block each call of the Fock kernel steps."""
+    calls = []
+    original = fock._expm_shifted
+
+    def counted(work, diag, v):
+        calls.append(v.shape)
+        return original(work, diag, v)
+
+    monkeypatch.setattr(fock, "_expm_shifted", counted)
+    return calls
+
+
+def test_schrodinger_scan_steps_every_f_in_one_kernel_call_per_step(monkeypatch):
+    """The work count of the f scan: n_steps kernel calls per subset, each for all of f_list."""
+    calls = counted_kernel_calls(monkeypatch)
+    cfg = ScenarioConfig(n_steps=20)
+    run_schrodinger_gauge_scan(cfg)
+    assert len(calls) == len(cfg.scan_subsets) * 20  # not len(f_list) times that
+    assert {rows for rows, _ in calls} == {len(cfg.f_list)}
+
+
+def test_equivalence_steps_every_drive_in_one_batch_per_step_count(monkeypatch):
+    """The Fock picture steps all n_drives + 1 drives together at n_steps and at 2 n_steps, from one omega0."""
+    calls = counted_kernel_calls(monkeypatch)
+    built = []
+    original = experiments.omega0_state
+    monkeypatch.setattr(experiments, "omega0_state", lambda *args: built.append(args) or original(*args))
+    cfg = ScenarioConfig(n_drives=2, n_steps=20)
+    run_picture_equivalence(cfg)  # the counts do not depend on whether the checks pass
+    assert len(calls) == 20 + 2 * 20
+    assert {rows for rows, _ in calls} == {cfg.n_drives + 1}
+    assert len(built) == 1
+
+
 def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatch):
     """omega0 steps in its (N_up, N_down) sector; the N sector of all modes stays the oracle."""
     dims = []
-    original = experiments.evolve_schrodinger
+    original = experiments.evolve_schrodinger_batch
 
     def recorded(state, *args, **kwargs):
         dims.append(state.basis.dim)
         return original(state, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "evolve_schrodinger", recorded)
+    monkeypatch.setattr(experiments, "evolve_schrodinger_batch", recorded)
     cfg = ScenarioConfig(n_steps=40)
     spin = run_schrodinger_gauge_scan(cfg)
     assert sorted(set(dims)) == [24, 300]  # of 56 and 792 at M = 8 and 12
@@ -344,14 +380,14 @@ def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatc
 def test_schrodinger_scan_energies_equal_the_direct_fock_reading(monkeypatch):
     """The scan reads <H_0> off each final state's correlation matrix; <psi|quantized h0|psi> is the oracle."""
     finals = []
-    original = experiments.evolve_schrodinger
+    original = experiments.evolve_schrodinger_batch
 
     def recorded(*args, **kwargs):
-        times, states = original(*args, **kwargs)
-        finals.append(states[-1])
-        return times, states
+        times, runs = original(*args, **kwargs)
+        finals.extend(states[-1] for states in runs)
+        return times, runs
 
-    monkeypatch.setattr(experiments, "evolve_schrodinger", recorded)
+    monkeypatch.setattr(experiments, "evolve_schrodinger_batch", recorded)
     cfg = ScenarioConfig(n_steps=20)
     rep = run_schrodinger_gauge_scan(cfg)
     assert len(finals) == len(cfg.scan_subsets) * len(cfg.f_list) == 16

@@ -33,6 +33,7 @@ from diracbox.fock import (
     commutator_identity_check,
     correlation_from_state,
     evolve_schrodinger,
+    evolve_schrodinger_batch,
     expectation,
     expm_multiply as kernel_expm_multiply,
     h0_spectrum_check,
@@ -43,12 +44,16 @@ from diracbox.fock import (
 from diracbox.gaussian import CorrelationMatrix
 from diracbox.modes import MomentumGrid, build_catalog, label, restrict_catalog
 from diracbox.onebody import (
+    _THETA,
+    _THETA_M,
     Constant,
     CosineRamp,
     DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
     PotentialSpec,
+    Scaled,
+    StepGuardError,
     gauge_transform,
     h0_matrix,
     interaction_term_matrices,
@@ -560,6 +565,118 @@ def test_expm_multiply_rejects_a_missing_or_doubled_diagonal():
     assert doubled.nnz == 37 and (doubled.toarray() == A.toarray()).all()
     with pytest.raises(ValueError, match=r"exactly once; rows \[4\] "):
         kernel_expm_multiply(doubled, v)
+
+
+# ---------------------------------------------------------------------------
+# K families in one batched kernel
+
+
+def taylor_schedule(A) -> tuple[int, int]:
+    """(m*, s) as algorithm 3.2 picks them for A: the 1-norm of A - mu I against the theta_m table."""
+    a = A.toarray()
+    norm = np.abs(a - np.trace(a) / len(a) * np.eye(len(a))).sum(axis=0).max()
+    if norm == 0:
+        return 0, 1
+    rounds = np.ceil(norm / _THETA)
+    best = int(np.argmin(_THETA_M * rounds))
+    return int(_THETA_M[best]), int(rounds[best])
+
+
+def block_csr(mats) -> sp.csr_matrix:
+    """The block-diagonal CSR of the n x n CSR matrices `mats`, each block in its own stored order."""
+    n = mats[0].shape[0]
+    offsets = np.cumsum([0] + [m.nnz for m in mats])
+    return sp.csr_matrix(
+        (
+            np.concatenate([m.data for m in mats]).astype(complex),
+            np.concatenate([m.indices + k * n for k, m in enumerate(mats)]),
+            np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]),
+        ),
+        shape=(len(mats) * n, len(mats) * n),
+    )
+
+
+def scaled_families(family, f_list):
+    """h0 at f = 0 and h0 + f sum_b g_b(t) B_b otherwise, the families gauge-schrodinger steps."""
+    return [
+        family.h0 if f == 0 else DrivenHamiltonian(family.h0, [(b, Scaled(f, g)) for b, g in family.blocks])
+        for f in f_list
+    ]
+
+
+def test_batched_kernel_writes_each_block_s_own_bytes():
+    """One K-column call gives each column the bytes of the one-block kernel, where (m*, s) differ too."""
+    mats = [A for name in ("M8-dt0.0025", "M8-dt0.05", "M8-dt1.0") for A, _ in KERNEL_CASES[name]]
+    mats.append(4.0 * mats[-1])  # past theta_55: more than one round
+    n = mats[0].shape[0]
+    # A = mu I: A - mu I is 0, so its column takes no term, only eta, which keeps the signs of its zeros
+    mats.append(sp.csr_matrix((np.full(n, -0.25j), np.arange(n), np.arange(n + 1)), shape=(n, n)))
+    schedules = [taylor_schedule(A) for A in mats]
+    assert len({m for m, _ in schedules}) > 2 and len({s for _, s in schedules}) > 1
+    rng = np.random.default_rng(6)
+    vs = rng.normal(size=(len(mats), n)) + 1j * rng.normal(size=(len(mats), n))
+    vs[-1, :3] = complex(-0.0, -0.0)
+    work = block_csr(mats)
+    got = fock._expm_shifted(work, fock._diagonal_slots(work.indptr, work.indices), vs)
+    want = np.array([kernel_expm_multiply(A, v) for A, v in zip(mats, vs)])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert want[-1].tobytes() == expm_multiply(mats[-1], vs[-1]).tobytes()  # scipy's zeros, signs and all
+
+
+@pytest.mark.parametrize(
+    "momenta, sector", [((0, 1), "spin"), ((0, 1), "all-states"), ((-1, 0, 1), "spin")],
+    ids=["M8-spin", "M8-all-states", "M12-spin"],
+)
+def test_batch_writes_each_family_s_own_run(momenta, sector, monkeypatch):
+    """Static and driven families, f from 0.05 to 30, stepped together: each records its one-family bytes."""
+    family, omega = scan_family(momenta, spin=True)
+    if sector == "all-states":
+        omega = on_all_states(omega)
+    hams = scaled_families(family, (0.0, 0.05, 0.3, 1.0, 5.0, 30.0))
+    held = []
+    original = fock._expm_shifted
+
+    def recorded(work, diag, v):
+        held.append(work.copy())
+        return original(work, diag, v)
+
+    monkeypatch.setattr(fock, "_expm_shifted", recorded)
+    times, runs = evolve_schrodinger_batch(omega, hams, (0.0, 1.0), 40, record_every=7)
+    assert len(held) == 40 and len(runs) == len(hams)
+    monkeypatch.undo()
+    # the columns take different Taylor degrees, so some leave the loop before others
+    n = omega.basis.dim
+    blocks = [[A[k * n : (k + 1) * n, k * n : (k + 1) * n] for k in range(len(hams))] for A in held]
+    degrees = [{taylor_schedule(block)[0] for block in step} for step in blocks]
+    assert any(len(d) > 1 for d in degrees)
+    for ham, states in zip(hams, runs):
+        want_t, want = evolve_schrodinger(omega, ham, (0.0, 1.0), 40, record_every=7)
+        assert times.shape == want_t.shape and (times == want_t).all()
+        amps = np.array([st.amplitudes for st in states])
+        want_amps = np.array([st.amplitudes for st in want])
+        assert amps.shape == want_amps.shape == (7, n) and amps.tobytes() == want_amps.tobytes()
+
+
+def test_batch_raises_the_guard_error_of_the_family_that_trips():
+    """A family past the step guard stops the batch with its own run's error: same step, time and value."""
+    family, omega = scan_family((0, 1), spin=True)
+    hams = scaled_families(family, (0.0, 0.1, 100.0, 1.0))
+    for ham in hams[:2] + hams[3:]:
+        evolve_schrodinger(omega, ham, (0.0, 1.0), 60, record_every=60)
+    with pytest.raises(StepGuardError) as alone:
+        evolve_schrodinger(omega, hams[2], (0.0, 1.0), 60)
+    assert alone.value.step >= 16  # past the first chunk: the batch has stepped before it trips
+    with pytest.raises(StepGuardError) as batch:
+        evolve_schrodinger_batch(omega, hams, (0.0, 1.0), 60)
+    got, want = batch.value, alone.value
+    assert (got.step, got.time, got.value, str(got)) == (want.step, want.time, want.value, str(want))
+
+
+
+def test_batch_needs_a_family():
+    _, omega = scan_family((0, 1), spin=True)
+    with pytest.raises(ValueError, match="at least one family"):
+        evolve_schrodinger_batch(omega, [], (0.0, 1.0), 20)
 
 
 # ---------------------------------------------------------------------------

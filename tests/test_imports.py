@@ -51,5 +51,5 @@ def test_drivers_import_no_quantized_operator():
     """Both pictures step the one-body family: the drivers never quantize or build a many-body operator."""
     tree = ast.parse((SRC / "diracbox" / "experiments.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "evolve_schrodinger" in imported  # the control: the walk sees the Fock imports
+    assert "evolve_schrodinger_batch" in imported  # the control: the walk sees the Fock imports
     assert imported.isdisjoint({"quantize", "ManyBodyOperator"})
