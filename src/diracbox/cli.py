@@ -336,7 +336,7 @@ def main(argv=None) -> int:
             return cmd_check(rc)
         return cmd_run(args.command, rc)
     except (StepGuardError, FloatingPointError) as exc:
-        # FloatingPointError: an imaginary-part guard on a real observable
+        # FloatingPointError: a value that is not finite, or an imaginary part on a real observable
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 1
     except (ValueError, NotImplementedError) as exc:

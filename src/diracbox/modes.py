@@ -244,7 +244,12 @@ class BasisCatalog:
         """Spinor contraction tables, built on first use and freed with the catalog."""
         us = np.array([mode.u for mode in self.modes])
         n = np.array([mode.label.n for mode in self.modes])
-        wave_vectors, wave_index = np.unique((n[None, :] - n[:, None]).reshape(-1, 3), axis=0, return_inverse=True)
+        diffs = (n[None, :] - n[:, None]).reshape(-1, 3)
+        # each component of n_j - n_i lies in [-2 n_max, 2 n_max]: one base-B digit, so the keys sort as the rows do
+        shift, base = 2 * self.n_max, 4 * self.n_max + 1
+        keys = ((diffs[:, 0] + shift) * base + diffs[:, 1] + shift) * base + diffs[:, 2] + shift
+        _, first, wave_index = np.unique(keys, return_index=True, return_inverse=True)
+        wave_vectors = diffs[first]
         return SpinorTables(
             spinors=us,
             scalar=us.conj() @ us.T,

@@ -132,6 +132,8 @@ def _phases(catalog: BasisCatalog, points: np.ndarray) -> np.ndarray:
 def _fields(c: CorrelationMatrix, catalog: BasisCatalog, phases: np.ndarray, e: float) -> np.ndarray:
     """(N, 5) rho, J_x, J_y, J_z and div J at the points whose `_phases` are given."""
     vals = phases @ _field_coefficients(c, catalog, e)
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("bilinear field is not finite")
     if np.abs(vals.imag).max() > 1e-9:
         raise FloatingPointError("bilinear field acquired an imaginary part")
     return vals.real
@@ -220,7 +222,8 @@ def field_series(
     """Evaluate rho, J, div J and free energy for a `CorrelationMatrix` per time.
 
     Each frame's fields and <H0> (`free_energy_schrodinger`) raise
-    `FloatingPointError` on an imaginary part above 1e-9.
+    `FloatingPointError` on a value that is not finite or an imaginary part
+    above 1e-9.
     """
     times = np.asarray(times, dtype=float)
     correlations = list(correlations)
@@ -307,6 +310,8 @@ def energy_identity_rhs(
         mk = (-k[0], -k[1], -k[2])
         acc += amp * g * divj_fourier.get(mk, 0.0)
     val = dxi + volume * acc
+    if not np.isfinite(val):
+        raise FloatingPointError(f"energy identity RHS is not finite: {val}")
     if abs(val.imag) > 1e-9:
         raise FloatingPointError("energy identity RHS acquired an imaginary part")
     return float(val.real)
@@ -319,6 +324,8 @@ def free_energy_schrodinger(c: CorrelationMatrix, h0: OneBodyOperator) -> float:
     """<H_0> of an evolved correlation matrix against the free Hamiltonian `h0` (`h0_matrix`)."""
     _matrix_of(c)  # the type check
     val = bilinear_expectation(c, h0)
+    if not np.isfinite(val):
+        raise FloatingPointError(f"free energy is not finite: {val}")
     if abs(val.imag) > 1e-9:
         raise FloatingPointError("free energy acquired an imaginary part")
     return float(val.real)

@@ -229,7 +229,11 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class OneBodyOperator:
-    """Hermitian M x M matrix on catalog mode coefficients, checked when built."""
+    """Hermitian M x M matrix on catalog mode coefficients, checked when built.
+
+    A deviation above `HERMITICITY_TOL` is a ValueError; a NaN or inf
+    deviation (some entry is not finite) a FloatingPointError.
+    """
 
     matrix: np.ndarray
 
@@ -238,6 +242,8 @@ class OneBodyOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
+        if not dev < np.inf:  # NaN or inf
+            raise FloatingPointError(f"one-body matrix is not finite: hermiticity deviation {dev}")
         if dev > HERMITICITY_TOL:
             raise ValueError(f"hermiticity violated: max deviation {dev:.3e}")
         mat.setflags(write=False)
@@ -441,11 +447,16 @@ class DrivenHamiltonian:
 class OneBodyPropagator:
     """Mode-basis propagator u(t) sampled on the recorded time grid.
 
-    u(times[0]) = identity; each stored matrix is unitary within 1e-10.
+    u(times[0]) = identity; each stored matrix is unitary within 1e-10,
+    entrywise, checked once, here.  The same products give
+    `unitarity_defect`, the largest ||u^dag u - I||_F over the stored
+    matrices: it bounds ||u^dag u - I||_2, which the entrywise check does
+    not, and `gaussian.evolve_correlation` certifies its frames from it.
     """
 
     times: np.ndarray
     matrices: np.ndarray = field(repr=False)
+    unitarity_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -453,13 +464,20 @@ class OneBodyPropagator:
         if mats.shape[0] != times.shape[0]:
             raise ValueError("one matrix per recorded time required")
         eye = np.eye(mats.shape[1])
-        drift = max(np.abs(m.conj().T @ m - eye).max() for m in mats)
+        gaps = []
+        for m in mats:
+            gap = np.abs(m.conj().T @ m - eye)
+            gaps.append((gap.max(), np.linalg.norm(gap)))
+        drift, defect = np.max(gaps, axis=0)
+        if not drift < np.inf:  # NaN or inf
+            raise FloatingPointError(f"propagator is not finite: unitarity drift {drift}")
         if drift > 1e-10:
             raise ValueError(f"propagator lost unitarity: {drift:.3e}")
         times.setflags(write=False)
         mats.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "unitarity_defect", float(defect))
 
     @property
     def final(self) -> np.ndarray:
@@ -513,9 +531,12 @@ def _step_guard(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int)
     whose largest ||h_n||_1 * dt is within that bound passes as it stands;
     any other chunk is metered by eigvalsh, as the max over blocks of
     max|w_n| * dt, and raises at the first step (global index `first` + n)
-    over the bound.
+    over the bound.  A chunk whose 1-norm is NaN or inf raises
+    FloatingPointError.
     """
-    norm = max(np.abs(h).sum(axis=-2).max() for h in hs) * dt
+    norm = np.max([np.abs(h).sum(axis=-2).max() for h in hs]) * dt
+    if not norm < np.inf:  # NaN or inf
+        raise FloatingPointError(f"step guard: ||h||_1*dt = {norm} is not finite in the chunk from step {first}")
     if norm > MAX_STEP_NORM:
         size = np.max([np.abs(np.linalg.eigvalsh(h)).reshape(len(h), -1).max(axis=1) for h in hs], axis=0) * dt
         over = np.flatnonzero(size > MAX_STEP_NORM)

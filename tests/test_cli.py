@@ -416,6 +416,28 @@ def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+# configs whose values overflow to inf, then NaN, inside a run
+NON_FINITE_RUNS = [
+    ("equivalence", "drive_amplitude = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
+    ("baseline", "e = 1.7e308\nn_steps = 50", "bilinear field is not finite"),
+    ("gauge-schrodinger", "e = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, text, message", NON_FINITE_RUNS, ids=[f"{s}:{t.splitlines()[0]}" for s, t, _ in NON_FINITE_RUNS]
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_main_non_finite_value_is_a_numerical_guard(tmp_path, capsys, scenario, text, message):
+    """A NaN compares false with every bound: each guard names it, and the run writes nothing."""
+    cfg = write_cfg(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical guard: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_cutoffs_override(tmp_path):
     out = tmp_path / "cut"
     cfg = write_cfg(tmp_path, "n_steps = 2000\n")

@@ -5,9 +5,12 @@ evolution index convention, and bilinear expectations are all compared
 against 2^M linear algebra on an M = 8 momentum subset.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from diracbox.experiments import ScenarioConfig, _evolved_series, _omega0
 from diracbox.fock import (
     correlation_from_state,
     evolve_schrodinger,
@@ -16,6 +19,7 @@ from diracbox.fock import (
     quantize,
 )
 from diracbox.gaussian import (
+    EIGENVALUE_TOL,
     CorrelationMatrix,
     bilinear_expectation,
     evolve_correlation,
@@ -88,6 +92,18 @@ def test_correlation_validation():
         CorrelationMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         CorrelationMatrix(np.diag([1.5, 0.0]))  # eigenvalue beyond 1
+    assert CorrelationMatrix(np.diag([0.25, 0.0, 1.0])).spectrum == (0.0, 1.0)
+
+
+def test_non_finite_values_fail_the_validations(monkeypatch):
+    """A NaN compares false with every bound, so each check names it instead of passing it."""
+    with pytest.raises(FloatingPointError, match="not finite"):
+        CorrelationMatrix(np.diag([np.nan, 0.0]))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        OneBodyPropagator([0.0], [np.diag([1.0, np.nan])])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
+    with pytest.raises(FloatingPointError, match="occupation eigenvalues are not finite"):
+        CorrelationMatrix(np.eye(2))
 
 
 def test_evolution_convention_frozen_against_fock():
@@ -189,3 +205,103 @@ def test_bilinear_linearity():
     lhs = bilinear_expectation(C, combo)
     rhs = 0.3 * bilinear_expectation(C, h1) + 1.7 * bilinear_expectation(C, h2)
     assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.fixture
+def gaussian_eigvalsh_calls(monkeypatch):
+    """A list that gains one entry per eigvalsh call made from diracbox.gaussian."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "diracbox.gaussian":
+            calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_d3_frames_are_certified_without_eigvalsh(gaussian_eigvalsh_calls):
+    """d = 3, n_max = 1 (M = 108), 20 steps: 21 frames, none of which recomputes its spectrum."""
+    cfg = ScenarioConfig(d=3, n_max=1, n_steps=20, t_final=0.1)
+    cat = cfg.catalog(1)
+    start = _omega0("gaussian", cat, cfg)  # C0, built from raw data, runs eigvalsh
+    built = len(gaussian_eigvalsh_calls)
+    [series] = _evolved_series(start, cat, cfg, 20)
+    assert len(series.times) == 21
+    assert len(gaussian_eigvalsh_calls) == built
+
+
+def _unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _verdict(build):
+    """'ok', or the type and message of the validation error `build` raises."""
+    try:
+        build()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def test_certified_frames_match_the_eigvalsh_verdict(gaussian_eigvalsh_calls):
+    """Soundness sweep: a certified frame gets the verdict and message eigvalsh gives its matrix.
+
+    The propagators carry defects up to the 1e-10 entrywise acceptance: u
+    scaled by 1 + delta, a non-normal perturbation, and a hermitian one along
+    ones/sqrt(n), whose 2-norm defect is n times its largest entry.  The
+    correlations hold eigenvalues at 0, at 1, within 1e-11 of
+    1 + EIGENVALUE_TOL and of -EIGENVALUE_TOL, and at 1 - 3e-10 along that
+    same direction (0.5 across it).  Both routes, the certificate and its eigvalsh fallback,
+    must run, and some frames must be rejected.
+    """
+    n = 8
+    v = _unitary(n, 1)
+    ones = np.full(n, 1.0 / np.sqrt(n))
+    spectra = [
+        [0, 0, 0, 1, 1, 1, 1, 0],
+        [0, 0.5, 0.25, 1, 1 + EIGENVALUE_TOL - 1e-11, 0, 1, 0.75],
+        [-EIGENVALUE_TOL + 1e-11, 0.5, 0, 1, 1, 0.25, 0, 1],
+    ]
+    correlations = [CorrelationMatrix((v * w) @ v.conj().T) for w in spectra]
+    along = np.outer(ones, ones)
+    correlations.append(CorrelationMatrix((1 - 3e-10) * along + 0.5 * (np.eye(n) - along)))
+    w = _unitary(n, 2)
+    nilpotent = np.zeros((n, n))
+    nilpotent[0, 1] = 1.0
+    propagators = [w]
+    propagators += [(1 + delta) * w for delta in (1e-12, 1e-11, 2e-11, 4.9e-11)]
+    propagators += [w @ (np.eye(n) + delta * nilpotent) for delta in (1e-11, 5e-11, 9.9e-11)]
+    propagators += [np.eye(n) + eta * np.outer(ones, ones) for eta in (1e-11, 3.9e-10)]
+    certified = fallbacks = rejected = 0
+    for c in correlations:
+        for u in propagators:
+            prop = OneBodyPropagator([0.0], [u])
+            before = len(gaussian_eigvalsh_calls)
+            got = _verdict(lambda: evolve_correlation(c, prop))
+            ran_eigvalsh = len(gaussian_eigvalsh_calls) > before
+            want = _verdict(lambda: CorrelationMatrix(u.conj() @ c.matrix @ u.T))
+            assert got == want
+            certified += not ran_eigvalsh
+            fallbacks += ran_eigvalsh
+            rejected += want != "ok"
+    assert certified and fallbacks and rejected
+    assert certified + fallbacks == len(correlations) * len(propagators)
+
+
+def test_certified_interval_holds_the_frame_spectrum():
+    """A certified frame's recorded interval holds every eigenvalue eigvalsh gives it."""
+    cat = catalog_m8()
+    one_body = DrivenHamiltonian(h0_matrix(cat), interaction_term_matrices(cat, drive_potential()))
+    prop = propagate(one_body, (0.0, 1.0), 60, record_every=6)
+    assert 0.0 < prop.unitarity_defect <= 1e-12
+    C0 = omega0_correlation(cat, MODE1, MODE2)
+    for frame in evolve_correlation(C0, prop):
+        w = np.linalg.eigvalsh(frame.matrix)
+        lo, hi = frame.spectrum
+        assert lo <= w.min() and w.max() <= hi
+        assert C0.spectrum[0] - 1e-12 < lo and hi < C0.spectrum[1] + 1e-12

@@ -185,3 +185,32 @@ def test_restrict_catalog_keeps_order_and_count():
 def test_sea_energy_n_max_zero():
     # two sea modes at p = 0, m = 1: -(1 + 1) = -2
     assert build_catalog(grid1d(n_max=0), 1.0).sea_energy() == pytest.approx(-2.0)
+
+
+def _wave_table_oracle(cat):
+    """(wave_vectors, wave_index) from a row-wise np.unique over the M^2 differences n_j - n_i."""
+    n = np.array([mode.label.n for mode in cat.modes])
+    rows, index = np.unique((n[None, :] - n[:, None]).reshape(-1, 3), axis=0, return_inverse=True)
+    return rows, index.reshape(cat.size, cat.size)
+
+
+WAVE_TABLE_CATALOGS = (
+    [(1, n_max, None) for n_max in range(9)]
+    + [(3, n_max, None) for n_max in range(3)]
+    + [(1, 2, [0, 1]), (1, 2, [-1, 0]), (1, 2, [-1, 0, 1]), (1, 2, [-2, 2]), (1, 2, [1])]
+    + [(3, 1, [(0, 0, 0), (1, 0, -1)]), (3, 2, [(-2, 1, 0), (0, 0, 0), (2, -2, 2)])]
+)
+
+
+@pytest.mark.parametrize("d, n_max, keep", WAVE_TABLE_CATALOGS)
+def test_wave_table_equals_the_row_unique_oracle(d, n_max, keep):
+    """The integer-keyed table is the lexicographic row table: same values, same dtypes."""
+    cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
+    if keep is not None:
+        cat = restrict_catalog(cat, keep)
+    rows, index = _wave_table_oracle(cat)
+    tables = cat.tables
+    assert tables.wave_vectors.dtype == rows.dtype and tables.wave_index.dtype == index.dtype
+    assert tables.wave_vectors.shape == rows.shape and tables.wave_index.shape == index.shape
+    assert np.array_equal(tables.wave_vectors, rows)
+    assert np.array_equal(tables.wave_index, index)

@@ -854,3 +854,14 @@ def test_steppers_share_one_time_grid(stepper):
     # every third step and the last one
     want = [0.0] + [step * (1.0 / 20) for step in (3, 6, 9, 12, 15, 18, 20)]
     assert run((0.0, 1.0), 20, 3).tolist() == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_values_fail_the_operator_check_and_the_step_guard():
+    """A NaN compares false with every bound: the hermiticity check and the step guard name it."""
+    with pytest.raises(FloatingPointError, match="one-body matrix is not finite"):
+        OneBodyOperator(np.diag([0.0, np.nan]))
+    # finite and hermitian, but its absolute column sums overflow to inf
+    huge = OneBodyOperator(np.full((2, 2), 1e308, dtype=complex))
+    with pytest.raises(FloatingPointError, match=r"^step guard: \|\|h\|\|_1\*dt = inf is not finite"):
+        propagate(huge, (0.0, 1.0), 10)
