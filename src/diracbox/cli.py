@@ -332,9 +332,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "check":
-            return cmd_check(rc)
-        return cmd_run(args.command, rc)
+        # the guards raise on values that are not finite; numpy's warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            if args.command == "check":
+                return cmd_check(rc)
+            return cmd_run(args.command, rc)
     except (StepGuardError, FloatingPointError) as exc:
         # FloatingPointError: a value that is not finite, or an imaginary part on a real observable
         print(f"numerical guard: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ same `_step_chunks` and lifts each h(t) onto its Fock basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -132,14 +133,39 @@ class Scaled:
 # ---------------------------------------------------------------------------
 # potential and gauge data
 
+# a deviation within this fraction of the data's largest magnitude is their rounding
+_ROUNDOFF_REL = 64 * np.finfo(float).eps
+
+
+def _tolerance_error(dev: float, scale: float, tol: float, what: str, violation: str) -> Exception:
+    """The error for a deviation `dev` (NaN included) over `tol`, on data of largest magnitude `scale`.
+
+    A numerical trip is a FloatingPointError: data (or a deviation) that are
+    not finite, or a deviation within `_ROUNDOFF_REL` of the data's own
+    magnitude, which only the absolute `tol` rejects.  Anything else is the
+    ValueError `violation`.
+    """
+    if not (dev < np.inf and scale < np.inf):  # NaN or inf
+        return FloatingPointError(f"{what} is not finite: deviation {dev}")
+    if dev <= _ROUNDOFF_REL * scale:
+        return FloatingPointError(
+            f"{what} of magnitude {scale:.3e} misses the tolerance {tol:g} by its rounding alone (deviation {dev:.3e})"
+        )
+    return ValueError(violation)
+
+
 def _check_reality(amps: Mapping[IntVec, complex], what: str):
-    """A real field needs amp(-k) = conj(amp(k)) for every stored k."""
+    """A real field needs amp(-k) = conj(amp(k)) for every stored k, within 1e-13."""
     for k, val in amps.items():
         mk = (-k[0], -k[1], -k[2])
         if mk not in amps:
             raise ValueError(f"{what}: missing -k partner for k = {k}")
         if not np.allclose(val, np.conj(amps[mk]), rtol=0, atol=1e-13):
-            raise ValueError(f"{what}: reality violated at k = {k}")
+            gap = np.abs(val - np.conj(amps[mk])).max()
+            scale = np.max([np.abs(val).max(), np.abs(amps[mk]).max()])
+            raise _tolerance_error(
+                gap, scale, 1e-13, f"{what}: amplitude at k = {k}", f"{what}: reality violated at k = {k}"
+            )
 
 
 def _check_band(keys, grid: MomentumGrid):
@@ -231,8 +257,10 @@ class GaugeFunction:
 class OneBodyOperator:
     """Hermitian M x M matrix on catalog mode coefficients, checked when built.
 
-    A deviation above `HERMITICITY_TOL` is a ValueError; a NaN or inf
-    deviation (some entry is not finite) a FloatingPointError.
+    A deviation above `HERMITICITY_TOL` is a ValueError, or a
+    FloatingPointError where it is a numerical trip (`_tolerance_error`):
+    some entry is not finite, or the deviation is rounding of entries too
+    large for the absolute tolerance.
     """
 
     matrix: np.ndarray
@@ -242,10 +270,11 @@ class OneBodyOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         dev = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-        if not dev < np.inf:  # NaN or inf
-            raise FloatingPointError(f"one-body matrix is not finite: hermiticity deviation {dev}")
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"hermiticity violated: max deviation {dev:.3e}")
+        if not dev <= HERMITICITY_TOL:
+            raise _tolerance_error(
+                dev, np.abs(mat).max(), HERMITICITY_TOL, "one-body matrix",
+                f"hermiticity violated: max deviation {dev:.3e}",
+            )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -486,6 +515,8 @@ class OneBodyPropagator:
 
 # midpoint steps per batch; longer chunks cost memory, not time
 _STEP_CHUNK = 16
+# steps per cumulative product of 1 x 1 blocks (`_chain`)
+_PHASE_SLICE = 256
 # accuracy guard of both steppers: the largest ||h(t_mid)||_2 * dt of one step
 MAX_STEP_NORM = 0.1
 # theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
@@ -507,18 +538,51 @@ def _taylor_degree(norm: float) -> int:
     return int(_THETA_M[np.searchsorted(_THETA, norm)])
 
 
+# the Taylor coefficients c_k = 1/k! up to the largest degree of the theta_m table
+_INV_FACTORIAL = [1.0 / math.factorial(k) for k in range(_THETA_M[-1] + 1)]
+# the Paterson-Stockmeyer block size s of each degree m: the fewest matmuls,
+# s - 1 + (m - 1) // s, and the least s on a tie
+_PS_BLOCK = [0] + [
+    min(range(1, m + 1), key=lambda s: (s - 1 + (m - 1) // s, s)) for m in range(1, _THETA_M[-1] + 1)
+]
+
+
+def _diagonal(p: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of a C-contiguous stack of square matrices."""
+    return p.reshape(p.shape[:-2] + (-1,))[..., :: p.shape[-1] + 1]
+
+
 def _exp_taylor(h: np.ndarray, dt: float, m: int) -> np.ndarray:
     """exp(-i h dt) as the degree-m Taylor polynomial of A = -i h dt; a stack of them broadcasts.
 
-    Horner's rule, I + A (I + A/2 (... (I + A/m))): m - 1 matmuls.
+    Paterson & Stockmeyer (SIAM J. Comput. 2, 60 (1973)): with the powers
+    A^2 ... A^s formed once, the polynomial is Horner's rule in A^s over
+    blocks B_j = sum_{i < s} c_{js+i} A^i of the coefficients c_k = 1/k!.
+    The top block starts at j = (m - 1) // s and holds c_m A^{m - js}, so
+    a top block of c_m I alone joins the block below it as c_m A^s.  That
+    is s - 1 + (m - 1) // s matmuls for the s of `_PS_BLOCK` (Horner's
+    m - 1 for m <= 3; 2, 3, 3, 4, 4, 4, 5 for m = 4 ... 10).  Beside the
+    powers, two buffers the size of A serve every block: they alternate as
+    the accumulator and the matmul output, and the free one takes each
+    scaled power.
     """
-    a = (-1j * dt) * h
-    eye = np.eye(h.shape[-1])
-    p = eye + a * (1.0 / m)
-    for j in range(m - 1, 0, -1):
-        p = a @ p
-        p *= 1.0 / j  # a complex division by j costs several times this product
-        p += eye
+    c = _INV_FACTORIAL
+    s = _PS_BLOCK[m]
+    powers = [None, h * (-1j * dt)]  # powers[i] = A^i
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ powers[1])
+    p, q = (np.empty(powers[1].shape, dtype=complex) for _ in range(2))  # C-contiguous, for `_diagonal`
+    j = (m - 1) // s
+    np.multiply(powers[m - j * s], c[m], out=p)
+    for first in range(j * s, -1, -s):  # block B_j starts at c_first, first = js
+        if first < j * s:
+            np.matmul(p, powers[s], out=q)
+            p, q = q, p
+        for k in range(min(first + s, m) - 1, first, -1):
+            np.multiply(powers[k - first], c[k], out=q)  # q is free until the next product
+            p += q
+        diagonal = _diagonal(p)
+        diagonal += c[first]
     return p
 
 
@@ -553,7 +617,10 @@ def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: i
     Taylor polynomial of the least degree whose theta_m bounds its largest
     1-norm (`_taylor_degree`).  The lookup needs that 1-norm within
     theta_max = 9.9: a passing step has ||h||_1 * dt <= sqrt(n) * 0.1 for
-    its largest block size n <= M, which holds for M <= 9 801.
+    its largest block size n <= M, which holds for M <= 9 801.  A chunk
+    whose 1-norm is within the guard's 0.1 < theta_10 takes degree m <= 10,
+    so at most 5 matmuls per step (`_exp_taylor`; the driven chunks of the
+    default scenarios take degrees 4 to 6, 2 or 3 matmuls).
     """
     m = _taylor_degree(_step_guard(hs, dt, t_mid, first))
     return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
@@ -613,6 +680,27 @@ def _join(blocks: list, size: int) -> np.ndarray:
     return u
 
 
+def _chain(blocks: list, steps: list):
+    """u on its blocks after each step of a chunk, in step order: s[n] @ u per block and step.
+
+    Where every block is 1 x 1 the chain is elementwise: one cumulative
+    product down the chunk's steps, u first, with the products of the
+    per-step loop.  A static operator's chunk is the whole run, so the
+    product runs over `_PHASE_SLICE` steps at a time, which bounds its
+    buffer at 257 x M.
+    """
+    if len(blocks) == 1 and blocks[0][1].shape[-1] == 1:
+        rows, u = blocks[0]
+        for start in range(0, len(steps[0]), _PHASE_SLICE):
+            chain = np.concatenate([u[None], steps[0][start : start + _PHASE_SLICE]])
+            for u in np.cumprod(chain, axis=0, out=chain)[1:]:
+                yield [(rows, u)]
+        return
+    for n in range(len(steps[0])):
+        blocks = [(rows, s[n] @ ub) for (rows, ub), s in zip(blocks, steps)]
+        yield blocks
+
+
 def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
     """The midpoint grid both pictures step on: (dt, t_mid, times, kept).
 
@@ -653,7 +741,10 @@ def propagate(
     exact nonzero pattern of each chunk, joined with those of the chunks
     before (so the partition only coarsens, and u stays block-diagonal in
     it).  Each block is exponentiated and chain-multiplied on its own; once
-    the partition is one block, u is stepped as a whole.
+    the partition is one block, u is stepped as a whole.  A partition of
+    1 x 1 blocks alone (the diagonal h0, a family before its coupling
+    starts) chains its phases in one cumulative product per chunk
+    (`_chain`), with the bytes of a product per step.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     mats = []
@@ -669,15 +760,11 @@ def propagate(
             if (pattern & ~same).any():
                 labels = _components(pattern | same)
                 blocks = _split(_join(blocks, size), labels)
-        steps = _guarded_steps(
-            [h if rows is None else h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks],
-            dt,
-            chunk,
-            first,
-        )
+        hs = [h if rows is None else h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks]
+        del h  # the block stacks hold all the steps read: free the chunk's stack before the products
+        steps = _guarded_steps(hs, dt, chunk, first)
         steps = [np.broadcast_to(s, (len(chunk),) + s.shape[1:]) for s in steps]
-        for n in range(len(chunk)):
-            blocks = [(rows, s[n] @ ub) for (rows, ub), s in zip(blocks, steps)]
+        for n, blocks in enumerate(_chain(blocks, steps)):
             if first + n + 1 in kept:
                 mats.append(_join(blocks, size))
     return OneBodyPropagator(times, np.array(mats))

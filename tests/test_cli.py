@@ -416,25 +416,48 @@ def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-# configs whose values overflow to inf, then NaN, inside a run
+# configs whose values overflow inside a run: to inf, then NaN, or (chi_amplitude)
+# to finite entries whose rounding alone exceeds an absolute tolerance
 NON_FINITE_RUNS = [
     ("equivalence", "drive_amplitude = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
     ("baseline", "e = 1.7e308\nn_steps = 50", "bilinear field is not finite"),
     ("gauge-schrodinger", "e = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
+    ("gauge-heisenberg", "chi_amplitude = 1e300", "one-body matrix of magnitude 4.619e+299 misses the tolerance"),
+    ("energy-heisenberg", "m = 1e300", "chi: amplitude at k = (0, 0, 1) is not finite"),
+    ("energy-heisenberg", "length = 1e-300", "chi: amplitude at k = (0, 0, 1) is not finite"),
 ]
+NON_FINITE_IDS = [f"{s}:{t.splitlines()[0]}" for s, t, _ in NON_FINITE_RUNS]
 
 
-@pytest.mark.parametrize(
-    "scenario, text, message", NON_FINITE_RUNS, ids=[f"{s}:{t.splitlines()[0]}" for s, t, _ in NON_FINITE_RUNS]
-)
+@pytest.mark.parametrize("scenario, text, message", NON_FINITE_RUNS, ids=NON_FINITE_IDS)
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_main_non_finite_value_is_a_numerical_guard(tmp_path, capsys, scenario, text, message):
-    """A NaN compares false with every bound: each guard names it, and the run writes nothing."""
+    """An overflow is a numerical guard, not a config error: each guard names it, and the run writes nothing."""
     cfg = write_cfg(tmp_path, text + "\n")
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numerical guard: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, text, message", NON_FINITE_RUNS, ids=NON_FINITE_IDS)
+def test_cli_process_prints_one_line_on_a_numerical_guard(tmp_path, scenario, text, message):
+    """The same runs as a process, where no test harness captures numpy's overflow warnings: one stderr line."""
+    cfg = write_cfg(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracbox.cli", scenario, "--config", str(cfg), "--out-dir", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"numerical guard: {message}")
     assert not out.exists()
 
 

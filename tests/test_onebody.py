@@ -48,6 +48,7 @@ from diracbox.onebody import (
     h0_matrix,
     interaction_term_matrices,
     propagate,
+    time_grid,
     unitary_step,
 )
 
@@ -677,6 +678,70 @@ def test_taylor_step_agrees_with_eigh_on_pure_gauge_chunks(split):
         assert np.abs(taylor - unitary_step(h, dt)).max() <= 1e-14
 
 
+def taylor_polynomial(h, dt, m):
+    """The degree-m Taylor polynomial of A = -i h dt, summed term by term in long double."""
+    a = (-1j * np.clongdouble(dt)) * h.astype(np.clongdouble)
+    term = np.broadcast_to(np.eye(h.shape[-1], dtype=np.clongdouble), a.shape)
+    out = term.copy()
+    for k in range(1, m + 1):
+        term = np.einsum("...ij,...jk->...ik", a, term) / k
+        out = out + term
+    return out
+
+
+def random_hermitian(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return x + x.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("shape", [(18, 18), (16, 2, 18, 18)], ids=["matrix", "spin-block-stack"])
+def test_taylor_step_is_its_degree_m_polynomial(shape):
+    h = random_hermitian(shape, seed=len(shape))
+    one_norm = np.abs(h).sum(axis=-2).max()
+    for m in range(1, 11):
+        # h in either memory layout: the step's buffers are its own
+        for h_in in (h, np.asfortranarray(h)):
+            # at the largest 1-norm of its degree, ||A||_1 = theta_m, the step
+            # is the polynomial within 2e-16 (5.6e-17 at most measured)
+            dt = _THETA[m - 1] / one_norm
+            assert np.abs(_exp_taylor(h_in, dt, m) - taylor_polynomial(h, dt, m)).max() <= 2e-16
+            # at ||A||_1 = 1 the top terms stand far above the rounding of I, so
+            # a wrong coefficient or a lost top block shows (9.6e-17 at most measured)
+            dt = 1.0 / one_norm
+            assert np.abs(_exp_taylor(h_in, dt, m) - taylor_polynomial(h, dt, m)).max() <= 1e-15
+
+
+class CountsProducts(np.ndarray):
+    """An array that counts the matrix products it takes part in, by `@` or np.matmul."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            CountsProducts.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountsProducts) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, CountsProducts) else x for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(CountsProducts)
+
+
+def test_taylor_step_takes_the_paterson_stockmeyer_product_count():
+    # Horner's m - 1 matmuls up to m = 3, then s - 1 powers of A and
+    # (m - 1) // s Horner steps in A^s
+    want = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4, 9: 4, 10: 5}
+    h = random_hermitian((16, 2, 10, 10), seed=3)
+    dt = MAX_STEP_NORM / np.abs(h).sum(axis=-2).max()
+    for m, products in want.items():
+        CountsProducts.products = 0
+        step = _exp_taylor(h.view(CountsProducts), dt, m)
+        assert CountsProducts.products == products, m
+        assert (step.view(np.ndarray) == _exp_taylor(h, dt, m)).all()
+
+
 def test_default_gauge_run_stays_unitary():
     cfg, cat, family = default_gauge_family()
     u = propagate(family, (0.0, cfg.t_final), 8000, record_every=8000).final
@@ -728,6 +793,45 @@ def test_partition_coarsens_mid_run():
     assert max(np.abs(u.conj().T @ u - eye).max() for u in prop.matrices) <= 1e-12
     # before the gauge coupling starts, u is exactly the diagonal free phase
     assert (prop.matrices[1] == mats[1]).all()
+
+
+def phase_chain(diagonal_at, t_span, n_steps, record_every):
+    """u of a diagonal h(t) one step at a time: exp(-i h_n dt) @ u on each 1 x 1 block, the recorded u joined."""
+    dt, t_mid, _, kept = time_grid(t_span, n_steps, record_every)
+    u = np.ones((len(diagonal_at(t_mid[0])), 1, 1), dtype=complex)
+    mats = [np.diag(u[:, 0, 0])]
+    for step, t in enumerate(t_mid, start=1):
+        u = np.exp(-1j * diagonal_at(t).real * dt)[:, None, None] @ u
+        if step in kept:
+            mats.append(np.diag(u[:, 0, 0]))
+    return np.array(mats)
+
+
+def test_static_diagonal_chain_is_the_per_step_phase_chain():
+    # the default cutoff's h0 over 8000 steps: cumulative products of the
+    # phases, 256 steps at a time, with the bytes of a product per step
+    _, cat, family = default_gauge_family()
+    prop = propagate(family.h0, (0.0, 1.0), n_steps=8000, record_every=400)
+    energies = np.diag(family.h0.matrix)
+    assert len(prop.matrices) == 21
+    assert (prop.matrices == phase_chain(lambda t: energies, (0.0, 1.0), 8000, 400)).all()
+
+
+def test_coupling_that_starts_inside_a_chunk_keeps_the_phase_chain_before_it():
+    # the pure-gauge coupling starts at step 40, inside the chunk of steps
+    # 32-47: chunks 0 and 1 step h0 alone (1 x 1 blocks), and so does the
+    # start of chunk 2, which steps on the spin blocks
+    gauge = pure_gauge_family()
+    n_steps = 203
+    start = 40 / n_steps  # t_mid[39] < start <= t_mid[40]
+    family = DrivenHamiltonian(gauge.h0, [(op, Window(env, start)) for op, env in gauge.blocks])
+    prop = propagate(family, (0.0, 1.0), n_steps=n_steps)
+    energies = np.diag(gauge.h0.matrix)
+    chain = phase_chain(lambda t: energies, (0.0, 1.0), n_steps, 1)
+    assert (prop.matrices[: 2 * _STEP_CHUNK + 1] == chain[: 2 * _STEP_CHUNK + 1]).all()
+    # from chunk 2 on the spin blocks take Taylor steps, within 1e-12 of the eigh loop
+    _, mats = reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=n_steps)
+    assert np.abs(prop.matrices - mats).max() <= 1e-12
 
 
 def test_driven_family_stack_equals_per_t_call():
@@ -865,3 +969,22 @@ def test_non_finite_values_fail_the_operator_check_and_the_step_guard():
     huge = OneBodyOperator(np.full((2, 2), 1e308, dtype=complex))
     with pytest.raises(FloatingPointError, match=r"^step guard: \|\|h\|\|_1\*dt = inf is not finite"):
         propagate(huge, (0.0, 1.0), 10)
+
+
+def test_overflowing_data_fail_the_checks_as_numerical_trips():
+    """A check that only its absolute tolerance fails, on data too large for it, is a FloatingPointError."""
+    # hermitian up to the last bit of entries near 1e300: rounding, not asymmetry
+    big = np.array([[0.0, 1e300], [np.nextafter(1e300, np.inf), 0.0]], dtype=complex)
+    with pytest.raises(FloatingPointError, match=r"^one-body matrix of magnitude 1\.000e\+300 misses the tolerance"):
+        OneBodyOperator(big)
+    # the same entries with a real asymmetry, and a small one, stay ValueErrors
+    for skew in (np.array([[0.0, 1e300], [2e300, 0.0]]), np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])):
+        with pytest.raises(ValueError, match="hermiticity violated"):
+            OneBodyOperator(skew)
+    # the reality check of amplitudes: rounding, a NaN, and a real violation
+    with pytest.raises(FloatingPointError, match=r"^chi: amplitude at k = \(0, 0, 1\) of magnitude 1\.000e\+300"):
+        GaugeFunction({1: 1e300, -1: np.nextafter(1e300, np.inf)}, CosineRamp(1.0))
+    with pytest.raises(FloatingPointError, match=r"^a0: amplitude at k = \(0, 0, 1\) is not finite"):
+        PotentialSpec.single(a0={1: np.nan, -1: np.nan})
+    with pytest.raises(ValueError, match="reality violated"):
+        GaugeFunction({1: 1e300, -1: 2e300}, CosineRamp(1.0))
