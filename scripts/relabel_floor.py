@@ -2,9 +2,11 @@
 """The relabelling floor: how far each output number moves when only the mode order does.
 
 Runs the scenario outputs of scripts/compare_outputs.sh (the five default
-scenarios, `baseline --backend both` and `baseline` at d = 3, n_max = 1,
-200 steps) once as built and once for each seed 1..N with the modes of every
-catalog reordered by a seeded numpy permutation.  All runs take place in
+scenarios, `baseline --backend both`, and the runs of `CONFIG_RUNS`:
+`baseline` at d = 3, n_max = 1, 200 steps, `gauge-heisenberg` at
+chi_amplitude = 0, and `gauge-schrodinger` on the mirrored subsets) once as
+built and once for each seed 1..N with the modes of every catalog reordered
+by a seeded numpy permutation.  All runs take place in
 this process, from this checkout's sources, with one BLAS thread.  The
 check suite is left out: it writes no numbers.
 
@@ -52,6 +54,12 @@ from compare_numbers import columns, deviation  # noqa: E402
 from diracbox import cli, modes  # noqa: E402
 
 SCENARIOS = ("baseline", "gauge-heisenberg", "gauge-schrodinger", "energy-heisenberg", "equivalence")
+# the runs of compare_outputs.sh beyond the defaults: output directory -> (scenario, config text)
+CONFIG_RUNS = {
+    "baseline-d3": ("baseline", "d = 3\nn_max = 1\nn_steps = 200\n"),
+    "gauge-heisenberg-chi0": ("gauge-heisenberg", "chi_amplitude = 0\n"),
+    "gauge-schrodinger-mirrored": ("gauge-schrodinger", "mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n"),
+}
 
 
 @contextlib.contextmanager
@@ -73,11 +81,14 @@ def permuted_modes(seed: int):
         modes._assemble = assemble
 
 
-def run_set(out: Path, d3_config: Path) -> dict[str, int]:
-    """Write the scenario outputs under `out`; the exit status of each run by directory."""
+def run_set(out: Path, configs: Path) -> dict[str, int]:
+    """Write the scenario outputs under `out` (config files under `configs`); the exit status of each run by directory."""
     runs = {f"results/{name}": [name] for name in SCENARIOS}  # the layout of compare_outputs.sh
     runs["baseline-both"] = ["baseline", "--backend", "both"]
-    runs["baseline-d3"] = ["baseline", "--config", str(d3_config)]
+    for name, (scenario, text) in CONFIG_RUNS.items():
+        config = configs / f"{name}.cfg"
+        config.write_text(text)
+        runs[name] = [scenario, "--config", str(config)]
     status = {}
     for name, argv in runs.items():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -95,16 +106,14 @@ def main(argv: list[str]) -> int:
     n = int(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        d3_config = tmp / "d3.cfg"
-        d3_config.write_text("d = 3\nn_max = 1\nn_steps = 200\n")
-        ref_status = run_set(tmp / "ref", d3_config)
+        ref_status = run_set(tmp / "ref", tmp)
         files = sorted(p.relative_to(tmp / "ref") for p in (tmp / "ref").rglob("*") if p.suffix in (".csv", ".json"))
         ref = {rel: columns(tmp / "ref" / rel) for rel in files}
         floor: dict[tuple[Path, str], list] = {}  # (file, key) -> [abs, rel, changes]
         for seed in range(1, n + 1):
             shutil.rmtree(tmp / "run", ignore_errors=True)  # a run that fails writes nothing
             with permuted_modes(seed):
-                status = run_set(tmp / "run", d3_config)
+                status = run_set(tmp / "run", tmp)
             for name, code in status.items():
                 if code != ref_status[name]:
                     print(f"seed {seed}: {name} exit {ref_status[name]} -> {code}")

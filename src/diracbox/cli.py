@@ -266,16 +266,15 @@ def cmd_check(rc: RunConfig) -> int:
 
 
 def write_outputs(report: Report, out_dir) -> tuple[Path, Path]:
-    """Emit <scenario>_series.csv and <scenario>_report.json (UTF-8, LF)."""
+    """Emit <scenario>_series.csv and <scenario>_report.json (UTF-8, LF), both rendered before either is opened."""
     out = Path(out_dir)
+    paths = out / f"{report.scenario}_series.csv", out / f"{report.scenario}_report.json"
+    texts = report.series_csv(), report.to_json() + "\n"  # a metric that is not finite raises here
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{report.scenario}_series.csv"
-    json_path = out / f"{report.scenario}_report.json"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.series_csv())
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_json() + "\n")
-    return csv_path, json_path
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 def cmd_run(name: str, rc: RunConfig) -> int:

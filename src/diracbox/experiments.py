@@ -64,6 +64,7 @@ from .onebody import (
     gauge_transform,
     h0_matrix,
     interaction_term_matrices,
+    mode_groups,
     propagate,
 )
 
@@ -226,6 +227,9 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
+        for name, value in [*self.metrics.items(), *((c.name, c.value) for c in self.checks)]:
+            if value is not None and not np.isfinite(value):
+                raise FloatingPointError(f"{self.scenario}: metric `{name}` = {value} is not finite")
         payload = {
             "scenario": self.scenario,
             "params": config_dict(self.config),
@@ -328,12 +332,6 @@ def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog)
             "pick two modes of one spin and different energy"
         )
     return sq
-
-
-def _spin_groups(catalog: BasisCatalog) -> list[list[int]]:
-    """Mode indices of each spin: the groups a pure-gauge family on the z axis keeps apart."""
-    spins = [mode.label.s for mode in catalog.modes]
-    return [[i for i, s in enumerate(spins) if s == spin] for spin in sorted(set(spins))]
 
 
 def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
@@ -593,23 +591,28 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
     profiles = []
     for catalog in catalogs:
-        # every subset within the mode cap, holding the wavepacket and with a
-        # profile to scan, before any evolution
+        # every subset within the mode cap, holding the wavepacket, with a
+        # profile to scan and a nonzero prediction at every f, before any evolution
         _check_fock_cap(catalog, "scan_subsets")
-        _mode_indices(catalog, cfg)
+        dxi = delta_xi(*_modes_of(catalog, cfg))
         profile = scan_profile(catalog, cfg)
-        profiles.append((profile, _scan_square_integral(profile, catalog)))
-    for catalog, (profile, d_sq) in zip(catalogs, profiles):
-        # the pure-gauge family keeps each spin's particle count: omega0 steps in its spin sector
-        omega = omega0_state(catalog, cfg.mode1, cfg.mode2, _spin_groups(catalog))
+        d_sq = _scan_square_integral(profile, catalog)
+        for f in cfg.f_list:
+            if dxi - f * d_sq == 0:
+                raise ValueError(
+                    f"`f_list`: f = {f!r} makes the linear prediction Delta_xi - f*integral(D^2) exactly 0 "
+                    f"on the {catalog.size}-mode subset: no relative deviation to take"
+                )
+        profiles.append((profile, d_sq, dxi))
+    for catalog, (profile, d_sq, dxi) in zip(catalogs, profiles):
         h0 = h0_matrix(catalog)
-        m1, m2 = _modes_of(catalog, cfg)
-        dxi = delta_xi(m1, m2)
+        unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
+        # no f D g(t) mixes two mode groups of the unit family (its spins): omega0 steps in their sector
+        omega = omega0_state(catalog, cfg.mode1, cfg.mode2, mode_groups(DrivenHamiltonian(h0, unit_blocks).support))
         sea = catalog.sea_energy()
         tag = f"M{catalog.size}"
         f_star = None
         by_f = {}
-        unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
         hams = [
             h0 if f == 0.0 else DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
             for f in cfg.f_list

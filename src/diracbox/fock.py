@@ -13,15 +13,16 @@ the vacuum.
 
 Every Hamiltonian here is a number-conserving bilinear, so a state of N
 particles stays in the sector of bitstrings with N set bits; one that moves
-particles only within groups of modes (the spins of a d = 1 pure-gauge
-drive) also keeps the particle count of each group.  A `FockBasis` is such a
-sector, given by its mode groups and their counts (one group of all modes is
-the N-particle sector), or the whole space.  Its `BilinearTable` holds every
-c_i^dag c_j within a group on one sparse pattern, built once by bit
-arithmetic: `quantize`, `evolve_schrodinger` and `correlation_from_state`
-all read it.  The annihilators of the whole space, a tuple from
-`build_ladders`, serve the anticommutator and commutator checks and the
-tests' oracle; the spectrum check reads the full `FockBasis` of a catalog.
+particles only within groups of modes (`onebody.mode_groups`, e.g. the
+spins of a d = 1 pure-gauge drive) keeps each group's count.  A `FockBasis`
+is such a sector, given by its mode groups and their counts (one group of
+all modes is the N-particle sector), or the whole space.  Its
+`BilinearTable` holds every c_i^dag c_j within a group on one sparse
+pattern, built once by bit arithmetic: `quantize`, `evolve_schrodinger` and
+`correlation_from_state` all read it.  The annihilators of the whole space,
+a tuple from `build_ladders`, serve the anticommutator and commutator checks
+and the tests' oracle; the spectrum check reads the full `FockBasis` of a
+catalog.
 
 A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept), one gather on the table (`_lift`).  Time
@@ -569,28 +570,27 @@ def evolve_schrodinger_batch(
     state's sector (`_check_sector`).
 
     The K lifted H(t) sit on one block-diagonal CSR, built once.  Block k
-    holds family k's slots: those of the basis' table nonzero in its h0 or
-    some block, and every diagonal slot, as the kernel needs each stored
-    once; families of one support share their gather and sign.  Each step
-    lifts every h_k(t) onto its block with `quantize`'s arithmetic (`_lift`),
-    a static operator once, and `_expm_shifted` steps all K states with one
-    CSR product per Taylor term.
+    holds family k's slots: those of the basis' table on its support (which
+    `_step_chunks` gives both steppers), and every diagonal slot, as the
+    kernel needs each stored once; families of one support share their
+    gather and sign.  Each step lifts every h_k(t) onto its block with
+    `quantize`'s arithmetic (`_lift`), a static operator once, and
+    `_expm_shifted` steps all K states with one CSR product per Taylor term.
     """
     import scipy.sparse as sp
 
     if not hamiltonians:
         raise ValueError("evolve_schrodinger_batch needs at least one family")
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
-    chunks = [iter(_step_chunks(ham, t_mid)) for ham in hamiltonians]
+    supports, chunks = zip(*(_step_chunks(ham, t_mid) for ham in hamiltonians))
     basis, table = state.basis, state.basis.table
     dim, K = basis.dim, len(hamiltonians)
     by_support: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     lifts = []  # (slots, gather, sign) of each family
-    for ham in hamiltonians:
+    for ham, support in zip(hamiltonians, supports):
         ops = (ham,) if isinstance(ham, OneBodyOperator) else (ham.h0, *(op for op, _ in ham.blocks))
         for op in ops:
             _check_sector(op.matrix, basis)
-        support = np.any([op.matrix != 0 for op in ops], axis=0)
         key = support.tobytes()
         if key not in by_support:
             slots = np.flatnonzero(np.concatenate([support.ravel(), np.ones(dim, dtype=bool)])[table.gather])

@@ -27,9 +27,9 @@ Comput. 33, 488 (2011)) that the Fock kernel reads too; it is unitary to
 roundoff.  The guard (`_step_guard`, which the Fock stepper runs on the same
 chunks) bounds ||h||_2 * dt; a chunk is metered by eigvalsh only when its
 1-norm, an upper bound, exceeds that.  Steps are taken on the invariant
-blocks of the stepped matrices (the connected components of their exact
-nonzero pattern): the spin blocks of a pure-gauge family in d = 1, the
-1 x 1 blocks of the diagonal h0, which step as exact phases.
+mode groups (`mode_groups`) of the support a family records when built,
+read once per evolution: the spin blocks of a pure-gauge family in d = 1,
+the 1 x 1 blocks of the diagonal h0, which step as exact phases.
 `propagate` steps a static operator or a `DrivenHamiltonian` family, the
 one family both pictures step: `fock.evolve_schrodinger` walks it by the
 same `_step_chunks` and lifts each h(t) onto its Fock basis.
@@ -155,13 +155,13 @@ def _tolerance_error(dev: float, scale: float, tol: float, what: str, violation:
 
 
 def _check_reality(amps: Mapping[IntVec, complex], what: str):
-    """A real field needs amp(-k) = conj(amp(k)) for every stored k, within 1e-13."""
+    """A real field needs amp(-k) = conj(amp(k)) for every stored k, within 1e-13 (an inf leaves a gap of NaN)."""
     for k, val in amps.items():
         mk = (-k[0], -k[1], -k[2])
         if mk not in amps:
             raise ValueError(f"{what}: missing -k partner for k = {k}")
-        if not np.allclose(val, np.conj(amps[mk]), rtol=0, atol=1e-13):
-            gap = np.abs(val - np.conj(amps[mk])).max()
+        gap = np.abs(val - np.conj(amps[mk])).max()
+        if not gap <= 1e-13:
             scale = np.max([np.abs(val).max(), np.abs(amps[mk]).max()])
             raise _tolerance_error(
                 gap, scale, 1e-13, f"{what}: amplitude at k = {k}", f"{what}: reality violated at k = {k}"
@@ -439,17 +439,24 @@ class DrivenHamiltonian:
     `OneBodyOperator`s (the blocks of `interaction_term_matrices`), each
     validated once, here.  A sum of hermitian blocks with real weights is
     hermitian, so `data_at` and `stack` build h(t) without a per-step check.
+    `support`, recorded here too, holds the entries nonzero in h0 or some
+    block: every h(t) is zero off it, and both steppers read it.
     """
 
     h0: OneBodyOperator
     blocks: tuple[tuple[OneBodyOperator, object], ...]
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         h0 = _check_hermitian(self.h0)
+        support = h0 != 0
         for op, _ in self.blocks:
             if _check_hermitian(op).shape != h0.shape:
                 raise ValueError("driven blocks must match the shape of h0")
+            support |= op.matrix != 0
+        support.setflags(write=False)
+        object.__setattr__(self, "support", support)
 
     def data_at(self, t: float) -> np.ndarray:
         """The matrix h(t)."""
@@ -626,54 +633,53 @@ def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: i
     return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
 
 
-def _step_chunks(hamiltonian, t_mid: list[float]):
-    """(first step, its chunk of t_mid, stacked h(t_mid)) in step order, the route of both steppers.
+def mode_groups(support: np.ndarray) -> list[np.ndarray]:
+    """The invariant mode groups of a `support`: its connected components as sorted index arrays, by least index."""
+    labels = _components(support)
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
 
-    A static operator gives one matrix that serves every step; a one-body
-    family gives its `stack` of each `_STEP_CHUNK` midpoint times.  Anything
-    else raises a ValueError here, before any step.
+
+def _step_chunks(hamiltonian, t_mid: list[float]):
+    """(support, iterator of (first step, its chunk of t_mid, stacked h(t_mid))), the route of both steppers.
+
+    A static operator gives its nonzero entries and one matrix for every
+    step, a family its `support` and the `stack` of each `_STEP_CHUNK`
+    midpoint times.  Anything else raises a ValueError here, before any step.
     """
     if isinstance(hamiltonian, OneBodyOperator):
-        return [(0, t_mid, hamiltonian.matrix[None])]
+        return hamiltonian.matrix != 0, iter([(0, t_mid, hamiltonian.matrix[None])])
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise ValueError("hamiltonian must be a OneBodyOperator or a DrivenHamiltonian of OneBodyOperators")
     chunks = ((start, t_mid[start : start + _STEP_CHUNK]) for start in range(0, len(t_mid), _STEP_CHUNK))
-    return ((start, chunk, hamiltonian.stack(chunk)) for start, chunk in chunks)
+    return hamiltonian.support, ((start, chunk, hamiltonian.stack(chunk)) for start, chunk in chunks)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
     """Connected components of a square boolean pattern, taken as undirected.
 
-    Each index is labelled with the smallest index it reaches; the reach
-    matrix is squared until it stops growing.
+    Each index is labelled with the smallest index it reaches: every label
+    drops to the least label among its neighbours until none moves.
     """
-    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
-    while True:
-        wider = reach @ reach
-        if (wider == reach).all():
-            return reach.argmax(axis=1)
-        reach = wider
+    rows, cols = np.nonzero(pattern | pattern.T)
+    labels = np.arange(len(pattern))
+    while (labels[cols] < labels[rows]).any():
+        np.minimum.at(labels, rows, labels[cols])
+    return labels
 
 
-def _split(u: np.ndarray, labels: np.ndarray) -> list:
-    """u on the blocks of a partition, as [(rows, u_blocks)], blocks grouped by size.
+def _split(u: np.ndarray, groups: list[np.ndarray]) -> list:
+    """u on the blocks of the partition `groups` (index arrays), as [(rows, u_blocks)], blocks grouped by size.
 
-    `rows` is an (n_blocks, size) index array and `u_blocks` the matching
-    (n_blocks, size, size) stack; a partition of one block is [(None, u)].
+    `rows` is an (n_blocks, size) index array and `u_blocks` the matching (n_blocks, size, size) stack.
     """
-    if not labels.any():
-        return [(None, u)]
     by_size: dict[int, list] = {}
-    for label in np.unique(labels):
-        rows = np.flatnonzero(labels == label)
+    for rows in groups:
         by_size.setdefault(len(rows), []).append(rows)
     return [(rows, u[rows[:, :, None], rows[:, None, :]]) for rows in map(np.array, by_size.values())]
 
 
 def _join(blocks: list, size: int) -> np.ndarray:
     """The size x size matrix of a block-diagonal u held as `_split` gives it."""
-    if blocks[0][0] is None:
-        return blocks[0][1]
     u = np.zeros((size, size), dtype=complex)
     for rows, ub in blocks:
         u[rows[:, :, None], rows[:, None, :]] = ub
@@ -737,30 +743,19 @@ def propagate(
     `DrivenHamiltonian` of them, whose midpoint Hamiltonians are stacked a
     chunk at a time (`_step_chunks`); anything else raises a ValueError.
     Every chunk steps by the phases or Taylor polynomials of `_guarded_steps`.
-    Steps are taken on invariant blocks: the connected components of the
-    exact nonzero pattern of each chunk, joined with those of the chunks
-    before (so the partition only coarsens, and u stays block-diagonal in
-    it).  Each block is exponentiated and chain-multiplied on its own; once
-    the partition is one block, u is stepped as a whole.  A partition of
-    1 x 1 blocks alone (the diagonal h0, a family before its coupling
-    starts) chains its phases in one cumulative product per chunk
-    (`_chain`), with the bytes of a product per step.
+    u is split once, before the first step, on the `mode_groups` of its
+    support; each block is exponentiated and chain-multiplied on its own,
+    and joined only where u is recorded.  1 x 1 blocks alone (the diagonal h0, a family
+    whose blocks are all zero) chain their phases in one cumulative product
+    per chunk (`_chain`), with the bytes of a product per step.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
-    mats = []
-    for first, chunk, h in _step_chunks(hamiltonian, t_mid):
-        if not mats:
-            size = h.shape[-1]
-            labels = np.arange(size)
-            mats.append(np.eye(size, dtype=complex))
-            blocks = _split(mats[0], labels)
-        if blocks[0][0] is not None:
-            same = labels[:, None] == labels
-            pattern = np.any(h != 0, axis=0)
-            if (pattern & ~same).any():
-                labels = _components(pattern | same)
-                blocks = _split(_join(blocks, size), labels)
-        hs = [h if rows is None else h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks]
+    support, chunks = _step_chunks(hamiltonian, t_mid)
+    size = len(support)
+    mats = [np.eye(size, dtype=complex)]
+    blocks = _split(mats[0], mode_groups(support))
+    for first, chunk, h in chunks:
+        hs = [h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks]
         del h  # the block stacks hold all the steps read: free the chunk's stack before the products
         steps = _guarded_steps(hs, dt, chunk, first)
         steps = [np.broadcast_to(s, (len(chunk),) + s.shape[1:]) for s in steps]

@@ -202,6 +202,22 @@ def test_write_outputs_emits_lf_csv_and_json(tmp_path):
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize("metrics, check", [({"rel_dev": float("inf")}, 0.0), ({"rel_dev": 1.0}, float("nan"))])
+def test_report_with_a_metric_that_is_not_finite_writes_no_file(tmp_path, capsys, monkeypatch, metrics, check):
+    """JSON has no inf or NaN: such a metric or check value is a numerical guard, before either file is opened."""
+    checks = [experiments.check_leq("linear", check, 0.05)]
+    rep = experiments.Report("baseline", ScenarioConfig(), {"f_star": None, **metrics}, checks, (["f"], [[0.0]]))
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError, match=r"^baseline: metric `(rel_dev` = inf|linear` = nan) is not finite$"):
+        write_outputs(rep, out)
+    assert not out.exists()
+    monkeypatch.setitem(experiments.SCENARIOS, "baseline", lambda cfg: rep)
+    assert main(["baseline", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: baseline: metric") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_scenario_run_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["baseline", "--out-dir", str(out1)]) == 0
@@ -352,6 +368,8 @@ BAD_CONFIGS = [
     ("equivalence", "scan_subsets = 0 1, 1 0", "`scan_subsets`"),
     ("energy-heisenberg", "f_list = 0, 0.1, 0.1", "`f_list` repeats a value"),
     ("gauge-schrodinger", "f_list = 0, 0.05, 0.05, 0.1", "`f_list` repeats a value"),
+    # f = Delta_xi / integral(D^2) at the defaults: a linear prediction of exactly 0 to divide by
+    ("gauge-schrodinger", "f_list = 0, 0.05, 0.1, 103.58007771533707", "`f_list`: f = 103.58007771533707"),
 ]
 
 
@@ -419,7 +437,7 @@ def test_main_imaginary_part_guard_is_a_numerical_guard(tmp_path, capsys, monkey
 # configs whose values overflow inside a run: to inf, then NaN, or (chi_amplitude)
 # to finite entries whose rounding alone exceeds an absolute tolerance
 NON_FINITE_RUNS = [
-    ("equivalence", "drive_amplitude = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
+    ("equivalence", "drive_amplitude = 1.7e308\nn_steps = 50", "a: amplitude at k = (0, 0, 1) is not finite"),
     ("baseline", "e = 1.7e308\nn_steps = 50", "bilinear field is not finite"),
     ("gauge-schrodinger", "e = 1.7e308\nn_steps = 50", "one-body matrix is not finite"),
     ("gauge-heisenberg", "chi_amplitude = 1e300", "one-body matrix of magnitude 4.619e+299 misses the tolerance"),

@@ -366,7 +366,7 @@ def test_schrodinger_scan_in_spin_sectors_matches_the_one_group_route(monkeypatc
     spin = run_schrodinger_gauge_scan(cfg)
     assert sorted(set(dims)) == [24, 300]  # of 56 and 792 at M = 8 and 12
     dims.clear()
-    monkeypatch.setattr(experiments, "_spin_groups", lambda cat: [list(range(cat.size))])
+    monkeypatch.setattr(experiments, "mode_groups", lambda support: [list(range(len(support)))])
     one = run_schrodinger_gauge_scan(cfg)
     assert sorted(set(dims)) == [56, 792]
     assert spin.passed and one.passed

@@ -20,7 +20,6 @@ from diracbox import fock
 from diracbox.experiments import (
     ScenarioConfig,
     _pure_gauge,
-    _spin_groups,
     _subset_catalog,
     scan_profile,
 )
@@ -57,6 +56,7 @@ from diracbox.onebody import (
     gauge_transform,
     h0_matrix,
     interaction_term_matrices,
+    mode_groups,
 )
 
 SMINUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -383,17 +383,37 @@ def test_family_route_writes_the_per_step_expm_multiply_bytes(route):
     assert amps.shape == want.shape and (amps == want).all()
 
 
-def scan_family(momenta, spin=False):
-    """The one-body driven family of one default gauge-schrodinger subset at f = 1, and omega0.
+def spin_groups(catalog):
+    """Mode indices of each spin: the groups a pure-gauge family on the z axis keeps apart (the oracle of `mode_groups`)."""
+    spins = [mode.label.s for mode in catalog.modes]
+    return [[i for i, s in enumerate(spins) if s == spin] for spin in sorted(set(spins))]
+
+
+def scan_family(momenta, spin=False, cfg=None):
+    """The one-body driven family of one gauge-schrodinger subset at f = 1 (default config), and omega0.
 
     omega0 lives in its particle-number sector, or with `spin` in its spin sector.
     """
-    cfg = ScenarioConfig()
+    cfg = cfg or ScenarioConfig()
     cat = _subset_catalog(cfg, momenta)
     chi = GaugeFunction(scan_profile(cat, cfg), cfg.envelope())
-    omega = omega0_state(cat, cfg.mode1, cfg.mode2, _spin_groups(cat) if spin else None)
+    omega = omega0_state(cat, cfg.mode1, cfg.mode2, spin_groups(cat) if spin else None)
     blocks = interaction_term_matrices(cat, _pure_gauge(chi, cat.grid), cfg.e)
     return DrivenHamiltonian(h0_matrix(cat), blocks), omega
+
+
+@pytest.mark.parametrize(
+    "mode2, subsets",
+    [(label(+1, 0.5, 1), ((0, 1), (-1, 0, 1))), (label(+1, 0.5, -1), ((-1, 0), (-1, 0, 1)))],
+    ids=["default", "mirrored"],
+)
+def test_scan_family_groups_are_the_spins(mode2, subsets):
+    """The sector gauge-schrodinger steps in, the groups of its unit family, is the (N_up, N_down) sector."""
+    cfg = ScenarioConfig(mode2=mode2, scan_subsets=subsets)
+    for momenta in subsets:
+        family, _ = scan_family(momenta, cfg=cfg)
+        oracle = spin_groups(_subset_catalog(cfg, momenta))
+        assert sorted(g.tolist() for g in mode_groups(family.support)) == sorted(oracle)
 
 
 def zero_diagonal_family():
@@ -837,10 +857,10 @@ def test_index_of_occupations_reads_the_spin_sector():
 
 def test_quantize_rejects_a_spin_mixing_entry_naming_the_pair():
     cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
-    basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), _spin_groups(cat)).basis
+    basis = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), spin_groups(cat)).basis
     assert basis.dim == 24
     quantize(h0_matrix(cat), basis)  # diagonal: keeps every group's count
-    up, down = _spin_groups(cat)
+    up, down = spin_groups(cat)
     i, j = up[1], down[2]
     h = np.array(h0_matrix(cat).matrix)
     h[i, j] = h[j, i] = 0.25
@@ -849,7 +869,7 @@ def test_quantize_rejects_a_spin_mixing_entry_naming_the_pair():
     with pytest.raises(ValueError, match=msg):
         quantize(OneBodyOperator(h), basis)
     # the stepper checks each operator of a family once, before any step
-    state = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), _spin_groups(cat))
+    state = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1), spin_groups(cat))
     mixing = DrivenHamiltonian(h0_matrix(cat), [(OneBodyOperator(h - h0_matrix(cat).matrix), Constant(1.0))])
     for ham in (OneBodyOperator(h), mixing):
         with pytest.raises(ValueError, match=msg):

@@ -19,6 +19,7 @@ from diracbox.fock import (
     vacuum_state,
 )
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
+from diracbox import onebody
 from diracbox.experiments import ScenarioConfig, _default_chi, _pure_gauge
 from diracbox.onebody import (
     _STEP_CHUNK,
@@ -28,7 +29,9 @@ from diracbox.onebody import (
     _components,
     _coupling_matrix,
     _exp_taylor,
+    _step_chunks,
     _taylor_degree,
+    mode_groups,
     Constant,
     CosineRamp,
     DrivenHamiltonian,
@@ -748,21 +751,99 @@ def test_default_gauge_run_stays_unitary():
     assert np.abs(u.conj().T @ u - np.eye(cat.size)).max() <= 1e-11
 
 
+def reach_components(pattern):
+    """The oracle of `_components`: square the reach matrix until it stops growing, label by the least index reached."""
+    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            return reach.argmax(axis=1)
+        reach = wider
+
+
 def test_components_of_a_hand_made_pattern():
     # two 3-mode blocks, isolated 6 and 7 (7 with no diagonal entry), and a
-    # chain 8 - 10 - 9 that a squaring must close
+    # chain 8 - 10 - 9 whose label 8 reaches 9 through 10 only
     pattern = np.zeros((11, 11), dtype=bool)
     for block in ([0, 2, 4], [1, 3, 5]):
         pattern[np.ix_(block, block)] = True
     pattern[6, 6] = True
     pattern[8, 10] = pattern[10, 9] = True  # one direction only: taken as undirected
-    assert _components(pattern).tolist() == [0, 1, 0, 1, 0, 1, 6, 7, 8, 8, 8]
+    assert _components(pattern).tolist() == reach_components(pattern).tolist() == [0, 1, 0, 1, 0, 1, 6, 7, 8, 8, 8]
     # one entry between the spin blocks joins them
     pattern[4, 5] = True
-    assert _components(pattern).tolist() == [0, 0, 0, 0, 0, 0, 6, 7, 8, 8, 8]
-    # a chain through every index is one block
-    chain = np.eye(11, k=1, dtype=bool)
-    assert (_components(chain) == 0).all()
+    assert _components(pattern).tolist() == reach_components(pattern).tolist() == [0, 0, 0, 0, 0, 0, 6, 7, 8, 8, 8]
+    # a chain through every index is one block, in either direction
+    for chain in (np.eye(11, k=1, dtype=bool), np.eye(11, k=-1, dtype=bool)):
+        assert (_components(chain) == 0).all()
+
+
+def test_components_equal_the_reach_squaring_oracle_on_random_patterns():
+    rng = np.random.default_rng(25)
+    for trial in range(200):
+        size = int(rng.integers(1, 60))
+        # densities from a few isolated entries to one connected block
+        pattern = rng.random((size, size)) < rng.choice([0.0, 0.01, 0.03, 0.1, 0.5])
+        # and a few diagonal entries, as h0's
+        pattern |= np.diag(rng.random(size) < 0.5)
+        assert _components(pattern).tolist() == reach_components(pattern).tolist(), trial
+
+
+def test_pure_gauge_family_groups_are_its_spin_blocks():
+    family = pure_gauge_family()
+    # the groups come in the order of their least index
+    groups = [g.tolist() for g in mode_groups(family.support)]
+    assert groups == sorted(b.tolist() for b in spin_blocks(catalog1d(n_max=2)))
+    # gauge-heisenberg's family at each default cutoff: two blocks, the spins
+    for n_max in ScenarioConfig().cutoffs:
+        _, cat, default = default_gauge_family(n_max)
+        assert [g.tolist() for g in mode_groups(default.support)] == sorted(b.tolist() for b in spin_blocks(cat))
+    # h0 alone is diagonal: every mode is its own group
+    assert [g.tolist() for g in mode_groups(family.h0.matrix != 0)] == [[i] for i in range(family.h0.size)]
+    # a transverse a joins the spins into one group
+    assert [g.tolist() for g in mode_groups(spin_mixing_family().support)] == [list(range(family.h0.size))]
+
+
+def test_family_support_is_recorded_once_when_built():
+    family = spin_mixing_family()
+    want = np.any([op.matrix != 0 for op in (family.h0, *(op for op, _ in family.blocks))], axis=0)
+    assert (family.support == want).all() and not family.support.flags.writeable
+    # both steppers read it from `_step_chunks`, a static operator's its nonzero entries
+    assert _step_chunks(family, [0.5])[0] is family.support
+    assert (_step_chunks(family.h0, [0.5])[0] == np.eye(family.h0.size, dtype=bool)).all()
+    # h(t) is zero off the support at every t
+    assert not family.stack([0.1, 0.5, 1.0])[:, ~family.support].any()
+    # the support is derived, so it takes no part in equality or repr
+    assert family == DrivenHamiltonian(family.h0, family.blocks) and "support" not in repr(family)
+
+
+def test_propagate_partitions_once_before_the_first_chunk(monkeypatch):
+    """One partition per call, from the family's support: none per chunk, at 8000 steps (500 chunks)."""
+    calls = {"_components": 0, "_split": 0}
+    for name in calls:
+        original = getattr(onebody, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(onebody, name, counted)
+    _, cat, family = default_gauge_family()
+    for ham in (family, family.h0):
+        propagate(ham, (0.0, 1.0), 8000, record_every=400)
+        assert calls == {"_components": 1, "_split": 1}
+        calls.update(_components=0, _split=0)
+
+
+def test_family_with_all_zero_blocks_is_stepped_as_its_h0():
+    # chi_amplitude = 0: the pure-gauge blocks are all zero, so the support is
+    # h0's diagonal and the family steps as exact phases, chunk by chunk
+    _, cat, family = default_gauge_family()
+    zero = DrivenHamiltonian(family.h0, [(OneBodyOperator(0.0 * op.matrix), env) for op, env in family.blocks])
+    assert len(mode_groups(zero.support)) == cat.size
+    got = propagate(zero, (0.0, 1.0), 8000, record_every=400)
+    want = propagate(family.h0, (0.0, 1.0), 8000, record_every=400)
+    assert (got.times == want.times).all() and (got.matrices == want.matrices).all()
 
 
 class Window:
@@ -776,9 +857,10 @@ class Window:
 
 
 def test_partition_coarsens_mid_run():
-    # diagonal h0 alone (1 x 1 blocks), the spin blocks of a pure-gauge
-    # coupling on [0.2, 0.4), kept while h0 runs alone again, then one block
-    # once a transverse a joins at 0.7
+    # h0 alone, a pure-gauge coupling on [0.2, 0.4), h0 alone again, then a
+    # transverse a from 0.7: the support of the whole family is one block, so
+    # u is stepped as one block from the first step, within 1e-12 of the eigh
+    # loop throughout
     gauge = pure_gauge_family()
     mixing = spin_mixing_family()
     family = DrivenHamiltonian(
@@ -819,17 +901,14 @@ def test_static_diagonal_chain_is_the_per_step_phase_chain():
 
 def test_coupling_that_starts_inside_a_chunk_keeps_the_phase_chain_before_it():
     # the pure-gauge coupling starts at step 40, inside the chunk of steps
-    # 32-47: chunks 0 and 1 step h0 alone (1 x 1 blocks), and so does the
-    # start of chunk 2, which steps on the spin blocks
+    # 32-47; the family's support holds the coupling, so every step, those
+    # of h0 alone included, is a Taylor step on the spin blocks, within
+    # 1e-12 of the eigh loop
     gauge = pure_gauge_family()
     n_steps = 203
     start = 40 / n_steps  # t_mid[39] < start <= t_mid[40]
     family = DrivenHamiltonian(gauge.h0, [(op, Window(env, start)) for op, env in gauge.blocks])
     prop = propagate(family, (0.0, 1.0), n_steps=n_steps)
-    energies = np.diag(gauge.h0.matrix)
-    chain = phase_chain(lambda t: energies, (0.0, 1.0), n_steps, 1)
-    assert (prop.matrices[: 2 * _STEP_CHUNK + 1] == chain[: 2 * _STEP_CHUNK + 1]).all()
-    # from chunk 2 on the spin blocks take Taylor steps, within 1e-12 of the eigh loop
     _, mats = reference_propagate(per_t_sum(family), (0.0, 1.0), n_steps=n_steps)
     assert np.abs(prop.matrices - mats).max() <= 1e-12
 
@@ -971,6 +1050,7 @@ def test_non_finite_values_fail_the_operator_check_and_the_step_guard():
         propagate(huge, (0.0, 1.0), 10)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf, the gap of an infinite amplitude
 def test_overflowing_data_fail_the_checks_as_numerical_trips():
     """A check that only its absolute tolerance fails, on data too large for it, is a FloatingPointError."""
     # hermitian up to the last bit of entries near 1e300: rounding, not asymmetry
@@ -986,5 +1066,13 @@ def test_overflowing_data_fail_the_checks_as_numerical_trips():
         GaugeFunction({1: 1e300, -1: np.nextafter(1e300, np.inf)}, CosineRamp(1.0))
     with pytest.raises(FloatingPointError, match=r"^a0: amplitude at k = \(0, 0, 1\) is not finite"):
         PotentialSpec.single(a0={1: np.nan, -1: np.nan})
+    # an infinite amplitude is not finite either, though inf == inf: a vector component, a scalar, a partner pair
+    inf = np.inf
+    with pytest.raises(FloatingPointError, match=r"^a: amplitude at k = \(0, 0, 1\) is not finite: deviation nan"):
+        PotentialSpec.single(a={1: [0.0, 0.0, inf], -1: [0.0, 0.0, inf]})
+    with pytest.raises(FloatingPointError, match=r"^chi: amplitude at k = \(0, 0, 1\) is not finite"):
+        GaugeFunction({1: inf, -1: inf}, CosineRamp(1.0))
+    with pytest.raises(FloatingPointError, match=r"^a0: amplitude at k = \(0, 0, 1\) is not finite"):
+        PotentialSpec.single(a0={1: complex(inf, 1.0), -1: complex(inf, -1.0)})
     with pytest.raises(ValueError, match="reality violated"):
         GaugeFunction({1: 1e300, -1: 2e300}, CosineRamp(1.0))
