@@ -5,8 +5,10 @@
 # the path of the benchmark's d3-field-sampling workload), `gauge-heisenberg`
 # at chi_amplitude = 0 (a family whose blocks are all zero) and
 # `gauge-schrodinger` on the mirrored subsets -1 0, -1 0 1 with mode2 = -1:+
-# (the benchmark's seeded variant) on git revision REV and on the working
-# tree, each with one BLAS thread, then `diff -r` the two output directories.
+# (the benchmark's seeded variant) and `energy-heisenberg` at d = 3
+# (n_max = 1, 1000 steps: a driven family whose mode groups come in two
+# sizes, 6 and 12) on git revision REV and on the working tree, each with
+# one BLAS thread, then `diff -r` the two output directories.
 # The console logs of both runs are part of the outputs.  When they differ,
 # scripts/compare_numbers.py then prints how far each number in the differing
 # CSV/JSON files moved; given FLOOR_JSON (from `scripts/relabel_floor.py N
@@ -28,6 +30,7 @@ git -C "${repo}" archive "${rev}" | tar -x -C "${tmp}/rev"
 printf 'd = 3\nn_max = 1\nn_steps = 200\n' > "${tmp}/d3.cfg"
 printf 'chi_amplitude = 0\n' > "${tmp}/chi0.cfg"
 printf 'mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n' > "${tmp}/mirrored.cfg"
+printf 'd = 3\nn_max = 1\nn_steps = 1000\n' > "${tmp}/energy-d3.cfg"
 
 # run_tree TREE OUT: outputs of TREE's sources under OUT, with paths relative to OUT
 run_tree() {
@@ -43,6 +46,8 @@ run_tree() {
             --out-dir gauge-heisenberg-chi0 > gauge-heisenberg-chi0.log 2>&1 || true
         PYTHONPATH="$1/src" python3 -m diracbox.cli gauge-schrodinger --config "${tmp}/mirrored.cfg" \
             --out-dir gauge-schrodinger-mirrored > gauge-schrodinger-mirrored.log 2>&1 || true
+        PYTHONPATH="$1/src" python3 -m diracbox.cli energy-heisenberg --config "${tmp}/energy-d3.cfg" \
+            --out-dir energy-heisenberg-d3 > energy-heisenberg-d3.log 2>&1 || true
     )
 }
 

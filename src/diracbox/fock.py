@@ -28,8 +28,10 @@ A one-body matrix h lifts to the bilinear sum_ij h_ij c_i^dag c_j (no normal
 ordering; the sea energy is kept), one gather on the table (`_lift`).  Time
 evolution uses the same midpoint-exponential rule, time grid and step guard
 as the one-body layer: `evolve_schrodinger` steps what `onebody.propagate`
-steps, a static `OneBodyOperator` or a `DrivenHamiltonian`, the one family
-of both pictures, and lifts each midpoint h(t) onto the state's basis.  Each
+steps, a static `OneBodyOperator` or a `DrivenHamiltonian`, by the same
+route (`onebody._route`): the one family of both pictures, read only on its
+mode-group blocks, whose guarded entries at each midpoint it lifts onto the
+state's basis.  Each
 step applies exp(-i H dt) to the state with a truncated Taylor series on the
 stored entries of H (Al-Mohy & Higham 2011).  One core steps them all:
 `evolve_schrodinger_batch` advances one state under K families of one basis
@@ -60,8 +62,9 @@ from .onebody import (
     DrivenHamiltonian,
     OneBodyOperator,
     _check_hermitian,
+    _route,
     _step_chunks,
-    _step_guard,
+    _tolerance_error,
     h0_matrix,
     time_grid,
 )
@@ -242,7 +245,11 @@ def car_residual(ladders: tuple[sp.csr_matrix, ...]) -> float:
 
 @dataclass(frozen=True)
 class FockState:
-    """Normalized amplitude vector over the occupation basis."""
+    """Normalized amplitude vector over the occupation basis, within 1e-10.
+
+    A norm off 1 is a ValueError, or a FloatingPointError where some
+    amplitude (or the norm) is not finite (`onebody._tolerance_error`).
+    """
 
     amplitudes: np.ndarray
     basis: FockBasis
@@ -252,15 +259,22 @@ class FockState:
         if amp.shape != (self.basis.dim,):
             raise ValueError(f"amplitude shape {amp.shape} != ({self.basis.dim},)")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm} drifted beyond 1e-10")
+        if not abs(norm - 1.0) <= 1e-10:
+            raise _tolerance_error(
+                abs(norm - 1.0), norm, 1e-10, "Fock state norm", f"state norm {norm} drifted beyond 1e-10"
+            )
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True)
 class ManyBodyOperator:
-    """Hermitian sparse operator on the Fock basis it acts on, checked when built (stored as CSR)."""
+    """Hermitian sparse operator on the Fock basis it acts on, checked when built (stored as CSR).
+
+    A deviation above 1e-12 is a ValueError, or a FloatingPointError where
+    it is a numerical trip (`onebody._tolerance_error`), a NaN or inf entry
+    among them.
+    """
 
     matrix: sp.csr_matrix
     basis: FockBasis
@@ -276,8 +290,9 @@ class ManyBodyOperator:
             )
         m = m.tocsr()
         dev = m - m.conj().T
-        if dev.nnz and np.abs(dev.data).max() > 1e-12:
-            raise ValueError("hermiticity violated")
+        gap = np.abs(dev.data).max() if dev.nnz else 0.0
+        if not gap <= 1e-12:
+            raise _tolerance_error(gap, np.abs(m.data).max(), 1e-12, "many-body matrix", "hermiticity violated")
         object.__setattr__(self, "matrix", m)
 
 
@@ -325,9 +340,17 @@ def _check_sector(h: np.ndarray, basis: FockBasis):
         )
 
 
-def _lift(h: np.ndarray, occupation: np.ndarray, gather: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The entries of sum_ij h_ij c_i^dag c_j at the table slots whose `gather` and `sign` are given."""
-    return sign * np.concatenate([h.ravel(), occupation @ np.diag(h)])[gather]
+def _lift(
+    entries: np.ndarray, occupation: np.ndarray, diagonal: np.ndarray, where: np.ndarray, sign: np.ndarray
+) -> np.ndarray:
+    """The entries of sum_ij h_ij c_i^dag c_j at table slots, from some `entries` of h.
+
+    `diagonal` holds the positions of h_00 ... h_(M-1)(M-1) in `entries`.  A
+    slot of gather i*M + j reads `entries` at position where = that of h_ij,
+    a diagonal slot of gather M*M + row reads where = len(entries) + row, its
+    `occupation` times diag(h); `sign` is the slot's.
+    """
+    return sign * np.concatenate([entries, occupation @ entries[diagonal]])[where]
 
 
 def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
@@ -338,8 +361,8 @@ def quantize(h: OneBodyOperator, basis: FockBasis) -> ManyBodyOperator:
     import scipy.sparse as sp
 
     _check_sector(h.matrix, basis)
-    table = basis.table
-    data = _lift(h.matrix, table.occupation, table.gather, table.sign)
+    table, M = basis.table, basis.n_modes
+    data = _lift(h.matrix.ravel(), table.occupation, np.arange(M) * (M + 1), table.gather, table.sign)
     return ManyBodyOperator(
         sp.csr_matrix((data, table.indices, table.indptr), shape=(basis.dim, basis.dim)), basis
     )
@@ -563,18 +586,19 @@ def evolve_schrodinger_batch(
 
     Returns (recorded times, the recorded states of each family); each
     family's states are the bytes of its own one-family evolution.  Every
-    family is a static `OneBodyOperator` or a `DrivenHamiltonian`, walked by
-    `_step_chunks`, and each of its chunks passes `_step_guard` before it is
-    stepped, so a family that trips raises the StepGuardError of its own
-    run.  Anything else raises a ValueError, and each operator must keep the
-    state's sector (`_check_sector`).
+    family is what `onebody.propagate` steps, read by the same `_route`
+    (anything else raises a ValueError), and each operator must keep the
+    state's sector (`_check_sector`).  Its chunks come from the same
+    `_step_chunks`, guarded there, so a family that trips raises the
+    StepGuardError of its own run, and of `propagate`'s.
 
     The K lifted H(t) sit on one block-diagonal CSR, built once.  Block k
-    holds family k's slots: those of the basis' table on its support (which
-    `_step_chunks` gives both steppers), and every diagonal slot, as the
-    kernel needs each stored once; families of one support share their
-    gather and sign.  Each step lifts every h_k(t) onto its block with
-    `quantize`'s arithmetic (`_lift`), a static operator once, and
+    holds family k's slots: those of the basis' table on its support, and
+    every diagonal slot, as the kernel needs each stored once.  Beside them
+    each support maps the slots' gather to positions in a chunk's entries
+    (the `_route` index of the family's mode-group blocks); families of one
+    support share both.  Each step lifts every h_k(t) from its chunk's
+    entries onto its block with `quantize`'s arithmetic (`_lift`), and
     `_expm_shifted` steps all K states with one CSR product per Taylor term.
     """
     import scipy.sparse as sp
@@ -582,46 +606,46 @@ def evolve_schrodinger_batch(
     if not hamiltonians:
         raise ValueError("evolve_schrodinger_batch needs at least one family")
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
-    supports, chunks = zip(*(_step_chunks(ham, t_mid) for ham in hamiltonians))
+    routes = [_route(ham) for ham in hamiltonians]
     basis, table = state.basis, state.basis.table
-    dim, K = basis.dim, len(hamiltonians)
-    by_support: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    lifts = []  # (slots, gather, sign) of each family
-    for ham, support in zip(hamiltonians, supports):
-        ops = (ham,) if isinstance(ham, OneBodyOperator) else (ham.h0, *(op for op, _ in ham.blocks))
-        for op in ops:
+    dim, K, M = basis.dim, len(hamiltonians), basis.n_modes
+    by_support: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+    lifts = []  # (slots, diagonal, where, sign) of each family
+    for family, _, index in routes:
+        for op in (family.h0, *(op for op, _ in family.blocks)):
             _check_sector(op.matrix, basis)
-        key = support.tobytes()
+        key = family.support.tobytes()
         if key not in by_support:
-            slots = np.flatnonzero(np.concatenate([support.ravel(), np.ones(dim, dtype=bool)])[table.gather])
-            by_support[key] = slots, table.gather[slots], table.sign[slots]
+            slots = np.flatnonzero(np.concatenate([family.support.ravel(), np.ones(dim, dtype=bool)])[table.gather])
+            # position of each gather value among a chunk's entries, then of each diagonal lift after them
+            position = np.zeros(M * M + dim, dtype=np.intp)
+            position[index] = np.arange(len(index))
+            position[M * M :] = len(index) + np.arange(dim)
+            by_support[key] = slots, position[np.arange(M) * (M + 1)], position[table.gather[slots]], table.sign[slots]
         lifts.append(by_support[key])
-    bounds = np.cumsum([0] + [len(slots) for slots, _, _ in lifts])
-    counts = np.concatenate([np.bincount(table.rows[slots], minlength=dim) for slots, _, _ in lifts])
+    bounds = np.cumsum([0] + [len(slots) for slots, *_ in lifts])
+    counts = np.concatenate([np.bincount(table.rows[slots], minlength=dim) for slots, *_ in lifts])
     work = sp.csr_matrix(
         (
             np.zeros(bounds[-1], complex),
-            np.concatenate([table.indices[slots] + k * dim for k, (slots, _, _) in enumerate(lifts)]),
+            np.concatenate([table.indices[slots] + k * dim for k, (slots, *_) in enumerate(lifts)]),
             np.concatenate([[0], np.cumsum(counts)]).astype(table.indptr.dtype),
         ),
         shape=(K * dim, K * dim),
     )
-    diag = np.concatenate([lo + np.flatnonzero(g >= basis.n_modes**2) for lo, (_, g, _) in zip(bounds, lifts)])
+    diag = np.concatenate([lo + np.flatnonzero(table.gather[slots] >= M * M) for lo, (slots, *_) in zip(bounds, lifts)])
     held = [work.data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     occupation = table.occupation.astype(complex)  # the cast quantize's matmul makes on every call
+    chunks = [_step_chunks(family, layout, index, dt, t_mid) for family, layout, index in routes]
     psi = np.tile(state.amplitudes, (K, 1))
     runs = [[state] for _ in range(K)]
-    current = [(0, [], ())] * K  # each family's chunk: (first step, its t_mid, its stacked h)
-    values = [None] * K
+    current = [(0, ())] * K  # each family's chunk: (first step, its entries)
     for n in range(n_steps):
         for k in range(K):
-            first, chunk, hs = current[k]
-            if n == first + len(chunk):
-                current[k] = first, chunk, hs = next(chunks[k])
-                _step_guard([hs], dt, chunk, first)
-            if n - first < len(hs):  # a static operator's one matrix is lifted once
-                values[k] = _lift(hs[n - first], occupation, *lifts[k][1:])
-            np.multiply(values[k], -1j * dt, out=held[k])
+            first, entries = current[k]
+            if n == first + len(entries):
+                current[k] = first, entries = next(chunks[k])[:2]
+            np.multiply(_lift(entries[n - first], occupation, *lifts[k][1:]), -1j * dt, out=held[k])
         psi = _expm_shifted(work, diag, psi)
         if n + 1 in kept:
             for run, amplitudes in zip(runs, psi):

@@ -24,15 +24,16 @@ batches of `_STEP_CHUNK` steps ahead of the chain of products.  Every
 chunk that passes the step guard steps by a truncated Taylor polynomial,
 its degree read off the theta_m table of Al-Mohy & Higham (SIAM J. Sci.
 Comput. 33, 488 (2011)) that the Fock kernel reads too; it is unitary to
-roundoff.  The guard (`_step_guard`, which the Fock stepper runs on the same
-chunks) bounds ||h||_2 * dt; a chunk is metered by eigvalsh only when its
-1-norm, an upper bound, exceeds that.  Steps are taken on the invariant
-mode groups (`mode_groups`) of the support a family records when built,
-read once per evolution: the spin blocks of a pure-gauge family in d = 1,
-the 1 x 1 blocks of the diagonal h0, which step as exact phases.
-`propagate` steps a static operator or a `DrivenHamiltonian` family, the
-one family both pictures step: `fock.evolve_schrodinger` walks it by the
-same `_step_chunks` and lifts each h(t) onto its Fock basis.
+roundoff.  The guard (`_step_guard`) bounds ||h||_2 * dt; a chunk is
+metered by eigvalsh only when its 1-norm, an upper bound, exceeds that.
+Both steppers take one route (`_route`): every Hamiltonian is a
+`DrivenHamiltonian` family (a static operator one with no blocks), read
+only on the blocks of the invariant mode groups (`mode_groups`) of the
+support it records when built: the spin blocks of a pure-gauge family in
+d = 1, the 1 x 1 blocks of the diagonal h0, which step as exact phases.
+`_step_chunks` builds each chunk's h(t) on those blocks alone and guards
+it; `propagate` steps u on the blocks, and `fock.evolve_schrodinger` lifts
+the same entries onto its Fock basis.
 """
 
 from __future__ import annotations
@@ -434,13 +435,14 @@ def _check_hermitian(op, kind=OneBodyOperator) -> np.ndarray:
 class DrivenHamiltonian:
     """h(t) = h0 + sum_b g_b(t) B_b with static hermitian blocks B_b.
 
-    One family for both pictures, and the only time-dependent Hamiltonian
-    `propagate` and `fock.evolve_schrodinger` step: h0 and the blocks are
-    `OneBodyOperator`s (the blocks of `interaction_term_matrices`), each
-    validated once, here.  A sum of hermitian blocks with real weights is
-    hermitian, so `data_at` and `stack` build h(t) without a per-step check.
-    `support`, recorded here too, holds the entries nonzero in h0 or some
-    block: every h(t) is zero off it, and both steppers read it.
+    One family for both pictures, and the only Hamiltonian `propagate` and
+    `fock.evolve_schrodinger` step (`_route` makes a static operator one
+    with no blocks): h0 and the blocks are `OneBodyOperator`s (the blocks
+    of `interaction_term_matrices`), each validated once, here.  A sum of
+    hermitian blocks with real weights is hermitian, so h(t) needs no
+    per-step check.  `support`, recorded here too, holds the entries
+    nonzero in h0 or some block: every h(t) is zero off it, and both
+    steppers read it.
     """
 
     h0: OneBodyOperator
@@ -463,11 +465,11 @@ class DrivenHamiltonian:
         return self.stack([t])[0]
 
     def stack(self, times) -> np.ndarray:
-        """h(t) at every t in `times`, one (n, M, M) array.
+        """h(t) at every t in `times`, one dense (n, M, M) array.
 
         Each h(t) is h0 with g_b(t) B_b added in block order, none where
-        g_b(t) = 0.  The sums run in place, one t at a time, so that every
-        temporary stays M x M.
+        g_b(t) = 0: the sums `_step_chunks` takes on the mode-group blocks
+        alone, so this is their dense oracle.  No stepper reads it.
         """
         h = np.empty((len(times),) + self.h0.matrix.shape, dtype=complex)
         h[:] = self.h0.matrix
@@ -522,8 +524,6 @@ class OneBodyPropagator:
 
 # midpoint steps per batch; longer chunks cost memory, not time
 _STEP_CHUNK = 16
-# steps per cumulative product of 1 x 1 blocks (`_chain`)
-_PHASE_SLICE = 256
 # accuracy guard of both steppers: the largest ||h(t_mid)||_2 * dt of one step
 MAX_STEP_NORM = 0.1
 # theta_m, the largest 1-norm for which m Taylor terms reach tolerance 2^-53:
@@ -596,8 +596,9 @@ def _exp_taylor(h: np.ndarray, dt: float, m: int) -> np.ndarray:
 def _step_guard(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int) -> float:
     """The step guard of both pictures; returns the chunk's largest ||h_n||_1 * dt.
 
-    `hs` holds stacks of hermitian h_n = h(t_mid[n]), or of their invariant
-    blocks (see `_split`).  The guard bounds ||h_n||_2 * dt by
+    `hs` holds a chunk's stacks of the invariant blocks of hermitian
+    h_n = h(t_mid[n]), as `_step_chunks` builds them for both steppers.
+    The guard bounds ||h_n||_2 * dt by
     `MAX_STEP_NORM`.  Since ||h||_2 <= ||h||_1 for hermitian h, a chunk
     whose largest ||h_n||_1 * dt is within that bound passes as it stands;
     any other chunk is metered by eigvalsh, as the max over blocks of
@@ -617,11 +618,11 @@ def _step_guard(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int)
     return norm
 
 
-def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: int):
-    """exp(-i h_n dt) on each stack of hermitian blocks of h_n = h(t_mid[n]), past `_step_guard`.
+def _guarded_steps(hs: list[np.ndarray], dt: float, norm: float):
+    """exp(-i h_n dt) on each stack of hermitian blocks of a chunk that passed `_step_guard` at 1-norm `norm`.
 
-    A passing chunk's 1 x 1 blocks step as exact phases, the others as the
-    Taylor polynomial of the least degree whose theta_m bounds its largest
+    The 1 x 1 blocks step as exact phases, the others as the Taylor
+    polynomial of the least degree whose theta_m bounds the chunk's largest
     1-norm (`_taylor_degree`).  The lookup needs that 1-norm within
     theta_max = 9.9: a passing step has ||h||_1 * dt <= sqrt(n) * 0.1 for
     its largest block size n <= M, which holds for M <= 9 801.  A chunk
@@ -629,7 +630,7 @@ def _guarded_steps(hs: list[np.ndarray], dt: float, t_mid: list[float], first: i
     so at most 5 matmuls per step (`_exp_taylor`; the driven chunks of the
     default scenarios take degrees 4 to 6, 2 or 3 matmuls).
     """
-    m = _taylor_degree(_step_guard(hs, dt, t_mid, first))
+    m = _taylor_degree(norm)
     return [np.exp(-1j * h.real * dt) if h.shape[-1] == 1 else _exp_taylor(h, dt, m) for h in hs]
 
 
@@ -639,19 +640,55 @@ def mode_groups(support: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == label) for label in np.unique(labels)]
 
 
-def _step_chunks(hamiltonian, t_mid: list[float]):
-    """(support, iterator of (first step, its chunk of t_mid, stacked h(t_mid))), the route of both steppers.
+def _route(hamiltonian):
+    """(family, layout, index): how both steppers read `hamiltonian`, before any step.
 
-    A static operator gives its nonzero entries and one matrix for every
-    step, a family its `support` and the `stack` of each `_STEP_CHUNK`
-    midpoint times.  Anything else raises a ValueError here, before any step.
+    The family is `hamiltonian` itself, or for a static `OneBodyOperator` a
+    `DrivenHamiltonian` of it with no blocks; anything else raises a
+    ValueError.  The layout is the `mode_groups` of its support grouped by
+    size, one (n_blocks, size) index array per size, and the index holds
+    the flat M x M position of every entry of those blocks, size by size,
+    each block's entries in row order.
     """
     if isinstance(hamiltonian, OneBodyOperator):
-        return hamiltonian.matrix != 0, iter([(0, t_mid, hamiltonian.matrix[None])])
+        hamiltonian = DrivenHamiltonian(hamiltonian, ())
     if not isinstance(hamiltonian, DrivenHamiltonian):
         raise ValueError("hamiltonian must be a OneBodyOperator or a DrivenHamiltonian of OneBodyOperators")
-    chunks = ((start, t_mid[start : start + _STEP_CHUNK]) for start in range(0, len(t_mid), _STEP_CHUNK))
-    return hamiltonian.support, ((start, chunk, hamiltonian.stack(chunk)) for start, chunk in chunks)
+    size = hamiltonian.h0.size
+    by_size: dict[int, list] = {}
+    for rows in mode_groups(hamiltonian.support):
+        by_size.setdefault(len(rows), []).append(rows)
+    layout = [np.array(rows) for rows in by_size.values()]
+    index = np.concatenate([(rows[:, :, None] * size + rows[:, None, :]).ravel() for rows in layout])
+    return hamiltonian, layout, index
+
+
+def _step_chunks(family: DrivenHamiltonian, layout: list, index: np.ndarray, dt: float, t_mid: list[float]):
+    """Each `_STEP_CHUNK` midpoint times of `t_mid` as (first step, entries, stacks, 1-norm), past `_step_guard`.
+
+    `entries` holds h(t_mid[first + n]) at `index` (`_route`) in row n: h0,
+    then g_b(t) B_b added in block order, none where g_b(t) = 0, the sums
+    `DrivenHamiltonian.stack` takes on the whole matrix.  `stacks` are its
+    views as one (n, n_blocks, size, size) stack per size class of `layout`,
+    and the 1-norm is the guard's, so both steppers read one guarded chunk.
+    """
+    h0 = family.h0.matrix.ravel()[index]
+    terms = [(op.matrix.ravel()[index], env) for op, env in family.blocks]
+    bounds = np.cumsum([0] + [rows.size * rows.shape[1] for rows in layout])
+    for first in range(0, len(t_mid), _STEP_CHUNK):
+        chunk = t_mid[first : first + _STEP_CHUNK]
+        h = np.empty((len(chunk), len(index)), dtype=complex)
+        h[:] = h0
+        for b, env in terms:
+            for h_t, t in zip(h, chunk):
+                g = env.value(t)
+                if g != 0.0:
+                    h_t += g * b
+        hs = [
+            h[:, lo:hi].reshape(len(chunk), *rows.shape, rows.shape[1])
+            for rows, lo, hi in zip(layout, bounds, bounds[1:])
+        ]
+        yield first, h, hs, _step_guard(hs, dt, chunk, first)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
@@ -667,15 +704,9 @@ def _components(pattern: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _split(u: np.ndarray, groups: list[np.ndarray]) -> list:
-    """u on the blocks of the partition `groups` (index arrays), as [(rows, u_blocks)], blocks grouped by size.
-
-    `rows` is an (n_blocks, size) index array and `u_blocks` the matching (n_blocks, size, size) stack.
-    """
-    by_size: dict[int, list] = {}
-    for rows in groups:
-        by_size.setdefault(len(rows), []).append(rows)
-    return [(rows, u[rows[:, :, None], rows[:, None, :]]) for rows in map(np.array, by_size.values())]
+def _split(u: np.ndarray, layout: list[np.ndarray]) -> list:
+    """u on the blocks of a `_route` layout, as [(rows, u_blocks)]: each (n_blocks, size, size) stack with its rows."""
+    return [(rows, u[rows[:, :, None], rows[:, None, :]]) for rows in layout]
 
 
 def _join(blocks: list, size: int) -> np.ndarray:
@@ -691,16 +722,13 @@ def _chain(blocks: list, steps: list):
 
     Where every block is 1 x 1 the chain is elementwise: one cumulative
     product down the chunk's steps, u first, with the products of the
-    per-step loop.  A static operator's chunk is the whole run, so the
-    product runs over `_PHASE_SLICE` steps at a time, which bounds its
-    buffer at 257 x M.
+    per-step loop.
     """
     if len(blocks) == 1 and blocks[0][1].shape[-1] == 1:
         rows, u = blocks[0]
-        for start in range(0, len(steps[0]), _PHASE_SLICE):
-            chain = np.concatenate([u[None], steps[0][start : start + _PHASE_SLICE]])
-            for u in np.cumprod(chain, axis=0, out=chain)[1:]:
-                yield [(rows, u)]
+        chain = np.concatenate([u[None], steps[0]])
+        for u in np.cumprod(chain, axis=0, out=chain)[1:]:
+            yield [(rows, u)]
         return
     for n in range(len(steps[0])):
         blocks = [(rows, s[n] @ ub) for (rows, ub), s in zip(blocks, steps)]
@@ -739,27 +767,23 @@ def propagate(
     recorded).  Raises `StepGuardError` if ||h||_2 * dt exceeds `MAX_STEP_NORM`
     (accuracy guard).
 
-    `hamiltonian` is a static `OneBodyOperator`, exponentiated once, or a
-    `DrivenHamiltonian` of them, whose midpoint Hamiltonians are stacked a
-    chunk at a time (`_step_chunks`); anything else raises a ValueError.
-    Every chunk steps by the phases or Taylor polynomials of `_guarded_steps`.
-    u is split once, before the first step, on the `mode_groups` of its
-    support; each block is exponentiated and chain-multiplied on its own,
-    and joined only where u is recorded.  1 x 1 blocks alone (the diagonal h0, a family
-    whose blocks are all zero) chain their phases in one cumulative product
-    per chunk (`_chain`), with the bytes of a product per step.
+    `hamiltonian` is a static `OneBodyOperator` or a `DrivenHamiltonian`
+    of them, read by `_route` (anything else raises a ValueError): u is
+    split once, before the first step, on the blocks of its mode groups,
+    and every chunk of `_step_chunks`, built and guarded on those blocks
+    alone, steps by the phases or Taylor polynomials of `_guarded_steps`.
+    Each block is chain-multiplied on its own and joined only where u is
+    recorded.  1 x 1 blocks alone (the diagonal h0, a family whose blocks
+    are all zero) chain their phases in one cumulative product per chunk
+    (`_chain`), with the bytes of a product per step.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
-    support, chunks = _step_chunks(hamiltonian, t_mid)
-    size = len(support)
+    family, layout, index = _route(hamiltonian)
+    size = family.h0.size
     mats = [np.eye(size, dtype=complex)]
-    blocks = _split(mats[0], mode_groups(support))
-    for first, chunk, h in chunks:
-        hs = [h[:, rows[:, :, None], rows[:, None, :]] for rows, _ in blocks]
-        del h  # the block stacks hold all the steps read: free the chunk's stack before the products
-        steps = _guarded_steps(hs, dt, chunk, first)
-        steps = [np.broadcast_to(s, (len(chunk),) + s.shape[1:]) for s in steps]
-        for n, blocks in enumerate(_chain(blocks, steps)):
+    blocks = _split(mats[0], layout)
+    for first, _, hs, norm in _step_chunks(family, layout, index, dt, t_mid):
+        for n, blocks in enumerate(_chain(blocks, _guarded_steps(hs, dt, norm))):
             if first + n + 1 in kept:
                 mats.append(_join(blocks, size))
     return OneBodyPropagator(times, np.array(mats))

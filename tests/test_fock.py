@@ -798,6 +798,22 @@ def test_many_body_operator_needs_a_square_sparse_matrix():
     assert quantize(OneBodyOperator(np.eye(3)), basis).basis == basis
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf, the deviation of an infinite entry
+def test_fock_validators_report_values_that_are_not_finite_as_numerical_trips():
+    """A NaN compares false with every bound: the norm and hermiticity checks name it, as OneBodyOperator's does."""
+    basis = FockBasis(2, 1)  # 2 states
+    for bad, dev in ((np.nan, "nan"), (np.inf, "inf")):
+        with pytest.raises(FloatingPointError, match=rf"^Fock state norm is not finite: deviation {dev}$"):
+            FockState(np.array([bad, 0.0]), basis)
+    with pytest.raises(ValueError, match="state norm 2.0 drifted beyond 1e-10"):
+        FockState(np.array([2.0, 0.0]), basis)
+    for entries in ([[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.inf], [np.inf, 0.0]]):
+        with pytest.raises(FloatingPointError, match=r"^many-body matrix is not finite: deviation nan$"):
+            ManyBodyOperator(sp.csr_matrix(np.array(entries, dtype=complex)), basis)
+    with pytest.raises(ValueError, match="hermiticity violated"):
+        ManyBodyOperator(sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]])), basis)
+
+
 def test_operator_on_another_basis_names_both_dimensions():
     cat = restrict_catalog(catalog1d(n_max=1), [0, 1])
     omega = omega0_state(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))

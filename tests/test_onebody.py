@@ -20,7 +20,7 @@ from diracbox.fock import (
 )
 from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
 from diracbox import onebody
-from diracbox.experiments import ScenarioConfig, _default_chi, _pure_gauge
+from diracbox.experiments import ScenarioConfig, _default_chi, _pure_gauge, _unit_gauge_blocks, scan_profile
 from diracbox.onebody import (
     _STEP_CHUNK,
     _THETA,
@@ -29,6 +29,7 @@ from diracbox.onebody import (
     _components,
     _coupling_matrix,
     _exp_taylor,
+    _route,
     _step_chunks,
     _taylor_degree,
     mode_groups,
@@ -39,6 +40,7 @@ from diracbox.onebody import (
     OneBodyOperator,
     PotentialSpec,
     PotentialTerm,
+    Scaled,
     StepGuardError,
     TimeDerivative,
     bfield_coefficients,
@@ -808,18 +810,86 @@ def test_family_support_is_recorded_once_when_built():
     family = spin_mixing_family()
     want = np.any([op.matrix != 0 for op in (family.h0, *(op for op, _ in family.blocks))], axis=0)
     assert (family.support == want).all() and not family.support.flags.writeable
-    # both steppers read it from `_step_chunks`, a static operator's its nonzero entries
-    assert _step_chunks(family, [0.5])[0] is family.support
-    assert (_step_chunks(family.h0, [0.5])[0] == np.eye(family.h0.size, dtype=bool)).all()
+    # both steppers read it through `_route`; a static operator becomes a family of its nonzero entries
+    assert _route(family)[0].support is family.support
+    static = _route(family.h0)[0]
+    assert static.h0 is family.h0 and static.blocks == ()
+    assert (static.support == np.eye(family.h0.size, dtype=bool)).all()
     # h(t) is zero off the support at every t
     assert not family.stack([0.1, 0.5, 1.0])[:, ~family.support].any()
     # the support is derived, so it takes no part in equality or repr
     assert family == DrivenHamiltonian(family.h0, family.blocks) and "support" not in repr(family)
 
 
+def d3_scan_family(f=0.05):
+    """`energy-heisenberg`'s family at d = 3, n_max = 1 (M = 108): mode groups of sizes 12 and 6."""
+    cfg = ScenarioConfig(d=3, n_max=1)
+    cat = cfg.catalog(1)
+    blocks = _unit_gauge_blocks(cat, scan_profile(cat, cfg), cfg.envelope(), cfg.e)
+    return cfg, DrivenHamiltonian(h0_matrix(cat), [(b, Scaled(f, g)) for b, g in blocks])
+
+
+def silent_block_family():
+    """The d = 1 pure-gauge family and an a0 block whose g is 0 before t = 0.5 and 1 from it."""
+    gauge = pure_gauge_family()
+    a0 = interaction_term_matrices(catalog1d(n_max=2), PotentialSpec.single(a0={1: 0.1, -1: 0.1}))[0][0]
+    return DrivenHamiltonian(gauge.h0, gauge.blocks + ((a0, Window(Constant(1.0), 0.5)),))
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [("d1-pure-gauge", [10]), ("d3-scan", [12, 6]), ("silent-block", [10])],
+)
+def test_route_chunk_entries_equal_the_dense_stack(case, sizes):
+    """The entries of every chunk `_step_chunks` builds are the dense h(t) at the route's index, bit for bit."""
+    if case == "d1-pure-gauge":
+        family, times = pure_gauge_family(), np.linspace(0.0, 1.0, 20)
+    elif case == "d3-scan":
+        cfg, family = d3_scan_family()
+        times = np.linspace(0.0, cfg.t_final, 20)  # g_b(0) = 0 for both blocks: h(0) = h0
+    else:
+        family, times = silent_block_family(), np.linspace(0.0, 1.0, 20)  # t = 0.5 falls inside the first chunk
+    routed, layout, index = _route(family)
+    assert routed is family and [rows.shape[1] for rows in layout] == sizes
+    t_mid = times.tolist()
+    chunks = list(_step_chunks(routed, layout, index, 1e-3, t_mid))
+    assert [first for first, *_ in chunks] == [0, _STEP_CHUNK]
+    for first, entries, hs, norm in chunks:
+        dense = family.stack(t_mid[first : first + len(entries)])
+        flat = dense.reshape(len(entries), -1)
+        assert (entries == flat[:, index]).all()
+        # h(t) is zero off the blocks, and the stacks are views of the entries, one per size class
+        assert not np.delete(flat, index, axis=1).any()
+        for rows, h in zip(layout, hs):
+            assert np.shares_memory(h, entries)
+            assert (h == dense[:, rows[:, :, None], rows[:, None, :]]).all()
+        assert norm == max(np.abs(h).sum(axis=-2).max() for h in hs) * 1e-3
+
+
+def test_static_operator_is_stepped_as_a_family_with_no_blocks():
+    # one block of all modes and two spin blocks (`test_diagonal_operator_steps_as_the_eigh_phases`
+    # has 1 x 1 blocks): the same bytes either way
+    for op in (OneBodyOperator(spin_mixing_family().data_at(0.5)), OneBodyOperator(pure_gauge_family().data_at(0.5))):
+        static = propagate(op, (0.0, 1.0), n_steps=203, record_every=7)
+        family = propagate(DrivenHamiltonian(op, ()), (0.0, 1.0), n_steps=203, record_every=7)
+        assert (static.times == family.times).all() and (static.matrices == family.matrices).all()
+
+
+def test_steppers_never_build_the_dense_stack(monkeypatch):
+    """Both pictures read a family on its blocks alone: `stack` is the tests' oracle, not a stepping path."""
+
+    def dense(self, times):
+        raise AssertionError("a stepper built the dense (n, M, M) h(t)")
+
+    family = pure_gauge_family(n_max=1)
+    monkeypatch.setattr(DrivenHamiltonian, "stack", dense)
+    propagate(family, (0.0, 1.0), n_steps=40)
+    evolve_schrodinger(vacuum_state(catalog1d(n_max=1)), family, (0.0, 1.0), n_steps=40)
+
+
 def test_propagate_partitions_once_before_the_first_chunk(monkeypatch):
     """One partition per call, from the family's support: none per chunk, at 8000 steps (500 chunks)."""
-    calls = {"_components": 0, "_split": 0}
+    calls = {"_route": 0, "_components": 0, "_split": 0}
     for name in calls:
         original = getattr(onebody, name)
 
@@ -831,8 +901,8 @@ def test_propagate_partitions_once_before_the_first_chunk(monkeypatch):
     _, cat, family = default_gauge_family()
     for ham in (family, family.h0):
         propagate(ham, (0.0, 1.0), 8000, record_every=400)
-        assert calls == {"_components": 1, "_split": 1}
-        calls.update(_components=0, _split=0)
+        assert calls == {"_route": 1, "_components": 1, "_split": 1}
+        calls.update(_route=0, _components=0, _split=0)
 
 
 def test_family_with_all_zero_blocks_is_stepped_as_its_h0():
@@ -987,7 +1057,7 @@ def test_step_guard_trips_at_the_reference_step():
         assert err.value == pytest.approx(ref.value.value, rel=1e-12)
         assert err.bound == 0.1
         assert f"at step {ref.value.step}" in str(err)
-    assert str(fock_got) == str(got)
+    assert fock_got.value == got.value and str(fock_got) == str(got)
 
 
 def test_step_guard_of_a_split_family_trips_at_the_reference_step():
@@ -1006,12 +1076,15 @@ def test_step_guard_of_a_split_family_trips_at_the_reference_step():
             with pytest.raises(StepGuardError) as got:
                 propagate(strong, (0.0, 1.0), n_steps=40)
             errors = [got.value]
-        # propagate reads max|w| over the spin blocks, evolve_schrodinger over the whole h: the same ||h||_2 * dt
+        # both pictures read max|w| over the spin blocks of one guarded chunk: one error, value and message
         for err in errors:
             assert err.step == ref.value.step
             assert err.time == ref.value.time == (ref.value.step + 0.5) * (1.0 / 40)
             assert err.value == pytest.approx(ref.value.value, rel=1e-12)
             assert str(err) == str(ref.value)
+        if n_max == 1:
+            got, fock_got = errors
+            assert fock_got.value == got.value and str(fock_got) == str(got)
 
 
 @pytest.mark.parametrize("stepper", ["propagate", "evolve_schrodinger"])
