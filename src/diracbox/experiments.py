@@ -418,21 +418,18 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
         checks.append(check_leq(f"{be}_free_energy_drift", energy_drift, 1e-9))
 
         stride = max(1, len(times) // 20)
-        for ti in range(0, len(times), stride):
-            for xi in range(series.spatial.n_points):
-                rows.append(
-                    [
-                        be,
-                        float(times[ti]),
-                        float(pts[xi, 0]),
-                        float(pts[xi, 1]),
-                        float(pts[xi, 2]),
-                        float(series.rho[ti, xi]),
-                        float(series.current[ti, xi, 0]),
-                        float(series.current[ti, xi, 1]),
-                        float(series.current[ti, xi, 2]),
-                    ]
-                )
+        kept = slice(0, len(times), stride)
+        n_kept, n_points = len(times[kept]), series.spatial.n_points
+        columns = np.concatenate(
+            [
+                np.broadcast_to(times[kept, None, None], (n_kept, n_points, 1)),
+                np.broadcast_to(pts, (n_kept, n_points, 3)),
+                series.rho[kept, :, None],
+                series.current[kept],
+            ],
+            axis=2,
+        )
+        rows += [[be, *row] for row in columns.reshape(-1, 8).tolist()]
 
     if len(backends) == 2:
         # the comparison needs a shared catalog: rerun the gaussian backend on the fock one

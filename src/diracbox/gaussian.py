@@ -10,7 +10,10 @@ conjugates as
 
 the index convention fixed against the exact Fock backend (see
 tests/test_gaussian.py).  This scales polynomially in M and replaces the
-2^M Fock space whenever only bilinear expectations are needed.
+2^M Fock space whenever only bilinear expectations are needed.  u is held
+on its mode-group blocks (`OneBodyPropagator`), so the conjugation is taken
+block pair by block pair, conj(u_I) C_IJ u_J^T: a block-diagonal C(0) costs
+sum s^3 per frame, and the free h0's 1 x 1 blocks make it elementwise.
 
 Validated once: every `CorrelationMatrix` is checked hermitian, and records
 the interval [lo, hi] its constructor established for its spectrum, which
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import BasisCatalog, ModeLabel
-from .onebody import OneBodyOperator, OneBodyPropagator
+from .onebody import OneBodyOperator, OneBodyPropagator, _product
 
 EIGENVALUE_TOL = 1e-10
 
@@ -122,10 +125,16 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _abs_norm2_sq(a: np.ndarray) -> float:
-    """||a||_1 ||a||_inf, a bound on || |a| ||_2^2 (so on ||a||_2^2) read off the absolute row and column sums."""
-    size = np.abs(a)
-    return float(size.sum(axis=0).max(initial=0.0) * size.sum(axis=1).max(initial=0.0))
+def _abs_norm2_sq(blocks) -> float:
+    """||a||_1 ||a||_inf of the block-diagonal a whose blocks are the stacks `blocks`.
+
+    It bounds || |a| ||_2^2, so ||a||_2^2, and is read off the absolute
+    column and row sums of the blocks: those of a are theirs.
+    """
+    size = [np.abs(b) for b in blocks]
+    columns = np.max([a.sum(axis=-2).max(initial=0.0) for a in size])
+    rows = np.max([a.sum(axis=-1).max(initial=0.0) for a in size])
+    return float(columns * rows)
 
 
 def _certified_frame(mat: np.ndarray, spectrum: tuple[float, float]) -> CorrelationMatrix:
@@ -137,8 +146,31 @@ def _certified_frame(mat: np.ndarray, spectrum: tuple[float, float]) -> Correlat
     return frame
 
 
+def _block_pairs(c: np.ndarray, layout) -> list:
+    """The block pairs (I, J) of `c` on the groups of `layout` whose C_IJ is not exactly zero.
+
+    One entry per pair of size classes (a, b): (a, b, I, J, C_IJ stacked,
+    flat positions of the C_IJ entries in the M x M matrix).
+    """
+    n = len(c)
+    pairs = []
+    for a, rows_a in enumerate(layout):
+        for b, rows_b in enumerate(layout):
+            cab = c[rows_a[:, None, :, None], rows_b[None, :, None, :]]  # (n_a, n_b, s_a, s_b)
+            i, j = np.nonzero(cab.any(axis=(2, 3)))
+            where = (rows_a[i][:, :, None] * n + rows_b[j][:, None, :]).ravel()
+            pairs.append((a, b, i, j, cab[i, j], where))
+    return pairs
+
+
 def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[CorrelationMatrix]:
-    """C(t) = conj(u) C u^T at every recorded time of `prop`, each frame certified.
+    """C(t) = conj(u) C u^T at every recorded time of `prop`, on u's blocks, each frame certified.
+
+    u is block-diagonal on the groups of `prop.layout`, so the frame's block
+    (I, J) is conj(u_I) C_IJ u_J^T, taken for the blocks of each pair of size
+    classes in one stacked product (an elementwise one for a 1 x 1 class:
+    (conj(u_i) C_ij) u_j); a pair whose C_IJ is exactly zero stays zero.  A
+    block-diagonal C then costs sum s^3 per frame instead of M^3.
 
     Every frame is checked hermitian.  Its spectrum is not recomputed where
     a bound shows it inside [-EIGENVALUE_TOL, 1 + EIGENVALUE_TOL]: the frame
@@ -148,23 +180,31 @@ def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[Co
     the same message.
 
     The bound.  Let n = M, u_r = 2^-53 and gamma_k = k u_r / (1 - k u_r).
-    A computed complex product fl(AB) of inner dimension n is within
-    g |A| |B| of AB entrywise, g = 2 gamma_{n+2} (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6, give
-    sqrt(2) gamma_{n+2}).  eigvalsh returns each eigenvalue of a hermitian A
-    within e ||A||_2, e = p n u_r with p = `_EIGVALSH_P` (an assumption on
-    LAPACK, whose p(n) "grows modestly").  It reads the hermitian H = L(X)
-    of the lower triangle and real diagonal of its argument X; L is
-    real-linear and fixes a hermitian matrix.  Write C = H + K, so
-    ||K||_F <= k / sqrt(2) with k = ||C - C^dag||_F.  Then
+    A computed complex product fl(AB) of inner dimension m is within
+    2 gamma_{m+2} |A| |B| of AB entrywise (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.5-3.6, give sqrt(2)
+    gamma_{m+2}).  Every product here is one of blocks, of inner dimension
+    m = s <= n, and gamma_k grows with k, so g = 2 gamma_{n+2} bounds them
+    all.  An entry of u off its blocks is exactly zero, and so is an entry
+    of u^dag u or of conj(u) C u^T off the block pairs taken (for the
+    frame, a pair whose C_IJ is zero): those entries are exact.  So each
+    computed block-diagonal product is within g |A| |B| of the exact one
+    entrywise, as a dense product would be.  eigvalsh returns each
+    eigenvalue of a hermitian A within e ||A||_2, e = p n u_r with p =
+    `_EIGVALSH_P` (an assumption on LAPACK, whose p(n) "grows modestly").
+    It reads the hermitian H = L(X) of the lower triangle and real diagonal
+    of its argument X; L is real-linear and fixes a hermitian matrix.  Write
+    C = H + K, so ||K||_F <= k / sqrt(2) with k = ||C - C^dag||_F.  Then
     c = sqrt(||C||_1 ||C||_inf) >= || |C| ||_2, r = c + k >= ||H||_2, and,
     as C's interval holds the values eigvalsh returns for it, H's spectrum
     lies in [lo - e r, hi + e r] and h = max(|lo|, |hi|) + e r >= ||H||_2.
     For each recorded u:
-      - nu = ||u||_1 ||u||_inf >= || |u| ||_2^2 >= ||u||_2^2.
+      - nu = ||u||_1 ||u||_inf >= || |u| ||_2^2 >= ||u||_2^2, read off the
+        blocks (`_abs_norm2_sq`).
       - The propagator's `unitarity_defect` eps is the largest computed
-        ||fl(u^dag u) - I||_F (the subtraction is exact by Sterbenz, the
-        norm within relative gamma_{2 n^2 + 4}), so
+        ||fl(u^dag u) - I||_F, the root sum of squares of the blocks' norms
+        (the subtraction is exact by Sterbenz, the norm, a sum of at most
+        n^2 squares, within relative gamma_{2 n^2 + 4}), so
         delta = eps / (1 - gamma_{2 n^2 + 4}) + g nu >= ||u^dag u - I||_2.
       - Polar decomposition u = W P, W unitary, P hermitian positive
         semidefinite: ||P - I||_2 <= ||P^2 - I||_2 = ||u^dag u - I||_2 <=
@@ -187,24 +227,29 @@ def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[Co
     """
     if not isinstance(prop, OneBodyPropagator):
         raise TypeError(f"evolve_correlation needs a OneBodyPropagator, got {type(prop).__name__}")
-    if prop.matrices.shape[1:] != c.matrix.shape:
-        raise ValueError(f"propagator shape {prop.matrices.shape[1:]} != correlation {c.matrix.shape}")
+    if (prop.size, prop.size) != c.matrix.shape:
+        raise ValueError(f"propagator shape {(prop.size, prop.size)} != correlation {c.matrix.shape}")
     n = c.size
     g = 2.0 * _gamma(n + 2)
     e = _EIGVALSH_P * n * _UNIT_ROUNDOFF
-    norm_c = np.sqrt(_abs_norm2_sq(c.matrix))
+    norm_c = np.sqrt(_abs_norm2_sq([c.matrix]))
     k = float(np.linalg.norm(c.matrix - c.matrix.conj().T))
     r = norm_c + k
     lo, hi = c.spectrum
     h = max(abs(lo), abs(hi)) + e * r
     eps = prop.unitarity_defect / (1.0 - _gamma(2 * n * n + 4))
+    pairs = _block_pairs(c.matrix, prop.layout)
     frames = []
-    for u in prop.matrices:
-        nu = _abs_norm2_sq(u)
+    for t in range(len(prop.times)):
+        us = [u[t] for u in prop.blocks]
+        nu = _abs_norm2_sq(us)
         delta = eps + g * nu
         s1 = delta * (2.0 + delta) * h + (1.0 + delta) * k + 2.0 * g * (2.0 + g) * nu * norm_c
         s = 2.0 * (s1 * (1.0 + e) + e * (r + h))
-        frames.append(_certified_frame(u.conj() @ c.matrix @ u.T, (float(lo - s), float(hi + s))))
+        mat = np.zeros(n * n, dtype=complex)
+        for a, b, i, j, cij, where in pairs:
+            mat[where] = _product(_product(us[a][i].conj(), cij), us[b][j].swapaxes(-1, -2)).ravel()
+        frames.append(_certified_frame(mat.reshape(n, n), (float(lo - s), float(hi + s))))
     return frames
 
 

@@ -125,8 +125,12 @@ def _field_coefficients(c: CorrelationMatrix, catalog: BasisCatalog, e: float) -
 
 
 def _phases(catalog: BasisCatalog, points: np.ndarray) -> np.ndarray:
-    """(N, K) plane waves e^{i dk k.x} of the field wave vectors at the points."""
-    return np.exp(1j * points @ (catalog.grid.dk * catalog.tables.wave_vectors).T)
+    """(N, K) plane waves e^{i dk k.x} of the field wave vectors at the points, as cos + i sin of the phase."""
+    arg = (1j * points @ (catalog.grid.dk * catalog.tables.wave_vectors).T).imag
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def _fields(c: CorrelationMatrix, catalog: BasisCatalog, phases: np.ndarray, e: float) -> np.ndarray:

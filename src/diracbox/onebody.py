@@ -32,7 +32,8 @@ only on the blocks of the invariant mode groups (`mode_groups`) of the
 support it records when built: the spin blocks of a pure-gauge family in
 d = 1, the 1 x 1 blocks of the diagonal h0, which step as exact phases.
 `_step_chunks` builds each chunk's h(t) on those blocks alone and guards
-it; `propagate` steps u on the blocks, and `fock.evolve_schrodinger` lifts
+it; `propagate` steps u on the blocks and records it there (a
+`OneBodyPropagator` holds no dense u), and `fock.evolve_schrodinger` lifts
 the same entries onto its Fock basis.
 """
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -481,45 +483,80 @@ class DrivenHamiltonian:
         return h
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices; an inner dimension of 1 is the elementwise product, broadcast."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 @dataclass(frozen=True)
 class OneBodyPropagator:
-    """Mode-basis propagator u(t) sampled on the recorded time grid.
+    """Mode-basis propagator u(t) sampled on the recorded time grid, held on its mode-group blocks.
 
-    u(times[0]) = identity; each stored matrix is unitary within 1e-10,
-    entrywise, checked once, here.  The same products give
-    `unitarity_defect`, the largest ||u^dag u - I||_F over the stored
-    matrices: it bounds ||u^dag u - I||_2, which the entrywise check does
-    not, and `gaussian.evolve_correlation` certifies its frames from it.
+    u is block-diagonal on the groups of `layout`, a `_route` layout (one
+    (n_blocks, size) index array per size class), and zero off them:
+    `blocks` holds, per size class, the (n_times, n_blocks, size, size)
+    stack of u's blocks.  With no layout, `blocks` is a stack of dense
+    (n_times, M, M) matrices, held as one block of all M modes.
+
+    u(times[0]) = identity; each block of each stored u is unitary within
+    1e-10, entrywise, checked once, here, so u is.  The same products give
+    `unitarity_defect`, the largest ||u^dag u - I||_F over the stored times:
+    u^dag u - I is block-diagonal, so that is the root sum of squares of
+    its blocks' Frobenius norms.  It bounds ||u^dag u - I||_2, which the
+    entrywise check does not, and `gaussian.evolve_correlation` certifies
+    its frames from it.  `matrices` and `final` are read-only dense views,
+    built on first use.
     """
 
     times: np.ndarray
-    matrices: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
+    layout: tuple | None = field(default=None, repr=False)
     unitarity_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.shape[0] != times.shape[0]:
+        if self.layout is None:
+            dense = np.asarray(self.blocks, dtype=complex)
+            stacks, layout = [dense[:, None]], [np.arange(dense.shape[-1])[None]]
+        else:
+            stacks = [np.asarray(b, dtype=complex) for b in self.blocks]
+            layout = [np.asarray(rows) for rows in self.layout]
+        if any(len(u) != len(times) for u in stacks):
             raise ValueError("one matrix per recorded time required")
-        eye = np.eye(mats.shape[1])
-        gaps = []
-        for m in mats:
-            gap = np.abs(m.conj().T @ m - eye)
-            gaps.append((gap.max(), np.linalg.norm(gap)))
-        drift, defect = np.max(gaps, axis=0)
+        modes = np.sort(np.concatenate([rows.ravel() for rows in layout]))
+        shapes = [rows.shape + rows.shape[-1:] for rows in layout]
+        if [u.shape[1:] for u in stacks] != shapes or (modes != np.arange(modes.size)).any():
+            raise ValueError("blocks must cover every mode once, on the groups of their layout")
+        drift, defect = [], np.zeros(len(times))
+        for u in stacks:
+            gap = np.abs(_product(u.conj().swapaxes(-1, -2), u) - np.eye(u.shape[-1]))
+            drift.append(gap.max(initial=0.0))
+            defect += (gap**2).sum(axis=(1, 2, 3))
+        drift, defect = np.max(drift), np.sqrt(defect).max()
         if not drift < np.inf:  # NaN or inf
             raise FloatingPointError(f"propagator is not finite: unitarity drift {drift}")
         if drift > 1e-10:
             raise ValueError(f"propagator lost unitarity: {drift:.3e}")
-        times.setflags(write=False)
-        mats.setflags(write=False)
+        for a in (times, *stacks, *layout):
+            a.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "blocks", tuple(stacks))
+        object.__setattr__(self, "layout", tuple(layout))
         object.__setattr__(self, "unitarity_defect", float(defect))
 
     @property
+    def size(self) -> int:
+        return sum(rows.size for rows in self.layout)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The dense (n_times, M, M) stack of u."""
+        return _join(zip(self.layout, self.blocks), self.size)
+
+    @cached_property
     def final(self) -> np.ndarray:
-        return self.matrices[-1]
+        """The dense M x M u at the last recorded time."""
+        return _join([(rows, u[-1]) for rows, u in zip(self.layout, self.blocks)], self.size)
 
 
 # midpoint steps per batch; longer chunks cost memory, not time
@@ -709,11 +746,13 @@ def _split(u: np.ndarray, layout: list[np.ndarray]) -> list:
     return [(rows, u[rows[:, :, None], rows[:, None, :]]) for rows in layout]
 
 
-def _join(blocks: list, size: int) -> np.ndarray:
-    """The size x size matrix of a block-diagonal u held as `_split` gives it."""
-    u = np.zeros((size, size), dtype=complex)
+def _join(blocks, size: int) -> np.ndarray:
+    """The read-only size x size matrix of a block-diagonal u held as `_split` gives it; a stack of them broadcasts."""
+    blocks = list(blocks)
+    u = np.zeros(blocks[0][1].shape[:-3] + (size, size), dtype=complex)
     for rows, ub in blocks:
-        u[rows[:, :, None], rows[:, None, :]] = ub
+        u[..., rows[:, :, None], rows[:, None, :]] = ub
+    u.setflags(write=False)
     return u
 
 
@@ -772,21 +811,21 @@ def propagate(
     split once, before the first step, on the blocks of its mode groups,
     and every chunk of `_step_chunks`, built and guarded on those blocks
     alone, steps by the phases or Taylor polynomials of `_guarded_steps`.
-    Each block is chain-multiplied on its own and joined only where u is
-    recorded.  1 x 1 blocks alone (the diagonal h0, a family whose blocks
-    are all zero) chain their phases in one cumulative product per chunk
-    (`_chain`), with the bytes of a product per step.
+    Each block is chain-multiplied on its own, and the propagator keeps
+    the recorded u on the same blocks, never dense.  1 x 1 blocks alone
+    (the diagonal h0, a family whose blocks are all zero) chain their
+    phases in one cumulative product per chunk (`_chain`), with the bytes
+    of a product per step.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     family, layout, index = _route(hamiltonian)
-    size = family.h0.size
-    mats = [np.eye(size, dtype=complex)]
-    blocks = _split(mats[0], layout)
+    blocks = _split(np.eye(family.h0.size, dtype=complex), layout)
+    recorded = [[ub for _, ub in blocks]]
     for first, _, hs, norm in _step_chunks(family, layout, index, dt, t_mid):
         for n, blocks in enumerate(_chain(blocks, _guarded_steps(hs, dt, norm))):
             if first + n + 1 in kept:
-                mats.append(_join(blocks, size))
-    return OneBodyPropagator(times, np.array(mats))
+                recorded.append([ub for _, ub in blocks])
+    return OneBodyPropagator(times, [np.array(u) for u in zip(*recorded)], layout)
 
 
 def gauge_identity_residual(

@@ -18,15 +18,24 @@ from diracbox.fock import (
     quantize,
     vacuum_state,
 )
-from diracbox.modes import ALPHA, MomentumGrid, build_catalog, restrict_catalog
+from diracbox.modes import ALPHA, MomentumGrid, build_catalog, label, restrict_catalog
 from diracbox import onebody
-from diracbox.experiments import ScenarioConfig, _default_chi, _pure_gauge, _unit_gauge_blocks, scan_profile
+from diracbox.experiments import (
+    ScenarioConfig,
+    _default_chi,
+    _pure_gauge,
+    _unit_gauge_blocks,
+    run_free_baseline,
+    scan_profile,
+)
+from diracbox.gaussian import CorrelationMatrix, _gamma, evolve_correlation, omega0_correlation
 from diracbox.onebody import (
     _STEP_CHUNK,
     _THETA,
     _THETA_M,
     MAX_STEP_NORM,
     _components,
+    OneBodyPropagator,
     _coupling_matrix,
     _exp_taylor,
     _route,
@@ -885,6 +894,94 @@ def test_steppers_never_build_the_dense_stack(monkeypatch):
     monkeypatch.setattr(DrivenHamiltonian, "stack", dense)
     propagate(family, (0.0, 1.0), n_steps=40)
     evolve_schrodinger(vacuum_state(catalog1d(n_max=1)), family, (0.0, 1.0), n_steps=40)
+
+
+def block_frame_case(case):
+    """(hamiltonian, t_span, n_steps, C0, block sizes) of one layout of the block-frame tests."""
+    if case in ("free-d1", "pure-gauge", "between-groups"):
+        cat = catalog1d(n_max=2)
+        ham = h0_matrix(cat) if case == "free-d1" else pure_gauge_family()
+        c0 = omega0_correlation(cat, label(+1, 0.5, 0), label(+1, 0.5, 1))
+        span, sizes = (0.0, 1.0), [1] if case == "free-d1" else [10]
+        if case == "between-groups":
+            # occupations in [0, 1] in a random basis: entries between the two spin groups
+            q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(cat.size,) * 2) + 0j)
+            c0 = CorrelationMatrix((q * np.linspace(0.0, 1.0, cat.size)) @ q.conj().T)
+        return ham, span, 200, c0, sizes
+    cfg = ScenarioConfig(d=3, n_max=1)
+    cat = cfg.catalog(1)
+    c0 = omega0_correlation(cat, cfg.mode1, cfg.mode2)
+    if case == "free-d3":
+        return h0_matrix(cat), (0.0, 0.1), 20, c0, [1]
+    return d3_scan_family()[1], (0.0, cfg.t_final), 400, c0, [12, 6]
+
+
+@pytest.mark.parametrize("case", ["free-d1", "free-d3", "pure-gauge", "d3-scan", "between-groups"])
+def test_block_frames_equal_the_dense_conjugation(case):
+    """evolve_correlation on u's blocks: within 1e-14 of the dense conj(u) C u^T, and the dense unitarity defect.
+
+    Both defects are norms of computed u^dag u - I; each product is within
+    g |u|^T |u| of the exact one entrywise (g = 2 gamma_{M+2}), so the two
+    differ by at most 2 g || |u|^T |u| ||_F.
+    """
+    ham, span, n_steps, c0, sizes = block_frame_case(case)
+    prop = propagate(ham, span, n_steps, record_every=n_steps // 4)
+    assert [rows.shape[1] for rows in prop.layout] == sizes
+    frames = evolve_correlation(c0, prop)
+    assert len(frames) == len(prop.times) == 5
+    eye = np.eye(prop.size)
+    for frame, u in zip(frames, prop.matrices):
+        assert np.abs(frame.matrix - u.conj() @ c0.matrix @ u.T).max() <= 1e-14
+    dense = max(np.linalg.norm(u.conj().T @ u - eye) for u in prop.matrices)
+    rounding = max(np.linalg.norm(np.abs(u).T @ np.abs(u)) for u in prop.matrices) * 4.0 * _gamma(prop.size + 2)
+    assert abs(prop.unitarity_defect - dense) <= rounding
+
+
+def test_propagator_checks_every_block_as_its_dense_matrix():
+    """A NaN in one block, or one block off unitarity, raises what the dense matrix raises; a defect is the dense one."""
+    prop = propagate(pure_gauge_family(), (0.0, 1.0), 40, record_every=20)
+    [rows], [stack] = prop.layout, prop.blocks
+
+    def verdicts(change):
+        blocks = stack.copy()
+        change(blocks)
+        errors = []
+        for build in (
+            lambda: OneBodyPropagator(prop.times, [blocks], [rows]),
+            lambda: OneBodyPropagator(prop.times, onebody._join([(rows, blocks)], prop.size)),
+        ):
+            with pytest.raises((ValueError, FloatingPointError)) as err:
+                build()
+            errors.append((err.type, str(err.value)))
+        return errors
+
+    def nan(blocks):
+        blocks[1, 0, 2, 3] = np.nan
+
+    def half(blocks):
+        blocks[2, 1] *= 0.5
+
+    [(kind, message), dense] = verdicts(nan)
+    assert (kind, message) == dense == (FloatingPointError, "propagator is not finite: unitarity drift nan")
+    [(kind, message), dense] = verdicts(half)
+    assert (kind, message) == dense and kind is ValueError and message.startswith("propagator lost unitarity: ")
+    # a block 1e-12 off unitarity: its defect is 2e-12 sqrt(10), the same from the blocks and the dense matrix
+    blocks = stack.copy()
+    blocks[2, 1] *= 1.0 + 1e-12
+    got = OneBodyPropagator(prop.times, [blocks], [rows]).unitarity_defect
+    want = OneBodyPropagator(prop.times, onebody._join([(rows, blocks)], prop.size)).unitarity_defect
+    assert got == pytest.approx(want, rel=1e-3) and got == pytest.approx(2e-12 * np.sqrt(10), rel=1e-3)
+
+
+def test_free_d3_baseline_never_builds_a_dense_u(monkeypatch):
+    """The free d = 3 baseline steps, checks and conjugates u on its 1 x 1 blocks: no dense view is built."""
+
+    def dense(blocks, size):
+        raise AssertionError("a dense u was built")
+
+    monkeypatch.setattr(onebody, "_join", dense)
+    report = run_free_baseline(ScenarioConfig(d=3, n_max=1, n_steps=20, t_final=0.1))
+    assert report.passed
 
 
 def test_propagate_partitions_once_before_the_first_chunk(monkeypatch):
