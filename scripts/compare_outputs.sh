@@ -2,8 +2,9 @@
 # Byte-identity check for a change that must not move any output: run
 # scripts/run_all.sh (check suite plus the five default scenarios),
 # `baseline --backend both`, `baseline` at d = 3 (n_max = 1, 200 steps,
-# the path of the benchmark's d3-field-sampling workload; and n_max = 2,
-# 20 steps, t_final = 0.1: M = 500), `gauge-heisenberg`
+# the path of the benchmark's d3-field-sampling workload; n_max = 2,
+# 20 steps, t_final = 0.1: M = 500; and n_max = 3, 4 steps,
+# t_final = 0.02: M = 1 372), `gauge-heisenberg`
 # at chi_amplitude = 0 (a family whose blocks are all zero) and
 # `gauge-schrodinger` on the mirrored subsets -1 0, -1 0 1 with mode2 = -1:+
 # (the benchmark's seeded variant) and `energy-heisenberg` at d = 3
@@ -30,6 +31,7 @@ mkdir "${tmp}/rev"
 git -C "${repo}" archive "${rev}" | tar -x -C "${tmp}/rev"
 printf 'd = 3\nn_max = 1\nn_steps = 200\n' > "${tmp}/d3.cfg"
 printf 'd = 3\nn_max = 2\nn_steps = 20\nt_final = 0.1\n' > "${tmp}/d3-n2.cfg"
+printf 'd = 3\nn_max = 3\nn_steps = 4\nt_final = 0.02\n' > "${tmp}/d3-n3.cfg"
 printf 'chi_amplitude = 0\n' > "${tmp}/chi0.cfg"
 printf 'mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n' > "${tmp}/mirrored.cfg"
 printf 'd = 3\nn_max = 1\nn_steps = 1000\n' > "${tmp}/energy-d3.cfg"
@@ -46,6 +48,8 @@ run_tree() {
             --out-dir baseline-d3 > baseline-d3.log 2>&1 || true
         PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3-n2.cfg" \
             --out-dir baseline-d3-n2 > baseline-d3-n2.log 2>&1 || true
+        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3-n3.cfg" \
+            --out-dir baseline-d3-n3 > baseline-d3-n3.log 2>&1 || true
         PYTHONPATH="$1/src" python3 -m diracbox.cli gauge-heisenberg --config "${tmp}/chi0.cfg" \
             --out-dir gauge-heisenberg-chi0 > gauge-heisenberg-chi0.log 2>&1 || true
         PYTHONPATH="$1/src" python3 -m diracbox.cli gauge-schrodinger --config "${tmp}/mirrored.cfg" \

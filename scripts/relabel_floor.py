@@ -3,8 +3,9 @@
 
 Runs the scenario outputs of scripts/compare_outputs.sh (the five default
 scenarios, `baseline --backend both`, and the runs of `CONFIG_RUNS`:
-`baseline` at d = 3, n_max = 1, 200 steps, and at n_max = 2, 20 steps,
-t_final = 0.1, `gauge-heisenberg` at chi_amplitude = 0, `gauge-schrodinger`
+`baseline` at d = 3, n_max = 1, 200 steps, at n_max = 2, 20 steps,
+t_final = 0.1, and at n_max = 3, 4 steps, t_final = 0.02,
+`gauge-heisenberg` at chi_amplitude = 0, `gauge-schrodinger`
 on the mirrored subsets, and `energy-heisenberg` at d = 3, n_max = 1, 1000
 steps) once as built and once for each seed 1..N with the modes of every
 catalog reordered by a seeded numpy permutation.  All runs take place in
@@ -59,6 +60,7 @@ SCENARIOS = ("baseline", "gauge-heisenberg", "gauge-schrodinger", "energy-heisen
 CONFIG_RUNS = {
     "baseline-d3": ("baseline", "d = 3\nn_max = 1\nn_steps = 200\n"),
     "baseline-d3-n2": ("baseline", "d = 3\nn_max = 2\nn_steps = 20\nt_final = 0.1\n"),
+    "baseline-d3-n3": ("baseline", "d = 3\nn_max = 3\nn_steps = 4\nt_final = 0.02\n"),
     "gauge-heisenberg-chi0": ("gauge-heisenberg", "chi_amplitude = 0\n"),
     "gauge-schrodinger-mirrored": ("gauge-schrodinger", "mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n"),
     "energy-heisenberg-d3": ("energy-heisenberg", "d = 3\nn_max = 1\nn_steps = 1000\n"),

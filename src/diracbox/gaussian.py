@@ -15,6 +15,14 @@ on its mode-group blocks (`OneBodyPropagator`), so the conjugation is taken
 block pair by block pair, conj(u_I) C_IJ u_J^T: a block-diagonal C(0) costs
 sum s^3 per frame, and the free h0's 1 x 1 blocks make it elementwise.
 
+Every `CorrelationMatrix` records its `support`: the ascending flat
+positions i M + j outside which its matrix is exactly zero.  A matrix built
+from raw data gets its nonzero positions (NaN and inf count as nonzero); a
+frame of `evolve_correlation` gets the positions of the block pairs it
+fills, one array per series.  Frames stay dense M x M arrays; the readers
+that would scan all M^2 entries (the hermiticity check here and
+`observables._field_coefficients`) read the support alone.
+
 Validated once: every `CorrelationMatrix` is checked hermitian, and records
 the interval [lo, hi] its constructor established for its spectrum, which
 must lie in [-EIGENVALUE_TOL, 1 + EIGENVALUE_TOL].  A matrix built from raw
@@ -44,21 +52,37 @@ class CorrelationMatrix:
     `spectrum` is an interval [lo, hi] that holds every eigenvalue eigvalsh
     returns for `matrix`: eigvalsh's own extremes for a matrix built from raw
     data, the certified interval of `evolve_correlation` for its frames.
+
+    `support` holds the ascending flat positions p = i M + j outside which
+    `matrix` is exactly zero (read-only): `np.flatnonzero` of a matrix built
+    from raw data, the filled block pairs for a frame of `evolve_correlation`.
+    The hermiticity deviation is the max over p in the support of
+    |C[p] - conj(C[p^T])|, p^T = (p mod M) M + p div M, and equals the dense
+    max |C - C^dag| bit for bit: a pair with both entries zero contributes
+    0, and a pair with one entry off the support is covered by the other
+    entry's term, of the same modulus (the real parts of the two differences
+    are exact negatives, and their imaginary parts are the same sum).
     """
 
     matrix: np.ndarray
     spectrum: tuple[float, float] = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"correlation matrix must be square, got {mat.shape}")
-        herm = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
+        # only `_certified_frame` sets the support and the interval before these checks run
+        support = self.__dict__.get("support")
+        if support is None:
+            support = np.flatnonzero(mat)  # NaN and inf are nonzero
+            support.setflags(write=False)
+        # mat.T.flat[p] is the entry at p^T
+        herm = np.abs(mat.ravel()[support] - mat.T.flat[support].conj()).max(initial=0.0)
         if not herm < np.inf:  # NaN or inf
             raise FloatingPointError(f"correlation matrix is not finite: hermiticity deviation {herm}")
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not hermitian: {herm:.3e}")
-        # only `_certified_frame` sets the interval before this check runs
         lo, hi = self.__dict__.get("spectrum", (np.nan, np.nan))
         if not (lo >= -EIGENVALUE_TOL and hi <= 1.0 + EIGENVALUE_TOL):
             w = np.linalg.eigvalsh(mat)
@@ -70,6 +94,7 @@ class CorrelationMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectrum", (lo, hi))
+        object.__setattr__(self, "support", support)
 
     @property
     def size(self) -> int:
@@ -79,24 +104,33 @@ class CorrelationMatrix:
         return float(np.trace(self.matrix).real)
 
 
+def _sea(catalog: BasisCatalog) -> np.ndarray:
+    """The projector onto the negative-energy modes, as a plain array."""
+    return np.diag((catalog.signs() == -1).astype(complex))
+
+
+def _pair(catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel) -> np.ndarray:
+    """omega0's rank-one (e1 + e2)(e1 + e2)^dag / 2 block, as a plain array."""
+    if mode1.lam != +1 or mode2.lam != +1:
+        raise ValueError("omega0 modes must be positive-energy (lam = +1)")
+    if mode1 == mode2:
+        raise ValueError("omega0 modes must differ")
+    vec = np.zeros(catalog.size, dtype=complex)
+    vec[catalog.index_of(mode1)] = 1.0
+    vec[catalog.index_of(mode2)] = 1.0
+    return 0.5 * np.outer(vec, vec.conj())
+
+
 def vacuum_correlation(catalog: BasisCatalog) -> CorrelationMatrix:
     """Filled sea: projector onto the negative-energy modes."""
-    return CorrelationMatrix(np.diag((catalog.signs() == -1).astype(complex)))
+    return CorrelationMatrix(_sea(catalog))
 
 
 def omega0_correlation(
     catalog: BasisCatalog, mode1: ModeLabel, mode2: ModeLabel
 ) -> CorrelationMatrix:
     """Sea projector plus the rank-one (e1 + e2)(e1 + e2)^dag / 2 block."""
-    if mode1.lam != +1 or mode2.lam != +1:
-        raise ValueError("omega0 modes must be positive-energy (lam = +1)")
-    if mode1 == mode2:
-        raise ValueError("omega0 modes must differ")
-    base = vacuum_correlation(catalog).matrix.copy()
-    vec = np.zeros(catalog.size, dtype=complex)
-    vec[catalog.index_of(mode1)] = 1.0
-    vec[catalog.index_of(mode2)] = 1.0
-    return CorrelationMatrix(base + 0.5 * np.outer(vec, vec.conj()))
+    return CorrelationMatrix(_sea(catalog) + _pair(catalog, mode1, mode2))
 
 
 def excitation_correlation(
@@ -109,8 +143,8 @@ def excitation_correlation(
     excitation fields directly, free of the sea background.  (The rank-one
     block has eigenvalue 1, so the difference is itself a valid correlation.)
     """
-    full = omega0_correlation(catalog, mode1, mode2).matrix
-    return CorrelationMatrix(full - vacuum_correlation(catalog).matrix)
+    sea = _sea(catalog)
+    return CorrelationMatrix((sea + _pair(catalog, mode1, mode2)) - sea)
 
 
 # unit roundoff of float64
@@ -137,11 +171,14 @@ def _abs_norm2_sq(blocks) -> float:
     return float(columns * rows)
 
 
-def _certified_frame(mat: np.ndarray, spectrum: tuple[float, float]) -> CorrelationMatrix:
-    """A `CorrelationMatrix` of `mat` whose constructor starts from the certified `spectrum`."""
+def _certified_frame(
+    mat: np.ndarray, spectrum: tuple[float, float], support: np.ndarray
+) -> CorrelationMatrix:
+    """A `CorrelationMatrix` of `mat`, zero off `support`, whose constructor starts from the certified `spectrum`."""
     frame = object.__new__(CorrelationMatrix)
     object.__setattr__(frame, "matrix", mat)
     object.__setattr__(frame, "spectrum", spectrum)
+    object.__setattr__(frame, "support", support)
     frame.__post_init__()
     return frame
 
@@ -150,7 +187,8 @@ def _block_pairs(c: np.ndarray, layout) -> list:
     """The block pairs (I, J) of `c` on the groups of `layout` whose C_IJ is not exactly zero.
 
     One entry per pair of size classes (a, b): (a, b, I, J, C_IJ stacked,
-    flat positions of the C_IJ entries in the M x M matrix).
+    flat positions of the C_IJ entries in the M x M matrix).  The positions
+    of all entries are distinct, and every frame is zero off them.
     """
     n = len(c)
     pairs = []
@@ -239,6 +277,8 @@ def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[Co
     h = max(abs(lo), abs(hi)) + e * r
     eps = prop.unitarity_defect / (1.0 - _gamma(2 * n * n + 4))
     pairs = _block_pairs(c.matrix, prop.layout)
+    support = np.sort(np.concatenate([where for *_, where in pairs]))
+    support.setflags(write=False)
     frames = []
     for t in range(len(prop.times)):
         us = [u[t] for u in prop.blocks]
@@ -249,7 +289,7 @@ def evolve_correlation(c: CorrelationMatrix, prop: OneBodyPropagator) -> list[Co
         mat = np.zeros(n * n, dtype=complex)
         for a, b, i, j, cij, where in pairs:
             mat[where] = _product(_product(us[a][i].conj(), cij), us[b][j].swapaxes(-1, -2)).ravel()
-        frames.append(_certified_frame(mat.reshape(n, n), (float(lo - s), float(hi + s))))
+        frames.append(_certified_frame(mat.reshape(n, n), (float(lo - s), float(hi + s)), support))
     return frames
 
 

@@ -8,7 +8,8 @@ of one-body matrices against a correlation matrix C_ij = <c_i^dag c_j>:
 
 The fields are band-limited: they hold only the wave vectors k = n_j - n_i
 of the mode pairs (`SpinorTables.wave_vectors`, in units of 2 pi/L), so
-their Fourier coefficients, binned from a frame's C by k, are the fields.
+their Fourier coefficients, binned by k from the entries of a frame's C on
+its `support`, are the fields.
 Every reading goes through those coefficients: sampling sums them with the
 phases e^{i dk k.x}, and `field_fourier` reads them off.  So div J, whose
 coefficients are i dk k.J_k, is exact at any sample grid.
@@ -110,14 +111,20 @@ def _field_coefficients(c: CorrelationMatrix, catalog: BasisCatalog, e: float) -
 
     The coefficient at k of a field with table T sums (e/V) C_ij T_ij over the
     mode pairs with n_j - n_i = k, in row-major pair order (one bincount per
-    table); (div J)_k = i dk k.J_k.
+    table); (div J)_k = i dk k.J_k.  Only the pairs of C's `support` are
+    summed, and the sum is byte-identical to the one over all M^2 pairs:
+    bincount adds in index order from +0.0, a running sum from +0.0 is never
+    -0.0, and each weight the support skips is (e/V) 0 T_ij, an exact +-0.0
+    for the finite tables, which leaves such a sum unchanged.
     """
     t = catalog.tables
-    w = (e / catalog.volume) * _matrix_of(c).ravel()
-    bins = t.wave_index.ravel()
+    mat = _matrix_of(c)  # the type check, before the support is read
+    support = c.support
+    w = (e / catalog.volume) * mat.ravel()[support]
+    bins = t.wave_index.ravel()[support]
     out = np.empty((len(t.wave_vectors), 5), dtype=complex)
     for a, table in enumerate((t.scalar, *t.alpha)):
-        tw = table.ravel() * w
+        tw = table.ravel()[support] * w
         out.real[:, a] = np.bincount(bins, tw.real, len(out))
         out.imag[:, a] = np.bincount(bins, tw.imag, len(out))
     out[:, 4] = 1j * (catalog.grid.dk * t.wave_vectors * out[:, 1:4]).sum(axis=1)

@@ -23,6 +23,7 @@ from diracbox.gaussian import (
     CorrelationMatrix,
     bilinear_expectation,
     evolve_correlation,
+    excitation_correlation,
     omega0_correlation,
     vacuum_correlation,
 )
@@ -220,6 +221,82 @@ def gaussian_eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
+
+
+def test_constructors_validate_their_result_once(gaussian_eigvalsh_calls):
+    """vacuum, omega0 and the excitation each run eigvalsh once, on the matrix they return."""
+    cat = build_catalog(MomentumGrid(d=1, length=2 * np.pi, n_max=2), 1.0)
+    for build in (vacuum_correlation, omega0_correlation, excitation_correlation):
+        before = len(gaussian_eigvalsh_calls)
+        c = build(cat) if build is vacuum_correlation else build(cat, MODE1, MODE2)
+        assert gaussian_eigvalsh_calls[before:] == [(cat.size, cat.size)]
+    sea = vacuum_correlation(cat).matrix
+    full = omega0_correlation(cat, MODE1, MODE2).matrix
+    assert np.array_equal(c.matrix, full - sea)
+    assert np.array_equal(np.flatnonzero(full - sea), c.support)
+
+
+def _dense_hermiticity_verdict(mat):
+    """'ok', or the error a dense max |C - C^dag| check raises, as type and message."""
+    herm = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
+    if not herm < np.inf:
+        return f"FloatingPointError: correlation matrix is not finite: hermiticity deviation {herm}"
+    if herm > 1e-10:
+        return f"ValueError: correlation matrix not hermitian: {herm:.3e}"
+    return "ok"
+
+
+def _hermiticity_verdict(mat):
+    """'ok' once `CorrelationMatrix(mat)` is past its hermiticity check, else its error."""
+    try:
+        CorrelationMatrix(mat)
+    except (ValueError, FloatingPointError) as exc:
+        if "hermit" in str(exc):
+            return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def test_hermiticity_on_the_support_matches_the_dense_check():
+    """One-sided entries (C_ij != 0, C_ji = 0), near-threshold and non-finite ones: the dense verdict."""
+    rng = np.random.default_rng(8)
+    base = np.diag([1.0, 0.0, 1.0, 0.0, 0.5]).astype(complex)
+    cases = [np.zeros((0, 0)), np.zeros((4, 4)), base]
+    for value in (0.3 + 0.2j, -2e-10j, 1.0000001e-10, 0.9999999e-10, np.nan, np.inf, complex(np.inf, 1.0)):
+        for i, j in ((0, 3), (4, 1), (2, 2)):
+            mat = base.copy()
+            mat[i, j] += value
+            cases.append(mat)
+    for _ in range(20):  # random one-sided and two-sided perturbations of a few entries
+        mat = base.copy()
+        i, j = rng.integers(0, 5, size=(2, 3))
+        mat[i, j] += 1e-10 * (rng.normal(size=3) + 1j * rng.normal(size=3)) * rng.choice([0.5, 1.5], 3)
+        cases.append(mat)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        verdicts = [_hermiticity_verdict(mat) for mat in cases]
+        assert verdicts == [_dense_hermiticity_verdict(mat) for mat in cases]
+    assert verdicts[:3] == ["ok"] * 3
+    assert {v.split(":")[0] for v in verdicts} == {"ok", "ValueError", "FloatingPointError"}
+    with pytest.raises(ValueError, match="not hermitian: 3.606e-01"):
+        CorrelationMatrix(np.array([[0.5, 0.3 + 0.2j], [0.0, 0.5]]))
+    with pytest.raises(FloatingPointError, match="hermiticity deviation nan"):
+        CorrelationMatrix(np.array([[0.5, np.nan], [0.0, 0.5]]))
+
+
+def test_support_of_raw_matrices_and_frames():
+    """Raw data: its nonzero positions.  Frames: the block pairs they fill, read-only, one array per series."""
+    assert CorrelationMatrix(np.zeros((0, 0))).support.size == 0
+    assert CorrelationMatrix(np.zeros((3, 3))).spectrum == (0.0, 0.0)
+    mat = np.diag([0.5, 0.0, 0.5]).astype(complex)
+    mat[0, 2] = mat[2, 0] = 0.25
+    c = CorrelationMatrix(mat)
+    assert c.support.tolist() == [0, 2, 6, 8] and not c.support.flags.writeable
+    cat = build_catalog(MomentumGrid(d=3, length=2 * np.pi, n_max=1), 1.0)
+    c0 = omega0_correlation(cat, MODE1, MODE2)
+    frames = evolve_correlation(c0, propagate(h0_matrix(cat), (0.0, 0.1), 4))
+    assert np.array_equal(frames[0].support, c0.support)  # 1 x 1 blocks: the nonzero entries of C0
+    assert len(c0.support) == cat.size // 2 + 4  # the sea and the rank-one 2 x 2 block
+    assert all(f.support is frames[0].support for f in frames)
+    assert "support" not in repr(frames[0])
 
 
 def test_d3_frames_are_certified_without_eigvalsh(gaussian_eigvalsh_calls):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import diracbox.observables as observables
+from diracbox.experiments import ScenarioConfig, _unit_gauge_blocks, scan_profile
 from diracbox.fock import (
     correlation_from_state,
     expectation,
@@ -57,6 +58,7 @@ from diracbox.onebody import (
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
+    mode_groups,
     propagate,
 )
 
@@ -397,6 +399,66 @@ def random_correlation(size, rng):
     z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     q, _ = np.linalg.qr(z)
     return CorrelationMatrix((q * rng.uniform(0.0, 1.0, size)) @ q.conj().T)
+
+
+def dense_field_coefficients(C, catalog, e):
+    """The (K, 4) rho and J coefficients binned from all M^2 mode pairs of C, in row-major order."""
+    t = catalog.tables
+    w = (e / catalog.volume) * C.ravel()
+    out = np.empty((len(t.wave_vectors), 4), dtype=complex)
+    for a, table in enumerate((t.scalar, *t.alpha)):
+        out.real[:, a] = np.bincount(t.wave_index.ravel(), (table.ravel() * w).real, len(out))
+        out.imag[:, a] = np.bincount(t.wave_index.ravel(), (table.ravel() * w).imag, len(out))
+    return out
+
+
+def _support_case(name):
+    """(catalog, family, C0, across): a family whose mode groups split C0 into block pairs.
+
+    `across` is the flat position of an entry of C0 between two mode groups,
+    or None when C0 has none.
+    """
+    d = 3 if name.startswith("d3") else 1
+    cfg = ScenarioConfig(d=d, n_max=1 if d == 3 else 2)
+    cat = cfg.catalog(cfg.n_max)
+    h0 = h0_matrix(cat)
+    c0 = omega0_correlation(cat, cfg.mode1, cfg.mode2)
+    if name.endswith("free"):
+        return cat, h0, c0, None
+    family = DrivenHamiltonian(h0, _unit_gauge_blocks(cat, scan_profile(cat, cfg), cfg.envelope(), cfg.e))
+    if not name.endswith("between-groups"):
+        return cat, family, c0, None
+    # rotate a filled sea mode of the first group into an empty mode of the last: still a projector
+    mat = c0.matrix.copy()
+    groups = mode_groups(family.support)
+    i = next(i for i in groups[0] if mat[i, i] == 1.0)
+    j = next(j for j in groups[-1] if not mat[j].any())
+    cos, sin = np.cos(0.3), np.sin(0.3)
+    mat[i, i], mat[j, j], mat[i, j], mat[j, i] = cos * cos, sin * sin, cos * sin, cos * sin
+    return cat, family, CorrelationMatrix(mat), i * cat.size + j
+
+
+@pytest.mark.parametrize(
+    "case", ["d1-free", "d3-free", "d1-gauge-spins", "d3-gauge", "d3-gauge-between-groups"]
+)
+def test_field_coefficients_on_the_support_equal_the_dense_bincount(case):
+    """Each frame is zero off its support, and sampling the support alone bins the same bytes."""
+    cat, family, c0, across = _support_case(case)
+    if case.startswith("d3-gauge"):  # the energy-heisenberg family at d = 3
+        assert {len(g) for g in mode_groups(family.support)} == {6, 12}
+    prop = propagate(family, (0.0, 0.2), 16, record_every=8)
+    frames = [c0, *evolve_correlation(c0, prop)]
+    for c in frames:
+        assert np.all(np.diff(c.support) > 0) and not c.support.flags.writeable
+        off = np.ones(cat.size**2, dtype=bool)
+        off[c.support] = False
+        assert not c.matrix.ravel()[off].any()
+        got = observables._field_coefficients(c, cat, 1.5)
+        assert got[:, :4].tobytes() == dense_field_coefficients(c.matrix, cat, 1.5).tobytes()
+        if across is not None:  # the block pair across the two groups is filled
+            assert across in c.support
+    if cat.d == 3:
+        assert len(frames[-1].support) < cat.size**2 / 4
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 2), (3, 1)], ids=["d1-n2", "d3-n1"])
