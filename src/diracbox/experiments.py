@@ -48,7 +48,6 @@ from .observables import (
     energy_identity_rhs,
     field_fourier,
     field_series,
-    free_energy_heisenberg,
     free_energy_schrodinger,
     spectral_divergence,
 )
@@ -319,21 +318,6 @@ def profile_square_integral(profile: dict[IntVec, complex], volume: float) -> fl
     return volume * sum(abs(c) ** 2 for c in profile.values())
 
 
-def _scan_square_integral(profile: dict[IntVec, complex], catalog: BasisCatalog) -> float:
-    """integral of the scan profile D squared; a ValueError naming `mode2` when it is 0.
-
-    A vanishing profile (mode2 of another spin than mode1, or of its energy)
-    gives the linear prediction no slope to check.
-    """
-    sq = profile_square_integral(profile, catalog.volume)
-    if sq == 0:
-        raise ValueError(
-            "`mode2`: the scan profile D of mode1 and mode2 vanishes (its square integral is 0); "
-            "pick two modes of one spin and different energy"
-        )
-    return sq
-
-
 def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
     return gauge_transform(PotentialSpec.zero(), chi, grid)
 
@@ -341,6 +325,49 @@ def _pure_gauge(chi: GaugeFunction, grid: MomentumGrid) -> PotentialSpec:
 def _unit_gauge_blocks(catalog: BasisCatalog, profile: dict[IntVec, complex], env, e: float):
     """Blocks of the pure gauge chi = D(x) g(t); linear in chi, so f D g(t) has them on `Scaled(f, ...)` envelopes."""
     return interaction_term_matrices(catalog, _pure_gauge(GaugeFunction(profile, env), catalog.grid), e)
+
+
+def _scan(catalog: BasisCatalog, cfg: ScenarioConfig, env):
+    """(Delta_xi, D, integral D^2, unit family, one family per f of `f_list`): the core of both energy scans.
+
+    The unit family is h0 plus the blocks of chi = D(x) g(t); the family of
+    f is h0 at f = 0 and those blocks on `Scaled(f, g)` envelopes otherwise.
+    Before any block is built, a ValueError names `mode2` when D vanishes
+    (mode2 of another spin than mode1, or of its energy: no slope to check)
+    and `f_list` when some f makes the prediction Delta_xi - f*integral(D^2)
+    exactly 0 (no relative deviation to take).
+    """
+    dxi = delta_xi(*_modes_of(catalog, cfg))
+    profile = scan_profile(catalog, cfg)
+    d_sq = profile_square_integral(profile, catalog.volume)
+    if d_sq == 0:
+        raise ValueError(
+            "`mode2`: the scan profile D of mode1 and mode2 vanishes (its square integral is 0); "
+            "pick two modes of one spin and different energy"
+        )
+    for f in cfg.f_list:
+        if dxi - f * d_sq == 0:
+            raise ValueError(
+                f"`f_list`: f = {f!r} makes the linear prediction Delta_xi - f*integral(D^2) exactly 0 "
+                f"on the {catalog.size}-mode catalog: no relative deviation to take"
+            )
+    blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)  # before h0: a non-finite chi names chi
+    unit = DrivenHamiltonian(h0_matrix(catalog), blocks)
+    families = [
+        unit.h0 if f == 0.0 else DrivenHamiltonian(unit.h0, [(b, Scaled(f, g)) for b, g in blocks]) for f in cfg.f_list
+    ]
+    return dxi, profile, d_sq, unit, families
+
+
+def _linear_fit(tag: str, by_f: dict, fit_f: list, dxi: float, d_sq: float, slope_tol: float, intercept_tol: float):
+    """Metrics and checks of the line through the measured energies at `fit_f` against Delta_xi - f*integral(D^2)."""
+    slope, intercept = np.polyfit(fit_f, [by_f[f] for f in fit_f], 1)
+    metrics = {f"{tag}fit_slope": float(slope), f"{tag}fit_intercept": float(intercept), f"{tag}slope_target": -d_sq}
+    checks = [
+        check_leq(f"{tag}slope_rel_err", abs(slope - (-d_sq)) / d_sq, slope_tol),
+        check_leq(f"{tag}intercept_rel_err", abs(intercept - dxi) / dxi, intercept_tol),
+    ]
+    return metrics, checks
 
 
 def _omega0(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig):
@@ -377,6 +404,8 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     """Free evolution of the two-mode state; oracle and continuity checks."""
     backends = ("gaussian", "fock") if cfg.backend == "both" else (cfg.backend,)
     n_steps = cfg.steps(1000)
+    if n_steps < 2:
+        raise ValueError(f"`n_steps` must be >= 2: the centred d(rho)/dt needs three recorded times, got {n_steps}")
     results = {}
     header = ["backend", "time", "x", "y", "z", "rho", "jx", "jy", "jz"]
     rows: list[list] = []
@@ -586,37 +615,19 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
     if 0.0 not in cfg.f_list or not small_f:
         raise ValueError("`f_list` needs 0 and at least one positive f for the linear fit")
     catalogs = [_subset_catalog(cfg, momenta_z) for momenta_z in cfg.scan_subsets]
-    profiles = []
     for catalog in catalogs:
-        # every subset within the mode cap, holding the wavepacket, with a
-        # profile to scan and a nonzero prediction at every f, before any evolution
         _check_fock_cap(catalog, "scan_subsets")
-        dxi = delta_xi(*_modes_of(catalog, cfg))
-        profile = scan_profile(catalog, cfg)
-        d_sq = _scan_square_integral(profile, catalog)
-        for f in cfg.f_list:
-            if dxi - f * d_sq == 0:
-                raise ValueError(
-                    f"`f_list`: f = {f!r} makes the linear prediction Delta_xi - f*integral(D^2) exactly 0 "
-                    f"on the {catalog.size}-mode subset: no relative deviation to take"
-                )
-        profiles.append((profile, d_sq, dxi))
-    for catalog, (profile, d_sq, dxi) in zip(catalogs, profiles):
-        h0 = h0_matrix(catalog)
-        unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
+    scans = [_scan(catalog, cfg, env) for catalog in catalogs]  # every subset's preflight before any evolution
+    for catalog, (dxi, _, d_sq, unit, hams) in zip(catalogs, scans):
         # no f D g(t) mixes two mode groups of the unit family (its spins): omega0 steps in their sector
-        omega = omega0_state(catalog, cfg.mode1, cfg.mode2, mode_groups(DrivenHamiltonian(h0, unit_blocks).support))
+        omega = omega0_state(catalog, cfg.mode1, cfg.mode2, mode_groups(unit.support))
         sea = catalog.sea_energy()
         tag = f"M{catalog.size}"
         f_star = None
         by_f = {}
-        hams = [
-            h0 if f == 0.0 else DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
-            for f in cfg.f_list
-        ]
         _, runs = evolve_schrodinger_batch(omega, hams, (0.0, cfg.t_final), n_steps, record_every=n_steps)
         for f, states in zip(cfg.f_list, runs):
-            measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), h0) - sea
+            measured = by_f[f] = free_energy_schrodinger(correlation_from_state(states[-1]), unit.h0) - sea
             predicted = dxi - f * d_sq
             rel = abs(measured - predicted) / abs(predicted)
             bound_margin = measured  # vacuum is the floor of the free energy
@@ -628,17 +639,9 @@ def run_schrodinger_gauge_scan(cfg: ScenarioConfig) -> Report:
                 checks.append(check_leq(f"{tag}_linear_f{f}", rel, 0.05))
             if f_star is None and f > 0 and rel > 0.1:
                 f_star = f
-        fit_f = [0.0] + small_f
-        slope, intercept = np.polyfit(fit_f, [by_f[f] for f in fit_f], 1)
-        metrics[f"{tag}_fit_slope"] = float(slope)
-        metrics[f"{tag}_fit_intercept"] = float(intercept)
-        metrics[f"{tag}_slope_target"] = -d_sq
-        checks.append(
-            check_leq(f"{tag}_slope_rel_err", abs(slope - (-d_sq)) / d_sq, 0.05)
-        )
-        checks.append(
-            check_leq(f"{tag}_intercept_rel_err", abs(intercept - dxi) / dxi, 0.05)
-        )
+        fit_metrics, fit_checks = _linear_fit(f"{tag}_", by_f, [0.0] + small_f, dxi, d_sq, 0.05, 0.05)
+        metrics |= fit_metrics
+        checks += fit_checks
         metrics[f"{tag}_f_star"] = f_star  # None: no departure inside the scanned f
         f_stars.append(f_star)
     checks.append(
@@ -659,7 +662,9 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
     band-edge artifact from the sea that buries the linear identity; the
     vacuum-run reference removes it while both agree in the continuum, where
     the pure-gauge sea energy is exactly invariant.  The raw static-subtracted
-    values are kept in the metrics for comparison.
+    values are kept in the metrics for comparison.  <H_0> is read off the
+    final frame of W0 (or C0) conjugated by the propagator, the frame
+    `gauge-schrodinger` takes from the final Fock state.
     """
     n_steps = cfg.steps(4000)
     small_f = sorted(f for f in cfg.f_list if f > 0)[:3]
@@ -667,54 +672,39 @@ def run_heisenberg_energy_scan(cfg: ScenarioConfig) -> Report:
         raise ValueError("`f_list` needs at least two positive f for the linear fit")
     env = cfg.envelope()
     catalog = cfg.catalog(cfg.resolved_n_max("gaussian"))
-    m1, m2 = _modes_of(catalog, cfg)
-    dxi = delta_xi(m1, m2)
-    profile = scan_profile(catalog, cfg)
-    d_sq = _scan_square_integral(profile, catalog)
-    unit_blocks = _unit_gauge_blocks(catalog, profile, env, cfg.e)
+    dxi, profile, d_sq, unit, families = _scan(catalog, cfg, env)
     C0 = omega0_correlation(catalog, cfg.mode1, cfg.mode2)
     W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
     sea = catalog.sea_energy()
 
-    # identity RHS cross-check: pair chi with the free-run div J at t_final
-    free_steps = max(n_steps // 4, 1)
-    h0 = h0_matrix(catalog)
-    u_free = propagate(h0, (0.0, cfg.t_final), free_steps, record_every=free_steps)
-    C_free = evolve_correlation(C0, u_free)[-1]
-    _, divj_k = field_fourier(C_free, catalog, e=cfg.e)
+    # the one free run: the f = 0 frames, and the div J at t_final the identity RHS pairs chi with
+    t_span, free_steps = (0.0, cfg.t_final), max(n_steps // 4, 1)
+    u_free = propagate(unit.h0, t_span, free_steps, record_every=free_steps)
+    _, divj_k = field_fourier(evolve_correlation(C0, u_free)[-1], catalog, e=cfg.e)
 
     header = ["f", "measured_minus_vac", "predicted_minus_vac", "rel_dev"]
     rows: list[list] = []
     metrics: dict[str, float] = {}
-    checks: list[Check] = []
     pairing_err = 0.0
     by_f = {}
-    for f in cfg.f_list:
-        u_final = u_free.final
+    for f, ham in zip(cfg.f_list, families):
+        prop = u_free if f == 0.0 else propagate(ham, t_span, n_steps, record_every=n_steps)
         predicted = dxi - f * d_sq
-        if f != 0.0:
-            ham = DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in unit_blocks])
-            u_final = propagate(ham, (0.0, cfg.t_final), n_steps, record_every=n_steps).final
-            if f > 0:
-                chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
-                rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
-                pairing_err = max(pairing_err, abs(rhs - predicted))
-        measured = by_f[f] = free_energy_heisenberg(W0, u_final, h0)
+        if f > 0:
+            chi = GaugeFunction({k: f * c for k, c in profile.items()}, env)
+            rhs = energy_identity_rhs(chi, cfg.t_final, divj_k, dxi, catalog.volume)
+            pairing_err = max(pairing_err, abs(rhs - predicted))
+        measured, static = [free_energy_schrodinger(evolve_correlation(c, prop)[-1], unit.h0) for c in (W0, C0)]
+        by_f[f] = measured
         rel = abs(measured - predicted) / abs(predicted)
         rows.append([float(f), measured, predicted, float(rel)])
         metrics[f"f{f}_measured"] = measured
         metrics[f"f{f}_predicted"] = predicted
-        metrics[f"f{f}_measured_static_sub"] = (
-            free_energy_heisenberg(C0, u_final, h0) - sea
-        )
-    slope, intercept = np.polyfit(small_f, [by_f[f] for f in small_f], 1)
-    metrics["fit_slope"] = float(slope)
-    metrics["fit_intercept"] = float(intercept)
-    metrics["slope_target"] = -d_sq
+        metrics[f"f{f}_measured_static_sub"] = static - sea
+    fit_metrics, checks = _linear_fit("", by_f, small_f, dxi, d_sq, 0.02, 0.01)
+    metrics |= fit_metrics
     metrics["intercept_target"] = dxi
     metrics["identity_pairing_err"] = float(pairing_err)
-    checks.append(check_leq("slope_rel_err", abs(slope - (-d_sq)) / d_sq, 0.02))
-    checks.append(check_leq("intercept_rel_err", abs(intercept - dxi) / dxi, 0.01))
     checks.append(check_leq("identity_pairing", pairing_err, 1e-10))
     return Report("energy-heisenberg", cfg, metrics, checks, (header, rows))
 

@@ -343,5 +343,10 @@ def free_energy_schrodinger(c: CorrelationMatrix, h0: OneBodyOperator) -> float:
 
 
 def free_energy_heisenberg(c0: CorrelationMatrix, u: np.ndarray, h0: OneBodyOperator) -> float:
-    """<u^dag h0 u> quantized, in the fixed initial correlation matrix; `h0` from `h0_matrix`."""
+    """<u^dag h0 u> quantized, in the fixed initial correlation matrix; `h0` from `h0_matrix`.
+
+    The dense oracle of the Heisenberg energy reading: no driver calls it.
+    `energy-heisenberg` reads `free_energy_schrodinger` off the final frame
+    of `evolve_correlation`, as `gauge-schrodinger` does off its final state.
+    """
     return free_energy_schrodinger(c0, OneBodyOperator(u.conj().T @ h0.matrix @ u))

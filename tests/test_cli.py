@@ -370,6 +370,8 @@ BAD_CONFIGS = [
     ("gauge-schrodinger", "f_list = 0, 0.05, 0.05, 0.1", "`f_list` repeats a value"),
     # f = Delta_xi / integral(D^2) at the defaults: a linear prediction of exactly 0 to divide by
     ("gauge-schrodinger", "f_list = 0, 0.05, 0.1, 103.58007771533707", "`f_list`: f = 103.58007771533707"),
+    ("energy-heisenberg", "f_list = 0, 0.05, 0.1, 103.58007771533707", "`f_list`: f = 103.58007771533707"),
+    ("baseline", "n_steps = 1", "`n_steps`"),
 ]
 
 

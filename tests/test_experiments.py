@@ -45,7 +45,7 @@ from diracbox.gaussian import (
     vacuum_correlation,
 )
 from diracbox.modes import ALPHA
-from diracbox.observables import SpatialGrid, current_matrix, density_matrix
+from diracbox.observables import SpatialGrid, current_matrix, density_matrix, free_energy_heisenberg
 from diracbox.onebody import (
     DrivenHamiltonian,
     GaugeFunction,
@@ -399,6 +399,46 @@ def test_schrodinger_scan_energies_equal_the_direct_fock_reading(monkeypatch):
             want = expectation(state, quantize(h0_matrix(cat), state.basis)).real
             got = rep.metrics[f"M{cat.size}_f{f}_measured"] + cat.sea_energy()
             assert abs(got - want) <= 1e-14 * abs(want), (cat.size, f)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(n_steps=400),
+        ScenarioConfig(d=3, n_max=1, n_steps=200),  # M = 108
+        ScenarioConfig(n_steps=400, f_list=(0.05, 0.1, 0.2)),  # no f = 0: the free run serves the identity RHS alone
+    ],
+    ids=["d1", "d3", "no-f0"],
+)
+def test_heisenberg_scan_energies_equal_the_dense_operator_reading(monkeypatch, cfg):
+    """The scan reads <H_0> off each final frame; <u^dag h0 u> in W0 and in C0 is the oracle.
+
+    The f = 0 numbers come from the one free run, on n_steps // 4 steps;
+    every other f from its own family's run on n_steps.
+    """
+    calls = []
+    original = experiments.propagate
+    monkeypatch.setattr(experiments, "propagate", lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    rep = run_heisenberg_energy_scan(cfg)
+    assert rep.passed
+    assert len(calls) == 1 + sum(f != 0.0 for f in cfg.f_list)  # one free propagation
+    assert "identity_pairing_err" in rep.metrics and "identity_pairing" in checks_by_name(rep)
+    cat = cfg.catalog(cfg.resolved_n_max("gaussian"))
+    h0, t_span, n_steps = h0_matrix(cat), (0.0, cfg.t_final), cfg.n_steps
+    blocks = _unit_gauge_blocks(cat, scan_profile(cat, cfg), cfg.envelope(), cfg.e)
+    W0 = excitation_correlation(cat, cfg.mode1, cfg.mode2)
+    C0 = omega0_correlation(cat, cfg.mode1, cfg.mode2)
+    for f in cfg.f_list:
+        if f == 0.0:
+            u = propagate(h0, t_span, n_steps // 4, record_every=n_steps // 4).final
+        else:
+            family = DrivenHamiltonian(h0, [(b, Scaled(f, g)) for b, g in blocks])
+            u = propagate(family, t_span, n_steps, record_every=n_steps).final
+        for key, want in (
+            (f"f{f}_measured", free_energy_heisenberg(W0, u, h0)),
+            (f"f{f}_measured_static_sub", free_energy_heisenberg(C0, u, h0) - cat.sea_energy()),
+        ):
+            assert abs(rep.metrics[key] - want) <= 1e-12 * abs(want), (key, rep.metrics[key], want)
 
 
 def test_scaled_unit_gauge_family_equals_the_family_rebuilt_at_each_f():

@@ -48,8 +48,12 @@ def test_fock_work_loads_scipy_sparse():
 
 
 def test_drivers_import_no_quantized_operator():
-    """Both pictures step the one-body family: the drivers never quantize or build a many-body operator."""
+    """Both pictures step the one-body family: the drivers never quantize or build a many-body operator.
+
+    Nor do they read <H_0> any way but off a correlation frame: the dense
+    u^dag h0 u reading, `free_energy_heisenberg`, is the tests' oracle.
+    """
     tree = ast.parse((SRC / "diracbox" / "experiments.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "evolve_schrodinger_batch" in imported  # the control: the walk sees the Fock imports
-    assert imported.isdisjoint({"quantize", "ManyBodyOperator"})
+    assert imported.isdisjoint({"quantize", "ManyBodyOperator", "free_energy_heisenberg"})
