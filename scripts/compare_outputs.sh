@@ -1,16 +1,10 @@
 #!/usr/bin/env bash
 # Byte-identity check for a change that must not move any output: run
-# scripts/run_all.sh (check suite plus the five default scenarios),
-# `baseline --backend both`, `baseline` at d = 3 (n_max = 1, 200 steps,
-# the path of the benchmark's d3-field-sampling workload; n_max = 2,
-# 20 steps, t_final = 0.1: M = 500; and n_max = 3, 4 steps,
-# t_final = 0.02: M = 1 372), `gauge-heisenberg`
-# at chi_amplitude = 0 (a family whose blocks are all zero) and
-# `gauge-schrodinger` on the mirrored subsets -1 0, -1 0 1 with mode2 = -1:+
-# (the benchmark's seeded variant) and `energy-heisenberg` at d = 3
-# (n_max = 1, 1000 steps: a driven family whose mode groups come in two
-# sizes, 6 and 12) on git revision REV and on the working tree, each with
-# one BLAS thread, then `diff -r` the two output directories.
+# scripts/run_all.sh (check suite plus the five default scenarios) and the
+# gate runs of scripts/gate_runs.py (each a scenario with a config file) on
+# git revision REV and on the working tree, each with one BLAS thread, then
+# `diff -r` the two output directories.  Both trees run the working tree's
+# list of gate runs.
 # The console logs of both runs are part of the outputs.  When they differ,
 # scripts/compare_numbers.py then prints how far each number in the differing
 # CSV/JSON files moved; given FLOOR_JSON (from `scripts/relabel_floor.py N
@@ -29,12 +23,7 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 mkdir "${tmp}/rev"
 git -C "${repo}" archive "${rev}" | tar -x -C "${tmp}/rev"
-printf 'd = 3\nn_max = 1\nn_steps = 200\n' > "${tmp}/d3.cfg"
-printf 'd = 3\nn_max = 2\nn_steps = 20\nt_final = 0.1\n' > "${tmp}/d3-n2.cfg"
-printf 'd = 3\nn_max = 3\nn_steps = 4\nt_final = 0.02\n' > "${tmp}/d3-n3.cfg"
-printf 'chi_amplitude = 0\n' > "${tmp}/chi0.cfg"
-printf 'mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n' > "${tmp}/mirrored.cfg"
-printf 'd = 3\nn_max = 1\nn_steps = 1000\n' > "${tmp}/energy-d3.cfg"
+python3 "${repo}/scripts/gate_runs.py" "${tmp}/configs" > "${tmp}/gate_runs.txt"
 
 # run_tree TREE OUT: outputs of TREE's sources under OUT, with paths relative to OUT
 run_tree() {
@@ -42,20 +31,10 @@ run_tree() {
     (
         cd "$2"
         "$1/scripts/run_all.sh" results > run_all.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --backend both \
-            --out-dir baseline-both > baseline-both.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3.cfg" \
-            --out-dir baseline-d3 > baseline-d3.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3-n2.cfg" \
-            --out-dir baseline-d3-n2 > baseline-d3-n2.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli baseline --config "${tmp}/d3-n3.cfg" \
-            --out-dir baseline-d3-n3 > baseline-d3-n3.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli gauge-heisenberg --config "${tmp}/chi0.cfg" \
-            --out-dir gauge-heisenberg-chi0 > gauge-heisenberg-chi0.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli gauge-schrodinger --config "${tmp}/mirrored.cfg" \
-            --out-dir gauge-schrodinger-mirrored > gauge-schrodinger-mirrored.log 2>&1 || true
-        PYTHONPATH="$1/src" python3 -m diracbox.cli energy-heisenberg --config "${tmp}/energy-d3.cfg" \
-            --out-dir energy-heisenberg-d3 > energy-heisenberg-d3.log 2>&1 || true
+        while read -r name scenario; do
+            PYTHONPATH="$1/src" python3 -m diracbox.cli "${scenario}" --config "${tmp}/configs/${name}.cfg" \
+                --out-dir "${name}" > "${name}.log" 2>&1 < /dev/null || true
+        done < "${tmp}/gate_runs.txt"
     )
 }
 

@@ -2,15 +2,11 @@
 """The relabelling floor: how far each output number moves when only the mode order does.
 
 Runs the scenario outputs of scripts/compare_outputs.sh (the five default
-scenarios, `baseline --backend both`, and the runs of `CONFIG_RUNS`:
-`baseline` at d = 3, n_max = 1, 200 steps, at n_max = 2, 20 steps,
-t_final = 0.1, and at n_max = 3, 4 steps, t_final = 0.02,
-`gauge-heisenberg` at chi_amplitude = 0, `gauge-schrodinger`
-on the mirrored subsets, and `energy-heisenberg` at d = 3, n_max = 1, 1000
-steps) once as built and once for each seed 1..N with the modes of every
-catalog reordered by a seeded numpy permutation.  All runs take place in
-this process, from this checkout's sources, with one BLAS thread.  The
-check suite is left out: it writes no numbers.
+scenarios and the gate runs of scripts/gate_runs.py) once as built and once
+for each seed 1..N with the modes of every catalog reordered by a seeded
+numpy permutation.  All runs take place in this process, from this
+checkout's sources, with one BLAS thread.  The check suite is left out: it
+writes no numbers.
 
 A permutation of the modes changes no physics, only the order in which the
 mode sums are taken.  So the largest move of a number from the unpermuted
@@ -54,18 +50,9 @@ import numpy as np  # noqa: E402
 
 from compare_numbers import columns, deviation  # noqa: E402
 from diracbox import cli, modes  # noqa: E402
+from gate_runs import write_configs  # noqa: E402
 
 SCENARIOS = ("baseline", "gauge-heisenberg", "gauge-schrodinger", "energy-heisenberg", "equivalence")
-# the runs of compare_outputs.sh beyond the defaults: output directory -> (scenario, config text)
-CONFIG_RUNS = {
-    "baseline-d3": ("baseline", "d = 3\nn_max = 1\nn_steps = 200\n"),
-    "baseline-d3-n2": ("baseline", "d = 3\nn_max = 2\nn_steps = 20\nt_final = 0.1\n"),
-    "baseline-d3-n3": ("baseline", "d = 3\nn_max = 3\nn_steps = 4\nt_final = 0.02\n"),
-    "gauge-heisenberg-chi0": ("gauge-heisenberg", "chi_amplitude = 0\n"),
-    "gauge-schrodinger-mirrored": ("gauge-schrodinger", "mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n"),
-    "energy-heisenberg-d3": ("energy-heisenberg", "d = 3\nn_max = 1\nn_steps = 1000\n"),
-}
-
 
 @contextlib.contextmanager
 def permuted_modes(seed: int):
@@ -88,12 +75,7 @@ def permuted_modes(seed: int):
 
 def run_set(out: Path, configs: Path) -> dict[str, int]:
     """Write the scenario outputs under `out` (config files under `configs`); the exit status of each run by directory."""
-    runs = {f"results/{name}": [name] for name in SCENARIOS}  # the layout of compare_outputs.sh
-    runs["baseline-both"] = ["baseline", "--backend", "both"]
-    for name, (scenario, text) in CONFIG_RUNS.items():
-        config = configs / f"{name}.cfg"
-        config.write_text(text)
-        runs[name] = [scenario, "--config", str(config)]
+    runs = {f"results/{name}": [name] for name in SCENARIOS} | write_configs(configs)  # compare_outputs.sh's layout
     status = {}
     for name, argv in runs.items():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

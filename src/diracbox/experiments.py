@@ -117,8 +117,12 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not value > 0:
                 raise ValueError(f"`{key}` must be > 0, got {value}")
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError(f"`n_max` must be >= 0, got {self.n_max}")
+        for key in ("n_max", "seed"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"`{key}` must be >= 0, got {value}")
+        if not self.cutoffs or min(self.cutoffs) < 0:
+            raise ValueError(f"`cutoffs` must hold one or more values >= 0, got {', '.join(map(str, self.cutoffs))}")
         for key in ("n_steps", "points_per_axis", "n_drives", "heis_refine", "drive_band"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -377,14 +381,16 @@ def _omega0(backend: str, catalog: BasisCatalog, cfg: ScenarioConfig):
 
 
 def _evolved_series(start, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: int, drives=((),), record_every=1):
-    """The field series of omega0 (`start`, from `_omega0`) on `catalog` under h0 plus each drive's blocks.
+    """(runs, series) of omega0 (`start`, from `_omega0`) on `catalog` under h0 plus each drive's blocks.
 
     A correlation matrix evolves in the Heisenberg picture: the one-body
     propagator u conjugates it, so each frame holds the bilinears of the
     evolved field operators in the initial state.  A Fock state evolves in
     the Schrodinger picture, every drive in one batch, and each frame is the
     evolved state's correlation matrix.  Both step one family per drive;
-    with no blocks, the static h0.
+    with no blocks, the static h0.  The runs are what was stepped, one per
+    drive: the propagators, or the recorded Fock states; the series are the
+    fields `field_series` reads off each run's frames.
     """
     h0, t_span = h0_matrix(catalog), (0.0, cfg.t_final)
     hams = [DrivenHamiltonian(h0, blocks) if blocks else h0 for blocks in drives]
@@ -392,9 +398,9 @@ def _evolved_series(start, catalog: BasisCatalog, cfg: ScenarioConfig, n_steps: 
         times, runs = evolve_schrodinger_batch(start, hams, t_span, n_steps, record_every)
         frames = [[correlation_from_state(state) for state in states] for states in runs]
     else:
-        props = [propagate(ham, t_span, n_steps, record_every) for ham in hams]
-        times, frames = props[0].times, [evolve_correlation(start, prop) for prop in props]
-    return [field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e) for cs in frames]
+        runs = [propagate(ham, t_span, n_steps, record_every) for ham in hams]
+        times, frames = runs[0].times, [evolve_correlation(start, prop) for prop in runs]
+    return runs, [field_series(catalog, times, cs, cfg.points_per_axis, e=cfg.e) for cs in frames]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +425,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
             _check_fock_cap(catalog, "n_max")
     for be, catalog in catalogs.items():
         m1, m2 = _modes_of(catalog, cfg)
-        [series] = _evolved_series(_omega0(be, catalog, cfg), catalog, cfg, n_steps)
+        _, [series] = _evolved_series(_omega0(be, catalog, cfg), catalog, cfg, n_steps)
         results[be] = (catalog, series)
 
         times, pts = series.times, series.points
@@ -463,7 +469,7 @@ def run_free_baseline(cfg: ScenarioConfig) -> Report:
     if len(backends) == 2:
         # the comparison needs a shared catalog: rerun the gaussian backend on the fock one
         catalog, fock_series = results["fock"]
-        [gauss_series] = _evolved_series(_omega0("gaussian", catalog, cfg), catalog, cfg, n_steps)
+        _, [gauss_series] = _evolved_series(_omega0("gaussian", catalog, cfg), catalog, cfg, n_steps)
         dev = max(
             float(np.abs(gauss_series.rho - fock_series.rho).max()),
             float(np.abs(gauss_series.current - fock_series.current).max()),
@@ -487,7 +493,7 @@ def _default_chi(cfg: ScenarioConfig) -> dict[IntVec, complex]:
 
 
 def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
-    """Propagate free vs pure-gauge potentials; gauge invariance of rho, J.
+    """Free vs pure-gauge runs of each cutoff through `_evolved_series`; gauge invariance of rho, J.
 
     Observables are the excitation (vacuum-subtracted) fields: the sea carries
     a band-edge artifact under the truncated gauge phase that never converges
@@ -506,84 +512,45 @@ def run_heisenberg_gauge(cfg: ScenarioConfig) -> Report:
             "n_max = 1, is too truncated for the 1e-6 gauge checks"
         )
     n_steps = cfg.steps(8000)
-    chi_map = _default_chi(cfg)
-    env = cfg.envelope()
-    chi = GaugeFunction(chi_map, env)
+    chi = GaugeFunction(_default_chi(cfg), cfg.envelope())
     window = min(cfg.cutoffs) - chi.band()
     if window < 0:
         raise ValueError(f"`chi` band {chi.band()} exceeds the smallest of `cutoffs`, {min(cfg.cutoffs)}")
-    header = ["n_max", "time", "rho_dev", "j_dev", "unitary_dist"]
-    rows: list[list] = []
-    per_cutoff: dict[int, dict[str, float]] = {}
     catalogs = [cfg.catalog(n_max) for n_max in cfg.cutoffs]
     for catalog in catalogs:
         _mode_indices(catalog, cfg)  # every cutoff holds the wavepacket before any evolution
-    for n_max, catalog in zip(cfg.cutoffs, catalogs):
-        pure = _pure_gauge(chi, catalog.grid)
-        record = max(1, n_steps // 20)
-        h0 = h0_matrix(catalog)
-        u_free = propagate(h0, (0.0, cfg.t_final), n_steps, record_every=record)
-        u_gauge = propagate(
-            DrivenHamiltonian(h0, interaction_term_matrices(catalog, pure, cfg.e)),
-            (0.0, cfg.t_final),
-            n_steps,
-            record_every=record,
-        )
+    # every cutoff's pure-gauge blocks, each checked when built, before any evolution
+    gauges = [interaction_term_matrices(catalog, _pure_gauge(chi, catalog.grid), cfg.e) for catalog in catalogs]
+    header = ["n_max", "time", "rho_dev", "j_dev", "unitary_dist"]
+    rows: list[list] = []
+    metrics: dict[str, float] = {}
+    for n_max, catalog, blocks in zip(cfg.cutoffs, catalogs, gauges):
         W0 = excitation_correlation(catalog, cfg.mode1, cfg.mode2)
-        s_free, s_gauge = (
-            field_series(catalog, u.times, evolve_correlation(W0, u), cfg.points_per_axis, e=cfg.e)
-            for u in (u_free, u_gauge)
+        (u_free, u_gauge), (s_free, s_gauge) = _evolved_series(
+            W0, catalog, cfg, n_steps, ((), blocks), max(1, n_steps // 20)
         )
-
-        sel = catalog.tables.caps <= window
-        rho_dev_t = np.abs(s_free.rho - s_gauge.rho).max(axis=1)
-        j_dev_t = np.abs(s_free.current - s_gauge.current).max(axis=(1, 2))
-        unit_t = []
-        for t, ug, uf in zip(u_free.times, u_gauge.matrices, u_free.matrices):
-            phase = gauge_phase(chi_matrix(catalog, chi, t), cfg.e)
-            diff = ug - phase @ uf
-            unit_t.append(float(np.abs(diff[np.ix_(sel, sel)]).max()))
-        unit_t = np.array(unit_t)
-        for ti, t in enumerate(u_free.times):
-            rows.append([n_max, float(t), float(rho_dev_t[ti]), float(j_dev_t[ti]), float(unit_t[ti])])
-        per_cutoff[n_max] = {
-            "rho_dev": float(rho_dev_t.max()),
-            "j_dev": float(j_dev_t.max()),
-            "unitary_dist": float(unit_t.max()),
-            "identity_window": gauge_identity_residual(
-                catalog, chi, cfg.t_final, cfg.e, window=window
-            )["window"],
+        inside = catalog.tables.caps <= window
+        dev = {  # each at every recorded time
+            "rho_dev": np.abs(s_free.rho - s_gauge.rho).max(axis=1),
+            "j_dev": np.abs(s_free.current - s_gauge.current).max(axis=(1, 2)),
+            "unitary_dist": np.array(
+                [
+                    np.abs((ug - gauge_phase(chi_matrix(catalog, chi, t), cfg.e) @ uf)[np.ix_(inside, inside)]).max()
+                    for t, ug, uf in zip(u_free.times, u_gauge.matrices, u_free.matrices)
+                ]
+            ),
         }
+        rows += [[n_max, *map(float, row)] for row in zip(u_free.times, *dev.values())]
+        metrics |= {f"n{n_max}_{key}": float(values.max()) for key, values in dev.items()}
+        identity = gauge_identity_residual(catalog, chi, cfg.t_final, cfg.e, window=window)
+        metrics[f"n{n_max}_identity_window"] = identity["window"]
 
-    metrics = {f"n{n}_{k}": v for n, d in per_cutoff.items() for k, v in d.items()}
-    checks = []
-    for n_max in cfg.cutoffs:
-        checks.append(check_leq(f"rho_gauge_dev_n{n_max}", per_cutoff[n_max]["rho_dev"], 1e-6))
-        checks.append(check_leq(f"j_gauge_dev_n{n_max}", per_cutoff[n_max]["j_dev"], 1e-6))
-        checks.append(
-            check_leq(f"unitary_dist_n{n_max}", per_cutoff[n_max]["unitary_dist"], 1e-8)
-        )
-    checks.append(
-        check_monotone(
-            "rho_dev_decreasing",
-            [per_cutoff[n]["rho_dev"] for n in cfg.cutoffs],
-            decreasing=True,
-        )
-    )
-    checks.append(
-        check_monotone(
-            "j_dev_decreasing",
-            [per_cutoff[n]["j_dev"] for n in cfg.cutoffs],
-            decreasing=True,
-        )
-    )
-    checks.append(
-        check_monotone(
-            "identity_window_decreasing",
-            [per_cutoff[n]["identity_window"] for n in cfg.cutoffs],
-            decreasing=True,
-        )
-    )
+    bounds = (("rho_gauge_dev", "rho_dev", 1e-6), ("j_gauge_dev", "j_dev", 1e-6), ("unitary_dist", "unitary_dist", 1e-8))
+    checks = [check_leq(f"{name}_n{n}", metrics[f"n{n}_{key}"], tol) for n in cfg.cutoffs for name, key, tol in bounds]
+    checks += [
+        check_monotone(f"{key}_decreasing", [metrics[f"n{n}_{key}"] for n in cfg.cutoffs], decreasing=True)
+        for key in ("rho_dev", "j_dev", "identity_window")
+    ]
     return Report("gauge-heisenberg", cfg, metrics, checks, (header, rows))
 
 
@@ -772,7 +739,7 @@ def run_picture_equivalence(cfg: ScenarioConfig) -> Report:
 
     def panels(backend, steps):
         """The final panel of every drive; the Fock picture steps all drives in one batch."""
-        series = _evolved_series(starts[backend], catalog, cfg, steps, drive_blocks, record_every=steps)
+        _, series = _evolved_series(starts[backend], catalog, cfg, steps, drive_blocks, record_every=steps)
         return [_final_panel(s) for s in series]
 
     header = ["drive", "n_steps", "deviation", "doubled_deviation", "matched_deviation"]

@@ -636,20 +636,18 @@ def evolve_schrodinger_batch(
     diag = np.concatenate([lo + np.flatnonzero(table.gather[slots] >= M * M) for lo, (slots, *_) in zip(bounds, lifts)])
     held = [work.data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     occupation = table.occupation.astype(complex)  # the cast quantize's matmul makes on every call
-    chunks = [_step_chunks(family, layout, index, dt, t_mid) for family, layout, index in routes]
     psi = np.tile(state.amplitudes, (K, 1))
     runs = [[state] for _ in range(K)]
-    current = [(0, ())] * K  # each family's chunk: (first step, its entries)
-    for n in range(n_steps):
-        for k in range(K):
-            first, entries = current[k]
-            if n == first + len(entries):
-                current[k] = first, entries = next(chunks[k])[:2]
-            np.multiply(_lift(entries[n - first], occupation, *lifts[k][1:]), -1j * dt, out=held[k])
-        psi = _expm_shifted(work, diag, psi)
-        if n + 1 in kept:
-            for run, amplitudes in zip(runs, psi):
-                run.append(FockState(amplitudes.copy(), basis))
+    # one time grid, so the families' chunks cover the same steps; zip runs their guards in family order
+    for chunk in zip(*(_step_chunks(*route, dt, t_mid) for route in routes)):
+        first = chunk[0][0]
+        for n in range(first, first + len(chunk[0][1])):
+            for (_, entries, *_), (_, *where), out in zip(chunk, lifts, held):
+                np.multiply(_lift(entries[n - first], occupation, *where), -1j * dt, out=out)
+            psi = _expm_shifted(work, diag, psi)
+            if n + 1 in kept:
+                for run, amplitudes in zip(runs, psi):
+                    run.append(FockState(amplitudes.copy(), basis))
     return times, runs
 
 

@@ -372,6 +372,8 @@ BAD_CONFIGS = [
     ("gauge-schrodinger", "f_list = 0, 0.05, 0.1, 103.58007771533707", "`f_list`: f = 103.58007771533707"),
     ("energy-heisenberg", "f_list = 0, 0.05, 0.1, 103.58007771533707", "`f_list`: f = 103.58007771533707"),
     ("baseline", "n_steps = 1", "`n_steps`"),
+    ("equivalence", "seed = -1", "`seed`"),
+    ("gauge-heisenberg", "chi = 0:0.01:0\ncutoffs = -1", "`cutoffs` must hold one or more values >= 0"),
 ]
 
 
@@ -416,6 +418,7 @@ def test_main_flag_overrides_parse_like_config_values(tmp_path, capsys):
     for flags, want in (
         (["--seed", "x"], "config error: invalid value for `seed`: 'x'\n"),
         (["--seed", "none"], "config error: `seed` does not accept none\n"),
+        (["--seed", "-1"], "config error: `seed` must be >= 0, got -1\n"),
         (["--cutoffs", "2,x"], "config error: invalid value for `cutoffs`: '2,x'\n"),
         (["--cutoffs", "3,2"], "config error: `cutoffs` must strictly increase, got 3, 2\n"),
     ):

@@ -118,6 +118,9 @@ def test_config_rejects_bad_backend_and_negative_cutoff():
         ScenarioConfig(backend="laplace")
     with pytest.raises(ValueError, match="n_max"):
         ScenarioConfig(n_max=-1)
+    for cutoffs in ((-1,), (-1, 2), ()):
+        with pytest.raises(ValueError, match="cutoffs"):
+            ScenarioConfig(cutoffs=cutoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +279,38 @@ def test_equivalence_panel_equals_the_operator_panel(backend, drive):
             _, states = evolve_schrodinger(omega, ham, t_span, steps, record_every=steps)
             c = correlation_from_state(states[-1])
             want = [bilinear_expectation(c, op).real for op in ops]
-        [series] = _evolved_series(_omega0(backend, cat, cfg), cat, cfg, steps, [blocks], record_every=steps)
+        _, [series] = _evolved_series(_omega0(backend, cat, cfg), cat, cfg, steps, [blocks], record_every=steps)
         got = _final_panel(series)
         assert len(got) == len(ops) == 1 + 4 * len(pts)
         assert np.abs(got - np.array(want)).max() <= 1e-13, steps
 
 
-def test_gauge_heisenberg_two_cutoffs():
+def test_gauge_heisenberg_two_cutoffs(monkeypatch):
+    """Per cutoff: a free and a pure-gauge propagation of 21 frames, three bounded checks; then three monotone ones."""
+    calls = []
+    original = experiments.propagate
+    monkeypatch.setattr(experiments, "propagate", lambda *args, **kw: calls.append(original(*args, **kw)) or calls[-1])
     rep = run_heisenberg_gauge(ScenarioConfig(cutoffs=(2, 3), n_steps=3000))
     assert rep.passed
     assert rep.metrics["n3_rho_dev"] < rep.metrics["n2_rho_dev"]
     assert rep.metrics["n3_j_dev"] < rep.metrics["n2_j_dev"]
+    assert [len(u.times) for u in calls] == [21] * 4
+    assert [(c.name, c.comparison, c.tolerance) for c in rep.checks] == [
+        ("rho_gauge_dev_n2", "<=", 1e-6),
+        ("j_gauge_dev_n2", "<=", 1e-6),
+        ("unitary_dist_n2", "<=", 1e-8),
+        ("rho_gauge_dev_n3", "<=", 1e-6),
+        ("j_gauge_dev_n3", "<=", 1e-6),
+        ("unitary_dist_n3", "<=", 1e-8),
+        ("rho_dev_decreasing", "strictly_decreasing", 0.0),
+        ("j_dev_decreasing", "strictly_decreasing", 0.0),
+        ("identity_window_decreasing", "strictly_decreasing", 0.0),
+    ]
+    keys = ("rho_dev", "j_dev", "unitary_dist", "identity_window")
+    assert sorted(rep.metrics) == sorted(f"n{n}_{key}" for n in (2, 3) for key in keys)
+    header, rows = rep.series
+    assert header == ["n_max", "time", "rho_dev", "j_dev", "unitary_dist"]
+    assert [row[0] for row in rows] == [2] * 21 + [3] * 21
 
 
 def test_energy_scan_slope_and_intercept():

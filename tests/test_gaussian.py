@@ -305,7 +305,7 @@ def test_d3_frames_are_certified_without_eigvalsh(gaussian_eigvalsh_calls):
     cat = cfg.catalog(1)
     start = _omega0("gaussian", cat, cfg)  # C0, built from raw data, runs eigvalsh
     built = len(gaussian_eigvalsh_calls)
-    [series] = _evolved_series(start, cat, cfg, 20)
+    _, [series] = _evolved_series(start, cat, cfg, 20)
     assert len(series.times) == 21
     assert len(gaussian_eigvalsh_calls) == built
 

@@ -57,3 +57,16 @@ def test_drivers_import_no_quantized_operator():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "evolve_schrodinger_batch" in imported  # the control: the walk sees the Fock imports
     assert imported.isdisjoint({"quantize", "ManyBodyOperator", "free_energy_heisenberg"})
+
+
+def test_drivers_evolve_through_the_one_route():
+    """`baseline`, `gauge-heisenberg` and `equivalence` step and sample only through `_evolved_series`."""
+    tree = ast.parse((SRC / "diracbox" / "experiments.py").read_text())
+    drivers = {"run_free_baseline", "run_heisenberg_gauge", "run_picture_equivalence"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in drivers:
+            called = {c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            assert "_evolved_series" in called, node.name
+            assert called.isdisjoint({"propagate", "evolve_schrodinger_batch", "evolve_correlation", "field_series"})
+            drivers.remove(node.name)
+    assert not drivers
