@@ -10,6 +10,9 @@ Each run is a scenario with a config file, keyed by its output directory
   t_final = 0.02 (M = 1 372);
 - `gauge-heisenberg-chi0`: chi_amplitude = 0, a family whose blocks are
   all zero;
+- `gauge-heisenberg-n5`: cutoffs 2, 3, 4, 5, whose deviations reach the
+  roundoff floor (the run exits 1 on `j_dev_decreasing`; its outputs are
+  still written and compared);
 - `gauge-schrodinger-mirrored`: the mirrored subsets -1 0, -1 0 1 with
   mode2 = -1:+ (the benchmark's seeded variant);
 - `energy-heisenberg-d3`: d = 3, n_max = 1, 1000 steps, a driven family
@@ -31,6 +34,7 @@ GATE_RUNS = {
     "baseline-d3-n2": ("baseline", "d = 3\nn_max = 2\nn_steps = 20\nt_final = 0.1\n"),
     "baseline-d3-n3": ("baseline", "d = 3\nn_max = 3\nn_steps = 4\nt_final = 0.02\n"),
     "gauge-heisenberg-chi0": ("gauge-heisenberg", "chi_amplitude = 0\n"),
+    "gauge-heisenberg-n5": ("gauge-heisenberg", "cutoffs = 2, 3, 4, 5\n"),
     "gauge-schrodinger-mirrored": ("gauge-schrodinger", "mode2 = -1:+\nscan_subsets = -1 0, -1 0 1\n"),
     "energy-heisenberg-d3": ("energy-heisenberg", "d = 3\nn_max = 1\nn_steps = 1000\n"),
 }

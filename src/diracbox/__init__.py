@@ -84,12 +84,9 @@ from .onebody import (
     StepGuardError,
     TimeDerivative,
     bfield_coefficients,
-    chi_matrix,
     efield_coefficients,
-    gauge_identity_residual,
     gauge_phase,
     gauge_transform,
-    grad_chi_matrix,
     h0_matrix,
     interaction_term_matrices,
     propagate,

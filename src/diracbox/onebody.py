@@ -10,9 +10,10 @@ wave vector k couples momentum n to n + k (grid units); couplings whose
 target leaves the grid are dropped, which keeps the matrix hermitian because
 the +-k partners drop together.
 
-Gauge data chi(x, t) = sum_k chi_k e^{ikx} g(t) produces the multiplication
-matrix X(t), the unitary gauge phase exp(-i e X), and the transformed
-potential A' = A - grad(chi), A_0' = A_0 + d(chi)/dt.
+Gauge data chi(x, t) = sum_k chi_k e^{ikx} g(t) produces the transformed
+potential A' = A - grad(chi), A_0' = A_0 + d(chi)/dt (`gauge_transform`).
+Its d(chi)/dt block is e X_1, the multiplication by chi_1 = chi / g, so the
+gauge phase exp(-i e X(t)) is exp(-i g(t) e X_1) on the same mode groups.
 
 Time evolution is the midpoint-exponential stepper
 
@@ -335,23 +336,7 @@ def interaction_term_matrices(
     return out
 
 
-def chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneBodyOperator:
-    """Multiplication by chi(x, t) projected onto the mode basis."""
-    mat = _coupling_matrix(catalog, {k: v * chi.envelope.value(t) for k, v in chi.chi.items()}, {})
-    return OneBodyOperator(mat)
-
-
-def grad_chi_matrix(catalog: BasisCatalog, chi: GaugeFunction, t: float) -> OneBodyOperator:
-    """Matrix of alpha . grad(chi)(x, t); grad brings down i k."""
-    dk = catalog.grid.dk
-    g = chi.envelope.value(t)
-    vec = {
-        k: 1j * dk * np.array(k, dtype=float) * (v * g) for k, v in chi.chi.items()
-    }
-    mat = _coupling_matrix(catalog, {}, vec)
-    return OneBodyOperator(mat)
-
-
+# No driver calls it; perfbench/tracing.py still names it.
 def gauge_phase(x_op: OneBodyOperator, e: float = 1.0) -> np.ndarray:
     """Unitary exp(-i e X) through the hermitian eigendecomposition of X."""
     return unitary_step(x_op.matrix, e)
@@ -495,8 +480,7 @@ class OneBodyPropagator:
     u is block-diagonal on the groups of `layout`, a `_route` layout (one
     (n_blocks, size) index array per size class), and zero off them:
     `blocks` holds, per size class, the (n_times, n_blocks, size, size)
-    stack of u's blocks.  With no layout, `blocks` is a stack of dense
-    (n_times, M, M) matrices, held as one block of all M modes.
+    stack of u's blocks (a dense u is one block of all M modes).
 
     u(times[0]) = identity; each block of each stored u is unitary within
     1e-10, entrywise, checked once, here, so u is.  The same products give
@@ -510,17 +494,13 @@ class OneBodyPropagator:
 
     times: np.ndarray
     blocks: tuple = field(repr=False)
-    layout: tuple | None = field(default=None, repr=False)
+    layout: tuple = field(repr=False)
     unitarity_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        if self.layout is None:
-            dense = np.asarray(self.blocks, dtype=complex)
-            stacks, layout = [dense[:, None]], [np.arange(dense.shape[-1])[None]]
-        else:
-            stacks = [np.asarray(b, dtype=complex) for b in self.blocks]
-            layout = [np.asarray(rows) for rows in self.layout]
+        stacks = [np.asarray(b, dtype=complex) for b in self.blocks]
+        layout = [np.asarray(rows) for rows in self.layout]
         if any(len(u) != len(times) for u in stacks):
             raise ValueError("one matrix per recorded time required")
         modes = np.sort(np.concatenate([rows.ravel() for rows in layout]))
@@ -826,39 +806,3 @@ def propagate(
             if first + n + 1 in kept:
                 recorded.append([ub for _, ub in blocks])
     return OneBodyPropagator(times, [np.array(u) for u in zip(*recorded)], layout)
-
-
-def gauge_identity_residual(
-    catalog: BasisCatalog,
-    chi: GaugeFunction,
-    t: float,
-    e: float = 1.0,
-    window: int | None = None,
-) -> dict[str, float]:
-    """Truncation residual of h0 e^{-ieX} = e^{-ieX} (-e alpha.grad(chi) + h0).
-
-    The operator identity is exact in the untruncated theory; on the grid it
-    fails near the momentum boundary where e^{-ieX} couples out of the basis.
-    Returns the max absolute residual entry over all rows ("all"), over rows
-    at least one chi band inside the cutoff ("interior"), and over rows with
-    max|n_i| <= window ("window", if given).  The interior max sits at a
-    fixed distance from the moving edge, so comparisons across cutoffs should
-    use a window held fixed over the scan; rows at fixed momentum gain edge
-    distance as n_max grows and their residual drops steeply.
-    """
-    x_op = chi_matrix(catalog, chi, t)
-    phase = gauge_phase(x_op, e)
-    h0 = h0_matrix(catalog).matrix
-    grad = grad_chi_matrix(catalog, chi, t).matrix
-    residual = h0 @ phase - phase @ (-e * grad + h0)
-    abs_res = np.abs(residual)
-    caps = catalog.tables.caps
-    interior = caps <= catalog.n_max - chi.band()
-    out = {
-        "interior": float(abs_res[interior].max()) if interior.any() else 0.0,
-        "all": float(abs_res.max()),
-    }
-    if window is not None:
-        sel = caps <= window
-        out["window"] = float(abs_res[sel].max()) if sel.any() else 0.0
-    return out

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from dense_oracles import dense_propagator
 from diracbox.experiments import ScenarioConfig, _evolved_series, _omega0
 from diracbox.fock import (
     correlation_from_state,
@@ -32,7 +33,6 @@ from diracbox.onebody import (
     CosineRamp,
     DrivenHamiltonian,
     OneBodyOperator,
-    OneBodyPropagator,
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
@@ -101,7 +101,7 @@ def test_non_finite_values_fail_the_validations(monkeypatch):
     with pytest.raises(FloatingPointError, match="not finite"):
         CorrelationMatrix(np.diag([np.nan, 0.0]))
     with pytest.raises(FloatingPointError, match="not finite"):
-        OneBodyPropagator([0.0], [np.diag([1.0, np.nan])])
+        dense_propagator([0.0], [np.diag([1.0, np.nan])])
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
     with pytest.raises(FloatingPointError, match="occupation eigenvalues are not finite"):
         CorrelationMatrix(np.eye(2))
@@ -159,7 +159,7 @@ def test_evolve_correlation_rejects_another_size_and_raw_matrices():
     cat = catalog_m8()
     C = vacuum_correlation(cat)
     with pytest.raises(ValueError, match="propagator shape"):
-        evolve_correlation(C, OneBodyPropagator([0.0], [np.eye(4)]))
+        evolve_correlation(C, dense_propagator([0.0], [np.eye(4)]))
     # unitarity is checked where the propagator is built, so only a propagator is accepted
     with pytest.raises(TypeError, match="OneBodyPropagator"):
         evolve_correlation(C, np.eye(cat.size))
@@ -168,7 +168,7 @@ def test_evolve_correlation_rejects_another_size_and_raw_matrices():
 def test_propagator_rejects_non_unitary():
     cat = catalog_m8()
     with pytest.raises(ValueError, match="unitarity"):
-        OneBodyPropagator([0.0, 1.0], [np.eye(cat.size), 0.5 * np.eye(cat.size)])
+        dense_propagator([0.0, 1.0], [np.eye(cat.size), 0.5 * np.eye(cat.size)])
 
 
 def test_bilinear_expectation_sea_energy_and_number():
@@ -357,7 +357,7 @@ def test_certified_frames_match_the_eigvalsh_verdict(gaussian_eigvalsh_calls):
     certified = fallbacks = rejected = 0
     for c in correlations:
         for u in propagators:
-            prop = OneBodyPropagator([0.0], [u])
+            prop = dense_propagator([0.0], [u])
             before = len(gaussian_eigvalsh_calls)
             got = _verdict(lambda: evolve_correlation(c, prop))
             ran_eigvalsh = len(gaussian_eigvalsh_calls) > before

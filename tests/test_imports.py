@@ -14,6 +14,17 @@ def _run(code: str) -> str:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.strip()
 
 
+def _imported(path: Path) -> set[str]:
+    """The names `path` imports with `from ... import`."""
+    tree = ast.parse(path.read_text())
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _attributes(path: Path) -> set[str]:
+    """The attribute names `path` reads or writes."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+
+
 _LOADS_SCIPY = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
 
 
@@ -53,8 +64,7 @@ def test_drivers_import_no_quantized_operator():
     Nor do they read <H_0> any way but off a correlation frame: the dense
     u^dag h0 u reading, `free_energy_heisenberg`, is the tests' oracle.
     """
-    tree = ast.parse((SRC / "diracbox" / "experiments.py").read_text())
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    imported = _imported(SRC / "diracbox" / "experiments.py")
     assert "evolve_schrodinger_batch" in imported  # the control: the walk sees the Fock imports
     assert imported.isdisjoint({"quantize", "ManyBodyOperator", "free_energy_heisenberg"})
 
@@ -70,3 +80,21 @@ def test_drivers_evolve_through_the_one_route():
             assert called.isdisjoint({"propagate", "evolve_schrodinger_batch", "evolve_correlation", "field_series"})
             drivers.remove(node.name)
     assert not drivers
+
+
+def test_src_reads_the_gauge_relation_and_propagators_on_their_blocks():
+    """No dense gauge phase or dense u in `src/`: `gauge-heisenberg` reads u_g = e^{-ieX} u_free off the blocks.
+
+    `experiments.py` imports neither dense kernel (`gauge_phase`,
+    `unitary_step`) nor a dense oracle (`chi_matrix`,
+    `gauge_identity_residual`, kept in the tests), and no module but
+    `onebody.py`, which defines them, reads a propagator's dense `matrices`
+    or `final` views.
+    """
+    imported = _imported(SRC / "diracbox" / "experiments.py")
+    assert "gauge_transform" in imported  # the control: the walk sees the onebody imports
+    assert imported.isdisjoint({"gauge_phase", "unitary_step", "chi_matrix", "gauge_identity_residual"})
+    dense_views = {"matrices", "final"}
+    assert dense_views <= _attributes(Path(__file__).parent / "test_onebody.py")  # the control: reads are seen
+    readers = {path.name for path in (SRC / "diracbox").glob("*.py") if _attributes(path) & dense_views}
+    assert readers <= {"onebody.py"}

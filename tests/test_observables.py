@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import diracbox.observables as observables
+from dense_oracles import dense_propagator
 from diracbox.experiments import ScenarioConfig, _unit_gauge_blocks, scan_profile
 from diracbox.fock import (
     correlation_from_state,
@@ -54,7 +55,6 @@ from diracbox.onebody import (
     DrivenHamiltonian,
     GaugeFunction,
     OneBodyOperator,
-    OneBodyPropagator,
     PotentialSpec,
     h0_matrix,
     interaction_term_matrices,
@@ -370,7 +370,7 @@ def test_field_fourier_equals_mode_pair_loop(d, n_max, keep):
     sparse = omega0_correlation(cat, MODE1, MODE2)  # mostly exact zeros
     rng = np.random.default_rng(d * 10 + n_max)
     h = rng.normal(size=(cat.size, cat.size)) + 1j * rng.normal(size=(cat.size, cat.size))
-    [dense] = evolve_correlation(sparse, OneBodyPropagator([0.3], [unitary_step(h + h.conj().T, 0.3)]))
+    [dense] = evolve_correlation(sparse, dense_propagator([0.3], [unitary_step(h + h.conj().T, 0.3)]))
     for C in (sparse, dense):
         got = field_fourier(C, cat, e=1.5)
         want = oracle_field_fourier(C.matrix, cat, e=1.5)
@@ -481,7 +481,7 @@ def test_field_series_frames_equal_pointwise_densities(d, n_max):
     cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
     times = [0.0, 0.1, 0.2, 0.3]
     c0 = random_correlation(cat.size, np.random.default_rng(50 + d))
-    prop = OneBodyPropagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
+    prop = dense_propagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
     cs = evolve_correlation(c0, prop)
     series = field_series(cat, times, cs, e=1.5)
     for k, c in enumerate(cs):
@@ -533,7 +533,7 @@ def test_spectral_divergence_matches_fft_of_sampled_current(d, n_max):
     cat = build_catalog(MomentumGrid(d=d, length=2 * np.pi, n_max=n_max), 1.0)
     times = [0.0, 0.1, 0.2]
     c0 = random_correlation(cat.size, np.random.default_rng(60 + d))
-    prop = OneBodyPropagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
+    prop = dense_propagator(times, [unitary_step(h0_matrix(cat).matrix, t) for t in times])
     series = field_series(cat, times, evolve_correlation(c0, prop), e=1.5)
     want = fft_divergence(series)
     assert np.abs(spectral_divergence(series) - want).max() <= 1e-12 * np.abs(want).max()
