@@ -455,8 +455,10 @@ class DrivenHamiltonian:
         """h(t) at every t in `times`, one dense (n, M, M) array.
 
         Each h(t) is h0 with g_b(t) B_b added in block order, none where
-        g_b(t) = 0: the sums `_step_chunks` takes on the mode-group blocks
-        alone, so this is their dense oracle.  No stepper reads it.
+        g_b(t) = 0 (a -0.0 of h0 stays -0.0 there): the sums `_step_chunks`
+        takes on the mode-group blocks alone, one masked add per block and
+        chunk, so this is their dense oracle, bit for bit.  No stepper
+        reads it.
         """
         h = np.empty((len(times),) + self.h0.matrix.shape, dtype=complex)
         h[:] = self.h0.matrix
@@ -685,27 +687,36 @@ def _step_chunks(family: DrivenHamiltonian, layout: list, index: np.ndarray, dt:
 
     `entries` holds h(t_mid[first + n]) at `index` (`_route`) in row n: h0,
     then g_b(t) B_b added in block order, none where g_b(t) = 0, the sums
-    `DrivenHamiltonian.stack` takes on the whole matrix.  `stacks` are its
-    views as one (n, n_blocks, size, size) stack per size class of `layout`,
-    and the 1-norm is the guard's, so both steppers read one guarded chunk.
+    `DrivenHamiltonian.stack` takes on the whole matrix.  Each g_b(t) is
+    read once, before the first chunk, and each block is one add per chunk,
+    on the rows where its g_b is not 0.  `stacks` are the entries' views as
+    one (n, n_blocks, size, size) stack per size class of `layout`, and the
+    1-norm is the guard's, so both steppers read one guarded chunk.  A
+    family with no blocks builds and guards its full chunk once and yields
+    that same chunk for every full chunk; a short last chunk is its own.
     """
     h0 = family.h0.matrix.ravel()[index]
-    terms = [(op.matrix.ravel()[index], env) for op, env in family.blocks]
+    terms = [(op.matrix.ravel()[index], np.array([env.value(t) for t in t_mid])) for op, env in family.blocks]
     bounds = np.cumsum([0] + [rows.size * rows.shape[1] for rows in layout])
+    full = None  # a static family's guarded full chunk: (entries, stacks, 1-norm)
     for first in range(0, len(t_mid), _STEP_CHUNK):
         chunk = t_mid[first : first + _STEP_CHUNK]
+        if full is not None and len(chunk) == _STEP_CHUNK:
+            yield (first, *full)
+            continue
         h = np.empty((len(chunk), len(index)), dtype=complex)
         h[:] = h0
-        for b, env in terms:
-            for h_t, t in zip(h, chunk):
-                g = env.value(t)
-                if g != 0.0:
-                    h_t += g * b
+        for b, weights in terms:
+            g = weights[first : first + len(chunk), None]
+            np.add(h, g * b, out=h, where=g != 0.0)
         hs = [
             h[:, lo:hi].reshape(len(chunk), *rows.shape, rows.shape[1])
             for rows, lo, hi in zip(layout, bounds, bounds[1:])
         ]
-        yield first, h, hs, _step_guard(hs, dt, chunk, first)
+        guarded = h, hs, _step_guard(hs, dt, chunk, first)
+        if not terms and len(chunk) == _STEP_CHUNK:
+            full = guarded
+        yield (first, *guarded)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:
@@ -734,24 +745,6 @@ def _join(blocks, size: int) -> np.ndarray:
         u[..., rows[:, :, None], rows[:, None, :]] = ub
     u.setflags(write=False)
     return u
-
-
-def _chain(blocks: list, steps: list):
-    """u on its blocks after each step of a chunk, in step order: s[n] @ u per block and step.
-
-    Where every block is 1 x 1 the chain is elementwise: one cumulative
-    product down the chunk's steps, u first, with the products of the
-    per-step loop.
-    """
-    if len(blocks) == 1 and blocks[0][1].shape[-1] == 1:
-        rows, u = blocks[0]
-        chain = np.concatenate([u[None], steps[0]])
-        for u in np.cumprod(chain, axis=0, out=chain)[1:]:
-            yield [(rows, u)]
-        return
-    for n in range(len(steps[0])):
-        blocks = [(rows, s[n] @ ub) for (rows, ub), s in zip(blocks, steps)]
-        yield blocks
 
 
 def time_grid(t_span: tuple[float, float], n_steps: int, record_every: int):
@@ -790,19 +783,33 @@ def propagate(
     of them, read by `_route` (anything else raises a ValueError): u is
     split once, before the first step, on the blocks of its mode groups,
     and every chunk of `_step_chunks`, built and guarded on those blocks
-    alone, steps by the phases or Taylor polynomials of `_guarded_steps`.
-    Each block is chain-multiplied on its own, and the propagator keeps
-    the recorded u on the same blocks, never dense.  1 x 1 blocks alone
-    (the diagonal h0, a family whose blocks are all zero) chain their
-    phases in one cumulative product per chunk (`_chain`), with the bytes
-    of a product per step.
+    alone, steps by the phases or Taylor polynomials of `_guarded_steps`,
+    taken once for the chunk a family with no blocks reuses.  Each block
+    is chain-multiplied on its own, and the propagator keeps the recorded
+    u on the same blocks, never dense.  1 x 1 blocks alone (the diagonal
+    h0, a family whose blocks are all zero) chain their phases in one
+    cumulative product per chunk, with the bytes of a product per step,
+    visiting only the recorded steps.
     """
     dt, t_mid, times, kept = time_grid(t_span, n_steps, record_every)
     family, layout, index = _route(hamiltonian)
-    blocks = _split(np.eye(family.h0.size, dtype=complex), layout)
-    recorded = [[ub for _, ub in blocks]]
-    for first, _, hs, norm in _step_chunks(family, layout, index, dt, t_mid):
-        for n, blocks in enumerate(_chain(blocks, _guarded_steps(hs, dt, norm))):
+    u = [ub for _, ub in _split(np.eye(family.h0.size, dtype=complex), layout)]
+    recorded = [u]
+    phases = len(layout) == 1 and layout[0].shape[1] == 1
+    steps = taken = None
+    for first, entries, hs, norm in _step_chunks(family, layout, index, dt, t_mid):
+        if entries is not taken:  # a static family's full chunks are one chunk, exponentiated once
+            steps = taken = None  # the last chunk's steps go first: held, they would raise the peak memory
+            steps, taken = _guarded_steps(hs, dt, norm), entries
+        if phases:
+            chain = np.concatenate([u[0][None], steps[0]])
+            np.cumprod(chain, axis=0, out=chain)
+            recorded += [[chain[step - first]] for step in range(first + 1, first + len(chain)) if step in kept]
+            u = [chain[-1]]
+            continue
+        for n in range(len(entries)):
+            u = [s[n] @ ub for s, ub in zip(steps, u)]
             if first + n + 1 in kept:
-                recorded.append([ub for _, ub in blocks])
+                recorded.append(u)
+    del steps, taken  # and before the propagator's checks, for the same reason
     return OneBodyPropagator(times, [np.array(u) for u in zip(*recorded)], layout)

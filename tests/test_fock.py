@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from diracbox import fock
+from diracbox import fock, onebody
 from diracbox.experiments import (
     ScenarioConfig,
     _pure_gauge,
@@ -641,6 +641,30 @@ def test_batched_kernel_writes_each_block_s_own_bytes():
     want = np.array([kernel_expm_multiply(A, v) for A, v in zip(mats, vs)])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert want[-1].tobytes() == expm_multiply(mats[-1], vs[-1]).tobytes()  # scipy's zeros, signs and all
+
+
+def test_batch_with_a_reused_static_chunk_writes_each_family_s_own_bytes(monkeypatch):
+    """An f = 0 family beside driven ones over 83 steps: its one full chunk serves all 5; each run keeps its bytes."""
+    family, omega = scan_family((0, 1), spin=True)
+    hams = scaled_families(family, (0.3, 0.0, 1.0))
+    guards = []
+    original = onebody._step_guard
+
+    def counted(hs, dt, t_mid, first):
+        guards.append(first)
+        return original(hs, dt, t_mid, first)
+
+    monkeypatch.setattr(onebody, "_step_guard", counted)
+    times, runs = evolve_schrodinger_batch(omega, hams, (0.0, 1.0), 83, record_every=10)
+    # the driven families guard each of their 6 chunks, the static one its full chunk and its last
+    assert sorted(guards) == sorted(2 * list(range(0, 83, 16)) + [0, 80])
+    monkeypatch.undo()
+    for ham, states in zip(hams, runs):
+        want_t, want = evolve_schrodinger(omega, ham, (0.0, 1.0), 83, record_every=10)
+        assert times.tobytes() == want_t.tobytes()
+        amps = np.array([st.amplitudes for st in states])
+        want_amps = np.array([st.amplitudes for st in want])
+        assert amps.shape == want_amps.shape == (10, omega.basis.dim) and amps.tobytes() == want_amps.tobytes()
 
 
 @pytest.mark.parametrize(

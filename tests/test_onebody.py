@@ -16,6 +16,7 @@ from dense_oracles import chi_matrix, dense_propagator, gauge_identity_residual,
 from diracbox.fock import (
     ManyBodyOperator,
     evolve_schrodinger,
+    evolve_schrodinger_batch,
     quantize,
     vacuum_state,
 )
@@ -843,9 +844,24 @@ def silent_block_family():
     return DrivenHamiltonian(gauge.h0, gauge.blocks + ((a0, Window(Constant(1.0), 0.5)),))
 
 
+def signed_zero_family():
+    """An a0 block whose g is 0 before t = 0.5 and 1 from it, on an h0 that holds -0.0 on the block's entries."""
+    cat = catalog1d(n_max=2)
+    a0 = interaction_term_matrices(cat, PotentialSpec.single(a0={1: 0.1, -1: 0.1}))[0][0]
+    h0 = h0_matrix(cat).matrix.copy()
+    h0[a0.matrix != 0] = -0.0
+    return DrivenHamiltonian(OneBodyOperator(h0), [(a0, Window(Constant(1.0), 0.5))])
+
+
 @pytest.mark.parametrize(
     "case, sizes",
-    [("d1-pure-gauge", [10]), ("d3-scan", [12, 6]), ("silent-block", [10])],
+    [
+        ("d1-pure-gauge", [10]),
+        ("d3-scan", [12, 6]),
+        ("silent-block", [10]),
+        ("static", [10]),
+        ("signed-zero", [10]),
+    ],
 )
 def test_route_chunk_entries_equal_the_dense_stack(case, sizes):
     """The entries of every chunk `_step_chunks` builds are the dense h(t) at the route's index, bit for bit."""
@@ -854,23 +870,101 @@ def test_route_chunk_entries_equal_the_dense_stack(case, sizes):
     elif case == "d3-scan":
         cfg, family = d3_scan_family()
         times = np.linspace(0.0, cfg.t_final, 20)  # g_b(0) = 0 for both blocks: h(0) = h0
-    else:
+    elif case == "silent-block":
         family, times = silent_block_family(), np.linspace(0.0, 1.0, 20)  # t = 0.5 falls inside the first chunk
+    elif case == "static":
+        # no blocks: three full chunks, one chunk reused, and a short last one built on its own
+        family = DrivenHamiltonian(OneBodyOperator(pure_gauge_family().data_at(0.5)), ())
+        times = np.linspace(0.0, 1.0, 3 * _STEP_CHUNK + 5)
+    else:
+        family, times = signed_zero_family(), np.linspace(0.0, 1.0, 20)
     routed, layout, index = _route(family)
     assert routed is family and [rows.shape[1] for rows in layout] == sizes
     t_mid = times.tolist()
     chunks = list(_step_chunks(routed, layout, index, 1e-3, t_mid))
-    assert [first for first, *_ in chunks] == [0, _STEP_CHUNK]
+    assert [first for first, *_ in chunks] == list(range(0, len(t_mid), _STEP_CHUNK))
     for first, entries, hs, norm in chunks:
         dense = family.stack(t_mid[first : first + len(entries)])
         flat = dense.reshape(len(entries), -1)
-        assert (entries == flat[:, index]).all()
+        assert entries.tobytes() == flat[:, index].tobytes()
         # h(t) is zero off the blocks, and the stacks are views of the entries, one per size class
         assert not np.delete(flat, index, axis=1).any()
         for rows, h in zip(layout, hs):
             assert np.shares_memory(h, entries)
-            assert (h == dense[:, rows[:, :, None], rows[:, None, :]]).all()
+            assert h.tobytes() == dense[:, rows[:, :, None], rows[:, None, :]].tobytes()
         assert norm == max(np.abs(h).sum(axis=-2).max() for h in hs) * 1e-3
+    if case == "static":
+        # the full chunks are one chunk, built and guarded once
+        assert chunks[0][1] is chunks[1][1] is chunks[2][1] and chunks[3][1] is not chunks[0][1]
+        assert len(chunks[3][1]) == 5
+    if case == "signed-zero":
+        # the rows where g = 0 keep h0's -0.0, which adding 0 * B would turn to +0.0
+        [(block, envelope)] = family.blocks
+        at = (block.matrix != 0).ravel()[index]
+        entries = chunks[0][1]
+        silent = np.array([envelope.value(t) == 0.0 for t in t_mid[:_STEP_CHUNK]])
+        assert silent.any() and not silent.all()
+        assert np.signbit(entries[silent][:, at].real).all()
+
+
+class Counting:
+    """An envelope that records the time of each call it takes."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def value(self, t):
+        self.calls.append(t)
+        return self.base.value(t)
+
+
+def test_chunks_do_each_piece_of_work_once(monkeypatch):
+    """Each g_b(t) is read once per midpoint step; a static chunk is guarded and exponentiated once per chunk length."""
+    calls = {"_step_guard": 0, "_guarded_steps": 0}
+    for name in calls:
+        original = getattr(onebody, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(onebody, name, counted)
+    # the default cutoff's h0: 50 full chunks, then also a chunk of 3 steps
+    _, _, family = default_gauge_family()
+    for n_steps, lengths in ((800, 1), (803, 2)):
+        propagate(family.h0, (0.0, 1.0), n_steps, record_every=400)
+        assert calls == {"_step_guard": lengths, "_guarded_steps": lengths}
+        calls.update(_step_guard=0, _guarded_steps=0)
+    small = catalog1d(n_max=1)
+    evolve_schrodinger(vacuum_state(small), h0_matrix(small), (0.0, 1.0), 800, record_every=400)
+    assert calls == {"_step_guard": 1, "_guarded_steps": 0}
+    # a driven family reads each envelope at each midpoint, in step order, in both pictures
+    gauge = pure_gauge_family(n_max=1)
+    _, t_mid, _, _ = time_grid((0.0, 1.0), 203, 1)
+    for step in (
+        lambda ham: propagate(ham, (0.0, 1.0), 203),
+        lambda ham: evolve_schrodinger(vacuum_state(small), ham, (0.0, 1.0), 203),
+    ):
+        counted = DrivenHamiltonian(gauge.h0, [(op, Counting(env)) for op, env in gauge.blocks])
+        step(counted)
+        assert [env.calls for _, env in counted.blocks] == [t_mid, t_mid]
+
+
+def test_static_family_over_the_guard_trips_at_step_0():
+    """A static family's one guarded chunk still stops both pictures at step 0, with the reference message."""
+    cat = catalog1d(n_max=1)  # ||h0|| = sqrt(2)
+    strong = OneBodyOperator(100.0 * h0_matrix(cat).matrix)
+    with pytest.raises(StepGuardError) as ref:
+        reference_propagate(strong, (0.0, 1.0), n_steps=800)
+    assert ref.value.step == 0
+    errors = stepper_guard_errors(cat, strong, 800)
+    # in a batch beside a family that passes, too
+    with pytest.raises(StepGuardError) as batch:
+        evolve_schrodinger_batch(vacuum_state(cat), [pure_gauge_family(n_max=1), strong], (0.0, 1.0), 800)
+    for err in (*errors, batch.value):
+        assert (err.step, err.time) == (0, 0.5 / 800)
+        assert err.value == pytest.approx(ref.value.value, rel=1e-12)
+        assert str(err) == str(ref.value) == "step too coarse: ||h||*dt = 0.1768 > 0.1 at step 0 (t_mid = 0.000625)"
 
 
 def test_static_operator_is_stepped_as_a_family_with_no_blocks():
